@@ -62,25 +62,23 @@ def conv1d_forward(
     windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
     y = np.einsum("bplk,opk->bol", windows, weight, optimize=True)
     y += bias[None, :, None]
-    cache = (xp, windows, weight, padding, x.shape)
-    return y, cache
+    return y, (windows, padding, weight)
 
 
 def conv1d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a conv layer: returns (dx, dweight, dbias)."""
-    xp, windows, weight, padding, x_shape = cache
-    out_planes, in_planes, k = weight.shape
+    """Gradients of a conv layer: returns (dx, dweight, dbias).
+
+    ``dx`` is one full correlation of ``dy`` with the flipped kernel, taken
+    only at the positions of the unpadded input.
+    """
+    windows, padding, weight = cache
+    k = weight.shape[2]
     dw = np.einsum("bol,bplk->opk", dy, windows, optimize=True)
     db = dy.sum(axis=(0, 2))
-    dxp = np.zeros_like(xp)
-    # scatter through each kernel tap; k is small so the loop stays cheap
-    for j in range(k):
-        dxp[:, :, j : j + dy.shape[2]] += np.einsum("bol,op->bpl", dy, weight[:, :, j], optimize=True)
-    if padding == "same":
-        left, _ = _pad_widths(k)
-        dx = dxp[:, :, left : left + x_shape[2]]
-    else:
-        dx = dxp
+    left, right = _pad_widths(k) if padding == "same" else (0, 0)
+    dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1 - left, k - 1 - right)))
+    dy_windows = np.lib.stride_tricks.sliding_window_view(dyp, k, axis=2)
+    dx = np.einsum("bolk,opk->bpl", dy_windows, weight[:, :, ::-1], optimize=True)
     return dx, dw, db
 
 
@@ -102,30 +100,29 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Window-2/stride-2 max pooling with ceil semantics.
 
     An odd trailing sample forms its own window, so the output length is
-    ``ceil(length / 2)``.
+    ``ceil(length / 2)``. The cache holds a boolean mask that is true where
+    a window's first sample is its maximum; ties and a NaN first sample go
+    to the first sample, exactly as ``argmax`` picks.
     """
-    b, p, length = x.shape
-    odd = length % 2 == 1
-    if odd:
-        body = x[:, :, :-1].reshape(b, p, length // 2, 2)
-    else:
-        body = x.reshape(b, p, length // 2, 2)
-    argmax = body.argmax(axis=3)
-    pooled = np.take_along_axis(body, argmax[..., None], axis=3)[..., 0]
-    if odd:
+    half = x.shape[2] // 2
+    left = x[:, :, 0 : 2 * half : 2]
+    right = x[:, :, 1 : 2 * half : 2]
+    first = (left >= right) | np.isnan(left)
+    pooled = np.where(first, left, right)
+    if x.shape[2] % 2:
         pooled = np.concatenate([pooled, x[:, :, -1:]], axis=2)
-    return pooled, (x.shape, argmax, odd)
+    return pooled, (x.shape, first)
 
 
 def maxpool_backward(dy: np.ndarray, cache: tuple) -> np.ndarray:
-    x_shape, argmax, odd = cache
-    b, p, length = x_shape
-    dx = np.zeros((b, p, length // 2, 2), dtype=dy.dtype)
-    dy_body = dy[:, :, :-1] if odd else dy
-    np.put_along_axis(dx, argmax[..., None], dy_body[..., None], axis=3)
-    dx = dx.reshape(b, p, (length // 2) * 2)
-    if odd:
-        dx = np.concatenate([dx, dy[:, :, -1:]], axis=2)
+    """Route each window's gradient to the sample the forward pass kept."""
+    x_shape, first = cache
+    half = x_shape[2] // 2
+    dx = np.empty(x_shape, dtype=dy.dtype)
+    np.multiply(dy[:, :, :half], first, out=dx[:, :, 0 : 2 * half : 2])
+    np.multiply(dy[:, :, :half], ~first, out=dx[:, :, 1 : 2 * half : 2])
+    if x_shape[2] % 2:
+        dx[:, :, -1] = dy[:, :, -1]
     return dx
 
 
@@ -147,19 +144,22 @@ def batchnorm_forward(
         if x.shape[0] < 2:
             raise ValueError("batchnorm in train mode needs a batch of at least 2")
         mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        centered = x - mean[None, :, None]
+        # the same sum and division as x.var, so the result is bit-identical
+        var = (centered * centered).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
     elif mode == "eval":
-        mean = running_mean
+        centered = x - running_mean[None, :, None]
         var = running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
+    xhat = np.multiply(centered, inv_std[None, :, None], out=centered)
+    y = gamma[None, :, None] * xhat
+    y += beta[None, :, None]
     return y, (xhat, inv_std, gamma, mode)
 
 
@@ -168,13 +168,14 @@ def batchnorm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nda
     xhat, inv_std, gamma, mode = cache
     dgamma = (dy * xhat).sum(axis=(0, 2))
     dbeta = dy.sum(axis=(0, 2))
-    scaled = dy * gamma[None, :, None] * inv_std[None, :, None]
+    scale = gamma * inv_std
+    dx = dy * scale[None, :, None]
     if mode == "eval":
-        return scaled, dgamma, dbeta
+        return dx, dgamma, dbeta
+    # the per-plane means of dx and dx * xhat, from the sums already taken
     n = dy.shape[0] * dy.shape[2]
-    mean_dy = scaled.sum(axis=(0, 2)) / n
-    mean_dy_xhat = (scaled * xhat).sum(axis=(0, 2)) / n
-    dx = scaled - mean_dy[None, :, None] - xhat * mean_dy_xhat[None, :, None]
+    dx -= (scale * dbeta / n)[None, :, None]
+    dx -= xhat * (scale * dgamma / n)[None, :, None]
     return dx, dgamma, dbeta
 
 

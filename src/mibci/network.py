@@ -237,6 +237,13 @@ class BlockParams:
         return names
 
 
+def _json_vector(entry: dict, name: str, length: int, index: int) -> np.ndarray:
+    values = np.array(entry.get(name, []), dtype=np.float64)
+    if values.shape != (length,):
+        raise ValueError(f"layer {index + 1}: {name} needs {length} values, got shape {values.shape}")
+    return values
+
+
 @dataclass
 class NetworkParams:
     """All block parameters plus the seed they were initialized from."""
@@ -273,13 +280,19 @@ class NetworkParams:
 
     @classmethod
     def from_json(cls, text: str) -> tuple[NetworkSpec, "NetworkParams"]:
+        """Inverse of :meth:`to_json`; a block count or vector length that
+        does not match the structure raises ``ValueError``."""
         doc = json.loads(text)
         triples = []
         for row in doc["structure"].split("/"):
             triples.append(tuple(int(v) for v in row.replace(",", " ").split()))
+        if len(triples) != len(doc["blocks"]):
+            raise ValueError(
+                f"structure has {len(triples)} layers but the document has {len(doc['blocks'])} blocks"
+            )
         blocks_spec = []
         blocks_params = []
-        for (in_p, k, out_p), entry in zip(triples, doc["blocks"]):
+        for i, ((in_p, k, out_p), entry) in enumerate(zip(triples, doc["blocks"])):
             blocks_spec.append(
                 ConvBlockSpec(
                     in_planes=in_p,
@@ -292,14 +305,14 @@ class NetworkParams:
                 )
             )
             bp = BlockParams(
-                weight=np.array(entry["weight"], dtype=np.float64).reshape(out_p, in_p, k),
-                bias=np.array(entry["bias"], dtype=np.float64),
+                weight=_json_vector(entry, "weight", out_p * in_p * k, i).reshape(out_p, in_p, k),
+                bias=_json_vector(entry, "bias", out_p, i),
             )
-            if "gamma" in entry:
-                bp.gamma = np.array(entry["gamma"], dtype=np.float64)
-                bp.beta = np.array(entry["beta"], dtype=np.float64)
-                bp.running_mean = np.array(entry["running_mean"], dtype=np.float64)
-                bp.running_var = np.array(entry["running_var"], dtype=np.float64)
+            if entry["batch_norm"]:
+                bp.gamma = _json_vector(entry, "gamma", out_p, i)
+                bp.beta = _json_vector(entry, "beta", out_p, i)
+                bp.running_mean = _json_vector(entry, "running_mean", out_p, i)
+                bp.running_var = _json_vector(entry, "running_var", out_p, i)
             blocks_params.append(bp)
         spec = NetworkSpec(blocks=tuple(blocks_spec), output_dim=doc["output_dim"])
         return spec, cls(blocks=blocks_params, init_seed=doc.get("init_seed", 0))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mibci import layers
 from mibci.network import ConvBlockSpec, NetworkSpec, backward, init_params
@@ -78,6 +81,22 @@ class TestMaxPool:
         dy = np.array([[[1.0, 2.0, 3.0]]])
         dx = layers.maxpool_backward(dy, cache)
         assert np.array_equal(dx, np.array([[[0.0, 1.0, 2.0, 0.0, 3.0]]]))
+
+    def test_ties_route_gradient_to_first_sample(self):
+        # equal pairs, an all-zero pair (ReLU output) and an odd tail
+        x = np.array([[[0.0, 0.0, 2.0, 2.0, -1.5, -1.5, 0.0, 0.0, 7.0]]])
+        y, cache = layers.maxpool_forward(x)
+        assert np.array_equal(y, np.array([[[0.0, 2.0, -1.5, 0.0, 7.0]]]))
+        dy = np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]])
+        dx = layers.maxpool_backward(dy, cache)
+        assert np.array_equal(dx, np.array([[[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0, 5.0]]]))
+
+    def test_nan_wins_its_window_like_argmax(self):
+        x = np.array([[[np.nan, 1.0, 1.0, np.nan]]])
+        y, cache = layers.maxpool_forward(x)
+        assert np.isnan(y).all()
+        dx = layers.maxpool_backward(np.array([[[1.0, 2.0]]]), cache)
+        assert np.array_equal(dx, np.array([[[1.0, 0.0, 0.0, 2.0]]]))
 
 
 class TestBatchNorm:
@@ -190,3 +209,129 @@ def test_batchnorm_train_mode_gradients():
     analytic, _ = backward(spec, params, x, targets, mode="train")
     numeric = numeric_gradients(spec, params, x, targets, mode="train")
     assert max_relative_gradient_error(analytic, numeric) <= 1e-4
+
+
+# The argmax maxpool, per-tap conv dx and two-reduction batchnorm kernels the
+# layers replaced, kept as test-only references.
+
+
+def reference_maxpool_forward(x):
+    b, p, length = x.shape
+    body = x[:, :, : length - length % 2].reshape(b, p, length // 2, 2)
+    argmax = body.argmax(axis=3)
+    pooled = np.take_along_axis(body, argmax[..., None], axis=3)[..., 0]
+    if length % 2:
+        pooled = np.concatenate([pooled, x[:, :, -1:]], axis=2)
+    return pooled, argmax
+
+
+def reference_maxpool_backward(dy, x_shape, argmax):
+    b, p, length = x_shape
+    dx = np.zeros((b, p, length // 2, 2), dtype=dy.dtype)
+    np.put_along_axis(dx, argmax[..., None], dy[:, :, : length // 2, None], axis=3)
+    dx = dx.reshape(b, p, (length // 2) * 2)
+    if length % 2:
+        dx = np.concatenate([dx, dy[:, :, -1:]], axis=2)
+    return dx
+
+
+def reference_conv_dx(dy, weight, padding, length):
+    """Scatter dy through each kernel tap into the padded input, then crop."""
+    k = weight.shape[2]
+    left = (k - 1) // 2 if padding == "same" else 0
+    dxp = np.zeros((dy.shape[0], weight.shape[1], dy.shape[2] + k - 1))
+    for j in range(k):
+        dxp[:, :, j : j + dy.shape[2]] += np.einsum("bol,op->bpl", dy, weight[:, :, j])
+    return dxp[:, :, left : left + length]
+
+
+def reference_batchnorm_forward(x, gamma, beta):
+    mean = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
+    inv_std = 1.0 / np.sqrt(var + layers.BN_EPS)
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    return gamma[None, :, None] * xhat + beta[None, :, None]
+
+
+def reference_batchnorm_dx(dy, xhat, inv_std, gamma):
+    """Train-mode input gradient with its two extra full-size reductions."""
+    scaled = dy * gamma[None, :, None] * inv_std[None, :, None]
+    n = dy.shape[0] * dy.shape[2]
+    mean_dy = scaled.sum(axis=(0, 2)) / n
+    mean_dy_xhat = (scaled * xhat).sum(axis=(0, 2)) / n
+    return scaled - mean_dy[None, :, None] - xhat * mean_dy_xhat[None, :, None]
+
+
+def assert_close_to_scale(actual, expected, scale):
+    """Max abs difference within 1e-12 of the magnitude of the summed terms."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= 1e-12 * scale
+
+
+# few distinct values, so a large share of pool windows are ties
+pool_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0, np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape, elements=pool_values)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maxpool_matches_argmax_reference_bit_for_bit(x, seed):
+    pooled, cache = layers.maxpool_forward(x)
+    ref_pooled, argmax = reference_maxpool_forward(x)
+    assert pooled.shape == ref_pooled.shape
+    assert pooled.tobytes() == ref_pooled.tobytes()
+    dy = np.random.default_rng(seed).normal(size=pooled.shape)
+    dx = layers.maxpool_backward(dy, cache)
+    # equal element for element; an unrouted slot may hold -0.0 for +0.0
+    assert np.array_equal(dx, reference_maxpool_backward(dy, x.shape, argmax))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    in_planes=st.integers(1, 3),
+    out_planes=st.integers(1, 3),
+    k=st.integers(1, 7),
+    extra=st.integers(0, 12),
+    padding=st.sampled_from(["same", "valid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_dx_matches_per_tap_reference(batch, in_planes, out_planes, k, extra, padding, seed):
+    rng = np.random.default_rng(seed)
+    length = k + extra  # odd and even lengths, always valid-able
+    x = rng.normal(size=(batch, in_planes, length))
+    weight = rng.normal(size=(out_planes, in_planes, k))
+    y, cache = layers.conv1d_forward(x, weight, rng.normal(size=out_planes), padding)
+    dy = rng.normal(size=y.shape)
+    dx, _, _ = layers.conv1d_backward(dy, cache)
+    expected = reference_conv_dx(dy, weight, padding, length)
+    scale = reference_conv_dx(np.abs(dy), np.abs(weight), padding, length).max()
+    assert_close_to_scale(dx, expected, scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=st.integers(2, 4),
+    planes=st.integers(1, 3),
+    length=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batchnorm_matches_reference(batch, planes, length, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.normal(), rng.uniform(0.1, 3.0), size=(batch, planes, length))
+    gamma = rng.uniform(0.5, 1.5, planes)
+    beta = rng.normal(size=planes)
+    y, cache = layers.batchnorm_forward(x, gamma, beta, np.zeros(planes), np.ones(planes), "train")
+    assert y.tobytes() == reference_batchnorm_forward(x, gamma, beta).tobytes()
+    dy = rng.normal(size=y.shape)
+    dx, _, _ = layers.batchnorm_backward(dy, cache)
+    xhat, inv_std, _, _ = cache
+    scale = np.abs(dy * (gamma * inv_std)[None, :, None]).max()
+    assert_close_to_scale(dx, reference_batchnorm_dx(dy, xhat, inv_std, gamma), scale)

@@ -1,5 +1,7 @@
 """Structure parsing, weight counting, forward contracts, and backward oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,36 @@ class TestParamsSerialization:
             if a.gamma is not None:
                 assert np.array_equal(a.gamma, b.gamma)
                 assert np.array_equal(a.running_var, b.running_var)
+
+    @staticmethod
+    def _bn_doc() -> dict:
+        spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16)
+        return json.loads(init_params(spec, seed=0).to_json(spec))
+
+    def test_fewer_blocks_than_structure_rows(self):
+        doc = self._bn_doc()
+        doc["blocks"].pop()
+        with pytest.raises(ValueError, match="2 layers but the document has 1 blocks"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    def test_more_blocks_than_structure_rows(self):
+        doc = self._bn_doc()
+        doc["blocks"].append(doc["blocks"][-1])
+        with pytest.raises(ValueError, match="2 layers but the document has 3 blocks"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["weight", "bias", "gamma", "beta", "running_mean", "running_var"])
+    def test_vector_length_checked(self, name):
+        doc = self._bn_doc()
+        doc["blocks"][0][name].pop()
+        with pytest.raises(ValueError, match=f"layer 1: {name} needs"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    def test_missing_batchnorm_vector_rejected(self):
+        doc = self._bn_doc()
+        del doc["blocks"][0]["running_var"]
+        with pytest.raises(ValueError, match="layer 1: running_var needs 8 values"):
+            NetworkParams.from_json(json.dumps(doc))
 
     def test_copy_is_deep(self):
         spec = parse_structure("1,3,4 / 4,8,8", input_length=16, output_dim=8)
