@@ -22,17 +22,17 @@ from .augment import (
 from .bandpass import (
     DEFAULT_BANDS,
     FilterBankSpec,
-    apply_filter_bank,
     apply_filter_bank_set,
     design_bandpass,
     zero_phase_bandpass,
 )
 from .base import EstimatorMixin, NotFittedError
-from .csp import CspModel, CspTransformer, apply_csp, apply_csp_set, fit_csp
+from .csp import CspModel, CspTransformer, apply_csp_set, fit_csp
 from .epochs import Epoch, EpochSet, Split, SplitSpec, derive_seed, split_dataset
 from .experiment import (
     ExperimentPlan,
     ExperimentReport,
+    LeakageError,
     MatrixReport,
     RunResult,
     compare_augmentation,
@@ -46,8 +46,6 @@ from .mdn import (
     SchemeMember,
     mdn_classify,
     mdn_distances,
-    ovo_predict,
-    ovr_predict,
     scheme_predict,
 )
 from .metrics import (
@@ -74,7 +72,7 @@ from .network import (
 from .stats import TTestResult, paired_ttest, regularized_incomplete_beta, student_t_two_tailed_p
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, TrainingDivergedError, TrainReport, train
-from .walsh import WalshCodebook, build_walsh, class_targets, hamming
+from .walsh import WalshCodebook, build_walsh, hamming
 
 __all__ = [
     "__version__",
@@ -87,22 +85,22 @@ __all__ = [
     "polarity_invert", "time_rotate", "noise_inject", "augment_epoch", "augment_set",
     # preprocessing
     "DEFAULT_BANDS", "FilterBankSpec", "design_bandpass", "zero_phase_bandpass",
-    "apply_filter_bank", "apply_filter_bank_set",
-    "CspModel", "CspTransformer", "fit_csp", "apply_csp", "apply_csp_set",
+    "apply_filter_bank_set",
+    "CspModel", "CspTransformer", "fit_csp", "apply_csp_set",
     # codes and network
-    "WalshCodebook", "build_walsh", "class_targets", "hamming",
+    "WalshCodebook", "build_walsh", "hamming",
     "ConvBlockSpec", "NetworkSpec", "NetworkParams", "parse_structure",
     "render_structure", "count_weights", "init_params", "forward", "mse_loss", "backward",
     "TrainConfig", "TrainReport", "TrainingDivergedError", "train",
     # classification
     "MdnClassifier", "MetaScheme", "SchemeMember", "mdn_distances", "mdn_classify",
-    "ovo_predict", "ovr_predict", "scheme_predict", "WalshCnnClassifier", "default_structure",
+    "scheme_predict", "WalshCnnClassifier", "default_structure",
     # metrics and statistics
     "ConfusionMatrix", "ClasswiseReport", "confusion", "classwise_metrics",
     "kappa_balanced", "divergence",
     "TTestResult", "paired_ttest", "regularized_incomplete_beta", "student_t_two_tailed_p",
     # experiments
-    "ExperimentPlan", "ExperimentReport", "RunResult", "MatrixReport",
+    "ExperimentPlan", "ExperimentReport", "RunResult", "MatrixReport", "LeakageError",
     "run_experiment", "run_matrix", "compare_augmentation",
     # plumbing
     "EstimatorMixin", "NotFittedError",

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .epochs import Epoch, EpochSet
+from .epochs import EpochSet
 
 __all__ = [
     "DEFAULT_BANDS",
     "FilterBankSpec",
     "design_bandpass",
     "zero_phase_bandpass",
-    "apply_filter_bank",
     "apply_filter_bank_set",
 ]
 
@@ -110,26 +109,25 @@ def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = 4) -> np
     return y[..., pad : pad + n] if pad else y
 
 
-def apply_filter_bank(epoch: Epoch, spec: FilterBankSpec) -> Epoch:
-    """Expand an E-channel epoch to E*B channels of band-filtered signals.
+def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> np.ndarray:
+    """Expand ``(n, E, T)`` epochs to ``(n, E*B, T)`` band-filtered signals.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
     the sample count is unchanged.
     """
-    spec.validate_rate(epoch.sampling_rate)
-    blocks = []
-    for lo, hi in spec.bands:
-        sos = design_bandpass(lo, hi, epoch.sampling_rate, spec.order)
-        blocks.append(zero_phase_bandpass(epoch.data, sos, spec.order))
-    return epoch.with_data(np.concatenate(blocks, axis=0))
+    spec.validate_rate(sampling_rate)
+    n, e, t = X.shape
+    out = np.empty((n, e * spec.n_bands, t))
+    for b, (lo, hi) in enumerate(spec.bands):
+        sos = design_bandpass(lo, hi, sampling_rate, spec.order)
+        out[:, b * e : (b + 1) * e] = zero_phase_bandpass(X, sos, spec.order)
+    return out
 
 
 def apply_filter_bank_set(dataset: EpochSet, spec: FilterBankSpec) -> EpochSet:
-    """Apply the filter bank to every epoch of a set."""
-    spec.validate_rate(dataset.sampling_rate)
-    sos_per_band = [design_bandpass(lo, hi, dataset.sampling_rate, spec.order) for lo, hi in spec.bands]
-    out = []
-    for epoch in dataset:
-        blocks = [zero_phase_bandpass(epoch.data, sos, spec.order) for sos in sos_per_band]
-        out.append(epoch.with_data(np.concatenate(blocks, axis=0)))
-    return EpochSet(epochs=tuple(out), num_classes=dataset.num_classes)
+    """Expand every E-channel epoch of a set to E*B band-filtered channels.
+
+    Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
+    labels and metadata are kept.
+    """
+    return dataset.with_data(_filter_bank(dataset.to_array(), spec, dataset.sampling_rate))

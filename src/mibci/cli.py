@@ -1,7 +1,8 @@
 """Command-line interface over the library.
 
 Exit codes: 0 on success, 1 on a validation error (bad arguments, malformed
-input files, inconsistent configuration), 2 on a runtime failure.
+input files, inconsistent configuration), 2 on a runtime failure (diverged
+training, a training epoch that is also held out).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .epochs import SplitSpec, split_dataset
 from .experiment import (
     ExperimentPlan,
     ExperimentReport,
+    LeakageError,
     compare_augmentation,
     run_experiment,
     run_matrix,
@@ -29,7 +31,7 @@ from .experiment import (
 from .io import EpochFormatError, load_epochs, save_epochs
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
-from .network import NetworkParams, count_weights
+from .network import NetworkParams, _parse_triples, count_weights
 from .stats import paired_ttest
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainingDivergedError
@@ -386,15 +388,7 @@ def ttest(ctx, a_path, b_path):
 @click.pass_context
 def count_weights_cmd(ctx, structure, classes, code_size):
     """Multiplicative weight count of a layer stack."""
-    triples = []
-    for row in structure.replace("\n", "/").split("/"):
-        parts = [p for p in row.replace(",", " ").split() if p]
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise click.ClickException(f"not an in,k,out triple: {row.strip()!r}")
-        triples.append(tuple(int(p) for p in parts))
-    total = count_weights(triples, num_classes=classes, output_dim=code_size)
+    total = count_weights(_parse_triples(structure), num_classes=classes, output_dim=code_size)
     click.echo(str(total))
 
 
@@ -446,7 +440,7 @@ def main(argv=None) -> int:
     except (ValueError, EpochFormatError, FileNotFoundError, json.JSONDecodeError, KeyError, TypeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, LeakageError) as exc:
         click.echo(f"runtime failure: {exc}", err=True)
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports anything left

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandpass import DEFAULT_BANDS, FilterBankSpec, apply_filter_bank, apply_filter_bank_set
+from .bandpass import DEFAULT_BANDS, FilterBankSpec, _filter_bank, apply_filter_bank_set
 from .base import EstimatorMixin, NotFittedError, as_epoch_array, as_labels
-from .epochs import Epoch, EpochSet
+from .epochs import EpochSet
 
-__all__ = ["CspModel", "fit_csp", "apply_csp", "apply_csp_set", "CspTransformer"]
+__all__ = ["CspModel", "fit_csp", "apply_csp_set", "CspTransformer"]
 
 _RIDGE_EPS = 1e-6
 
@@ -66,6 +66,14 @@ class CspModel:
     @property
     def n_outputs(self) -> int:
         return self.projection.shape[0]
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """Project ``(n, input_channels, samples)`` band-filtered epochs onto the filters."""
+        if X.shape[1] != self.input_channels:
+            raise ValueError(
+                f"epochs have {X.shape[1]} channels, model expects {self.input_channels}"
+            )
+        return self.projection @ X
 
     def to_json(self) -> str:
         doc = {
@@ -224,21 +232,9 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "two_class", bank: FilterBank
     )
 
 
-def apply_csp(epoch: Epoch, model: CspModel) -> Epoch:
-    """Project a band-filtered epoch onto the fitted spatial filters."""
-    if epoch.n_channels != model.input_channels:
-        raise ValueError(
-            f"epoch has {epoch.n_channels} channels, model expects {model.input_channels}"
-        )
-    return epoch.with_data(model.projection @ epoch.data)
-
-
 def apply_csp_set(dataset: EpochSet, model: CspModel) -> EpochSet:
     """Project every epoch of a set; the sample count is unchanged."""
-    return EpochSet(
-        epochs=tuple(apply_csp(ep, model) for ep in dataset),
-        num_classes=dataset.num_classes,
-    )
+    return dataset.with_data(model.project(dataset.to_array()))
 
 
 class CspTransformer(EstimatorMixin):
@@ -280,12 +276,7 @@ class CspTransformer(EstimatorMixin):
         if not hasattr(self, "model_"):
             raise NotFittedError("CspTransformer must be fitted before transform")
         X = as_epoch_array(X)
-        out = []
-        for i in range(X.shape[0]):
-            epoch = Epoch(subject_id="", label=1, data=X[i], sampling_rate=self.sampling_rate)
-            filtered = apply_filter_bank(epoch, self.model_.bank)
-            out.append(apply_csp(filtered, self.model_).data)
-        return np.stack(out)
+        return self.model_.project(_filter_bank(X, self.model_.bank, self.sampling_rate))
 
     def fit_transform(self, X, y) -> np.ndarray:
         return self.fit(X, y).transform(X)

@@ -177,6 +177,13 @@ class EpochSet:
             num_classes=self.num_classes,
         )
 
+    def with_data(self, X: np.ndarray) -> "EpochSet":
+        """New set whose epoch i carries ``X[i]``, labels and metadata preserved."""
+        return EpochSet(
+            epochs=tuple(ep.with_data(x) for ep, x in zip(self.epochs, X, strict=True)),
+            num_classes=self.num_classes,
+        )
+
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of the full set (epoch order matters)."""

@@ -3,9 +3,11 @@
 One experiment cell repeats, for each run: stratified split, optional
 filter-bank + CSP transform fitted on the training partition only, optional
 augmentation of the training partition only, network training, and
-evaluation on the untouched test partition. Fingerprints of the training
-partition are asserted at the CSP and augmentation boundaries so no test or
-validation epoch can leak into fitting. A matrix executes all four
+evaluation on the untouched test partition. Before any fitting, the
+training epochs' fingerprints must be disjoint from the validation and test
+epochs'; an overlap raises :class:`LeakageError` and aborts the experiment.
+The CSP and augmentation boundaries then check that they consumed exactly
+the training partition. A matrix executes all four
 transform/augmentation cells with one master seed, which makes the splits
 identical across cells.
 """
@@ -27,9 +29,11 @@ from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier, default_structure
+from .network import _parse_triples
 from .stats import TTestResult, paired_ttest
 
 __all__ = [
+    "LeakageError",
     "ExperimentPlan",
     "RunResult",
     "ExperimentReport",
@@ -41,6 +45,10 @@ __all__ = [
 ]
 
 MATRIX_CELLS = ("TS-A", "TS-NA", "NTS-A", "NTS-NA")
+
+
+class LeakageError(RuntimeError):
+    """A validation or test epoch is also in the training partition."""
 
 
 @dataclass(frozen=True)
@@ -195,11 +203,10 @@ def _truncate_stratified(train: EpochSet, limit: int) -> EpochSet:
 
 
 def _adapt_structure(structure: str, channels: int) -> str:
-    rows = [r.strip() for r in structure.replace("\n", "/").split("/") if r.strip()]
-    first = [p for p in rows[0].replace(",", " ").split() if p]
-    first[0] = str(channels)
-    rows[0] = ",".join(first)
-    return " / ".join(rows)
+    """The structure in ``a,k,b / ...`` form with its first in-plane count set to ``channels``."""
+    triples = _parse_triples(structure)
+    triples[0] = (channels, *triples[0][1:])
+    return " / ".join(",".join(map(str, t)) for t in triples)
 
 
 def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult:
@@ -217,16 +224,22 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
     if plan.max_train_epochs is not None:
         train_set = _truncate_stratified(train_set, plan.max_train_epochs)
     result.test_indices = list(split.test_indices)
+    leaked = train_set.epoch_fingerprints() & (
+        val_set.epoch_fingerprints() | test_set.epoch_fingerprints()
+    )
+    if leaked:
+        raise LeakageError(
+            f"run {run}: {len(leaked)} training epoch(s) also appear in the validation or test partition"
+        )
 
     if plan.transform == "TS":
         bank = FilterBankSpec(bands=plan.bands, order=plan.filter_order)
         train_set = apply_filter_bank_set(train_set, bank)
         val_set = apply_filter_bank_set(val_set, bank)
         test_set = apply_filter_bank_set(test_set, bank)
-        allowed = train_set.fingerprint
         scheme = "two_class" if dataset.num_classes == 2 else "one_vs_rest"
         model = fit_csp(train_set, m=plan.m, scheme=scheme, bank=bank)
-        if model.fitted_on != allowed:
+        if model.fitted_on != train_set.fingerprint:
             raise AssertionError("CSP was fitted on epochs outside the training partition")
         train_set = apply_csp_set(train_set, model)
         val_set = apply_csp_set(val_set, model)
@@ -281,12 +294,15 @@ def run_experiment(plan: ExperimentPlan, dataset: EpochSet | None = None) -> Exp
 
     A failing run is recorded with its error and the remaining runs
     proceed; aggregates cover successful runs only and state the count.
+    A :class:`LeakageError` is not a run failure: it aborts the experiment.
     """
     data = _load_dataset(plan, dataset)
     runs: list[RunResult] = []
     for r in range(plan.n_runs):
         try:
             runs.append(_execute_run(plan, data, r))
+        except LeakageError:
+            raise
         except Exception:
             runs.append(
                 RunResult(

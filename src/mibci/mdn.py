@@ -10,6 +10,7 @@ and the class row.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -25,8 +26,6 @@ __all__ = [
     "mdn_distances",
     "mdn_classify",
     "tally_ovo_votes",
-    "ovo_predict",
-    "ovr_predict",
     "scheme_predict",
 ]
 
@@ -84,7 +83,12 @@ class SchemeMember:
 
 @dataclass(frozen=True)
 class MetaScheme:
-    """A bundle of member networks realizing a multi-class decision."""
+    """A bundle of member networks realizing a multi-class decision.
+
+    Over labels 1..C, OVO members hold each pair of distinct labels once,
+    OVR members one label each, and the single member every label; any
+    other assignment raises ``ValueError``.
+    """
 
     kind: str
     num_classes: int
@@ -92,18 +96,20 @@ class MetaScheme:
 
     def __post_init__(self) -> None:
         c = self.num_classes
+        labels = tuple(range(1, c + 1))
         if self.kind == "ovo":
-            expected = c * (c - 1) // 2
+            want, rule = list(itertools.combinations(labels, 2)), "each pair of distinct labels"
         elif self.kind == "ovr":
-            expected = c
+            want, rule = [(label,) for label in labels], "one label each"
         elif self.kind == "single":
-            expected = 1
+            want, rule = [labels], "every label"
         else:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if len(self.members) != expected:
+        got = sorted(tuple(sorted(m.classes)) for m in self.members)
+        if got != want:
             raise ValueError(
-                f"{self.kind} over {c} classes needs {expected} member networks, "
-                f"got {len(self.members)}"
+                f"{self.kind} over {c} classes needs {len(want)} member networks holding "
+                f"{rule} in 1..{c}, got {[tuple(m.classes) for m in self.members]}"
             )
 
     def to_json(self) -> str:
@@ -151,39 +157,6 @@ def tally_ovo_votes(ballots: list[tuple[tuple[int, int], np.ndarray]], num_class
     if len(tied) == 1:
         return tied[0]
     return min(tied, key=lambda c: (win_distance[c], c))
-
-
-def ovo_predict(data: np.ndarray, scheme: MetaScheme, clf2: MdnClassifier) -> int:
-    """Majority vote over all pairwise member networks.
-
-    Each member classifies into its two classes through the shared two-class
-    decision rule; ties resolve per :func:`tally_ovo_votes`.
-    """
-    if scheme.kind != "ovo":
-        raise ValueError(f"scheme kind is {scheme.kind!r}, expected 'ovo'")
-    ballots = []
-    for member in scheme.members:
-        if len(member.classes) != 2:
-            raise ValueError("ovo members must hold exactly two classes")
-        ballots.append((member.classes, mdn_distances(_member_output(member, data), clf2)))
-    return tally_ovo_votes(ballots, scheme.num_classes)
-
-
-def ovr_predict(data: np.ndarray, scheme: MetaScheme, clf2: MdnClassifier) -> int:
-    """Largest rest-versus-class distance margin over the per-class networks.
-
-    Member c scores D(output, rest row) - D(output, class row); the class
-    whose network is most confidently on its own side wins, ties toward the
-    smallest index.
-    """
-    if scheme.kind != "ovr":
-        raise ValueError(f"scheme kind is {scheme.kind!r}, expected 'ovr'")
-    scores = np.full(scheme.num_classes, -np.inf)
-    for member in scheme.members:
-        c = member.classes[0]
-        d = mdn_distances(_member_output(member, data), clf2)
-        scores[c - 1] = d[1] - d[0]
-    return int(scores.argmax()) + 1
 
 
 def scheme_predict(data: np.ndarray, scheme: MetaScheme, clf: MdnClassifier) -> np.ndarray:

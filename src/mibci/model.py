@@ -154,7 +154,7 @@ class WalshCnnClassifier(EstimatorMixin):
             self.scheme_ = MetaScheme(
                 kind="single",
                 num_classes=num_classes,
-                members=(SchemeMember(classes=tuple(self.classes_), spec=spec, params=params),),
+                members=(SchemeMember(classes=tuple(range(1, num_classes + 1)), spec=spec, params=params),),
             )
             self.train_reports_.append(report)
             return self

@@ -111,6 +111,28 @@ class NetworkSpec:
             )
 
 
+def _parse_triples(text: str) -> list[tuple[int, int, int]]:
+    """Split structure-table text into its (in, kernel, out) integer triples.
+
+    Rows are separated by slashes or newlines; values within a row by
+    commas or spaces. A row that is not three integers raises
+    ``ValueError`` naming its 1-based layer number.
+    """
+    rows = [r for r in text.replace("\n", "/").split("/") if r.strip()]
+    if not rows:
+        raise ValueError("empty structure string")
+    triples = []
+    for i, row in enumerate(rows):
+        parts = row.replace(",", " ").split()
+        if len(parts) != 3:
+            raise ValueError(f"layer {i + 1} is not an in,kernel,out triple: {row.strip()!r}")
+        try:
+            triples.append(tuple(int(p) for p in parts))
+        except ValueError:
+            raise ValueError(f"layer {i + 1} has a non-integer value: {row.strip()!r}") from None
+    return triples
+
+
 def parse_structure(
     text: str,
     input_channels: int | None = None,
@@ -129,19 +151,7 @@ def parse_structure(
     plane count. When ``input_channels``/``input_length`` are given the
     chain is validated against them.
     """
-    rows = [r for r in text.replace("\n", "/").split("/") if r.strip()]
-    if not rows:
-        raise ValueError("empty structure string")
-    triples = []
-    for i, row in enumerate(rows):
-        parts = [p for p in row.replace(",", " ").split() if p]
-        if len(parts) != 3:
-            raise ValueError(f"layer {i + 1} is not an in,kernel,out triple: {row.strip()!r}")
-        try:
-            triples.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ValueError(f"layer {i + 1} has a non-integer value: {row.strip()!r}") from None
-
+    triples = _parse_triples(text)
     blocks = []
     for i, (in_p, k, out_p) in enumerate(triples):
         last = i == len(triples) - 1
@@ -283,9 +293,7 @@ class NetworkParams:
         """Inverse of :meth:`to_json`; a block count or vector length that
         does not match the structure raises ``ValueError``."""
         doc = json.loads(text)
-        triples = []
-        for row in doc["structure"].split("/"):
-            triples.append(tuple(int(v) for v in row.replace(",", " ").split()))
+        triples = _parse_triples(doc["structure"])
         if len(triples) != len(doc["blocks"]):
             raise ValueError(
                 f"structure has {len(triples)} layers but the document has {len(doc['blocks'])} blocks"

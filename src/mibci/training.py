@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .epochs import EpochSet
+from .mdn import MdnClassifier, mdn_classify
 from .metrics import divergence
 from .network import NetworkParams, NetworkSpec, backward, forward, init_params, mse_loss
 from .walsh import WalshCodebook
@@ -111,13 +112,6 @@ def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
-def _nearest_code_accuracy(outputs: np.ndarray, labels: np.ndarray, codebook: WalshCodebook) -> float:
-    targets = codebook.targets
-    d = ((outputs[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2)
-    predicted = d.argmin(axis=1) + 1
-    return float(np.mean(predicted == labels))
-
-
 def _feature_divergence(spec, params, X, y) -> float | None:
     try:
         feats = np.atleast_2d(forward(spec, params, X, mode="eval"))
@@ -203,7 +197,7 @@ def train(
 
         val_out = np.atleast_2d(forward(spec, params, X_val, mode="eval"))
         val_loss = mse_loss(val_out, targets_val)
-        val_acc = _nearest_code_accuracy(val_out, y_val, codebook)
+        val_acc = np.mean(mdn_classify(val_out, MdnClassifier(codebook)) == y_val)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at iteration {iteration}")
 

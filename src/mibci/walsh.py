@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["WalshCodebook", "build_walsh", "class_targets", "hamming"]
+__all__ = ["WalshCodebook", "build_walsh", "hamming"]
 
 
 def build_walsh(size: int) -> np.ndarray:
@@ -109,17 +109,3 @@ class WalshCodebook:
         out = np.stack([self.target(c) for c in sorted(self.class_rows)])
         out.setflags(write=False)
         return out
-
-
-def class_targets(codebook: WalshCodebook | np.ndarray, num_classes: int) -> list[np.ndarray]:
-    """Target vectors for classes 1..num_classes: matrix rows 1..num_classes.
-
-    The constant all-ones row 0 is skipped; with a matrix of size M this
-    requires ``num_classes + 1 <= M``.
-    """
-    matrix = codebook.matrix if isinstance(codebook, WalshCodebook) else np.asarray(codebook)
-    if num_classes + 1 > matrix.shape[0]:
-        raise ValueError(
-            f"need {num_classes + 1} rows (constant row reserved), matrix has {matrix.shape[0]}"
-        )
-    return [matrix[c].astype(np.float64) for c in range(1, num_classes + 1)]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from mibci.epochs import Epoch, EpochSet
+from mibci.epochs import Epoch, EpochSet, SplitSpec, derive_seed, split_dataset
 from mibci.network import forward, mse_loss
 
 
@@ -84,6 +84,25 @@ def make_set(n_per_class: int, channels: int = 3, samples: int = 16, num_classes
                 Epoch(subject_id="s", label=c, data=rng.normal(size=(channels, samples)), sampling_rate=rate)
             )
     return EpochSet(epochs=tuple(epochs), num_classes=num_classes)
+
+
+def plant_training_copy(dataset: EpochSet, plan, partition: str = "test") -> EpochSet:
+    """Overwrite one run-0 training epoch with a copy of a held-out epoch.
+
+    The held-out epoch is the first of ``partition`` ("test" or
+    "validation") under the plan's run-0 split; the overwritten training
+    epoch has the same label, so the planted set splits the same way.
+    """
+    split = split_dataset(dataset, SplitSpec(
+        test_fraction=plan.test_fraction,
+        validation_fraction=plan.validation_fraction,
+        seed=derive_seed(plan.master_seed, 0, "split"),
+    ))
+    epochs = list(dataset.epochs)
+    held = getattr(split, f"{partition}_indices")[0]
+    victim = next(i for i in split.train_indices if epochs[i].label == epochs[held].label)
+    epochs[victim] = epochs[held]
+    return EpochSet(epochs=tuple(epochs), num_classes=dataset.num_classes)
 
 
 class ForcedRng:

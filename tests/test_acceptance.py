@@ -14,7 +14,7 @@ from mibci.augment import AugmentConfig, augment_set, zero_mean
 from mibci.csp import fit_csp
 from mibci.epochs import EpochSet
 from mibci.experiment import ExperimentPlan, run_experiment
-from mibci.mdn import MdnClassifier, MetaScheme, SchemeMember, mdn_classify, ovo_predict
+from mibci.mdn import MdnClassifier, MetaScheme, SchemeMember, mdn_classify, scheme_predict
 from mibci.metrics import divergence, kappa_balanced
 from mibci.network import (
     ConvBlockSpec,
@@ -27,7 +27,7 @@ from mibci.network import (
 )
 from mibci.stats import paired_ttest
 from mibci.synthetic import SyntheticSpec, generate_synthetic
-from mibci.walsh import WalshCodebook, build_walsh, class_targets, hamming
+from mibci.walsh import WalshCodebook, build_walsh, hamming
 
 from helpers import make_set, max_relative_gradient_error, numeric_gradients, student_t_tail_quadrature
 from test_stats import NTS_A, NTS_NA
@@ -44,7 +44,7 @@ def test_criterion_1_walsh_fidelity():
             for i in range(size):
                 for j in range(i + 1, size):
                     assert hamming(rows[i], rows[j]) == size // 2
-    targets = class_targets(build_walsh(16), 2)
+    targets = WalshCodebook.for_classes(2, 16).targets
     assert np.array_equal(targets[0], np.array([1, 0] * 8, dtype=float))
     assert np.array_equal(targets[1], np.array([1, 1, 0, 0] * 4, dtype=float))
     assert time.perf_counter() - start < 1.0
@@ -332,4 +332,4 @@ def test_criterion_10_mdn_equivalence():
     fixtures = rng.normal(size=(1000, 3, 32))
     single = mdn_classify(np.atleast_2d(forward(spec, params, fixtures, mode="eval")), clf2)
     for i in range(1000):
-        assert ovo_predict(fixtures[i], scheme, clf2) == single[i]
+        assert scheme_predict(fixtures[i], scheme, clf2)[0] == single[i]

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from mibci.cli import main
-from mibci.io import load_epochs
+from mibci.experiment import ExperimentPlan
+from mibci.io import load_epochs, save_epochs
+
+from helpers import plant_training_copy
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 ALEXNET_CONV = "3,121,96 / 96,25,256 / 256,9,192 / 192,9,192 / 192,9,128"
@@ -121,6 +124,30 @@ class TestTrainEval:
         assert code == 0
         assert "accuracy" in out
 
+    @pytest.mark.parametrize(
+        "member, classes",
+        [("ovr", [0]), ("ovr", [5]), ("ovo", [1, 5]), ("ovo", [2, 2])],
+    )
+    def test_scheme_with_bad_member_classes_is_validation_error(
+        self, synth_file, tmp_path, capsys, member, classes
+    ):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(synth_file),
+             "--scheme", member, *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 0, err
+        scheme_path = tmp_path / "scheme.json"
+        doc = json.loads(scheme_path.read_text())
+        doc["members"][0]["classes"] = classes
+        scheme_path.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["--out", str(tmp_path), "eval", "--in", str(synth_file), "--params", str(scheme_path)],
+            capsys,
+        )
+        assert code == 1
+        assert f"{member} over 2 classes needs" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_runtime_failure(self, synth_file, tmp_path, capsys):
         code, _, err = run(
@@ -195,6 +222,19 @@ class TestExperimentCommands:
         assert "augmentation effect" in out
 
 
+    def test_leaked_test_epoch_is_runtime_failure(self, synth_file, tmp_path, capsys):
+        doc = dict(tiny_plan_doc(str(synth_file)), validation_fraction=0.2)
+        planted = tmp_path / "planted.epb"
+        save_epochs(plant_training_copy(load_epochs(synth_file), ExperimentPlan.from_dict(doc)), planted)
+        doc["dataset"] = str(planted)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        code, _, err = run(["--config", str(plan_path), "--out", str(tmp_path), "experiment"], capsys)
+        assert code == 2
+        assert "runtime failure" in err and "validation or test partition" in err
+        assert not (tmp_path / "experiment.json").exists()
+
+
 class TestWeightsAndStats:
     def test_count_weights_table7(self, capsys):
         code, out, _ = run(["count-weights", "--structure", TABLE7_S1, "--classes", "2"], capsys)
@@ -205,6 +245,11 @@ class TestWeightsAndStats:
         code, out, _ = run(["count-weights", "--structure", ALEXNET_CONV], capsys)
         assert code == 0
         assert out.strip() == "1644576"
+
+    def test_count_weights_rejects_a_non_triple_row(self, capsys):
+        code, _, err = run(["count-weights", "--structure", "2,7 / 40,16,16"], capsys)
+        assert code == 1
+        assert "layer 1 is not an in,kernel,out triple" in err
 
     def test_ttest_on_json_lists(self, tmp_path, capsys):
         a = tmp_path / "a.json"

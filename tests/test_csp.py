@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mibci.csp import CspModel, CspTransformer, apply_csp, apply_csp_set, fit_csp
-from mibci.bandpass import FilterBankSpec
+from mibci.csp import CspModel, CspTransformer, apply_csp_set, fit_csp
+from mibci.bandpass import FilterBankSpec, apply_filter_bank_set
 from mibci.epochs import EpochSet
 
 from helpers import make_epoch
@@ -125,7 +125,7 @@ class TestApply:
     def test_virtual_channel_count(self):
         dataset, _, _ = planted_dataset(dim=15, n_ep=10)
         model = fit_csp(dataset, m=1)
-        out = apply_csp(dataset.epochs[0], model)
+        out = apply_csp_set(dataset, model).epochs[0]
         assert out.data.shape == (2, dataset.n_samples)
 
     def test_identity_rows_select_raw_channels(self):
@@ -143,22 +143,23 @@ class TestApply:
             fitted_on="fixture",
         )
         ep = dataset.epochs[0]
-        out = apply_csp(ep, model)
+        out = apply_csp_set(dataset, model).epochs[0]
         assert np.array_equal(out.data[0], ep.data[1])
         assert np.array_equal(out.data[1], ep.data[3])
 
     def test_linearity(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3)
         model = fit_csp(dataset, m=1)
-        ep = dataset.epochs[0]
-        scaled = ep.with_data(3.5 * ep.data)
-        assert np.allclose(apply_csp(scaled, model).data, 3.5 * apply_csp(ep, model).data)
+        scaled = dataset.with_data(3.5 * dataset.to_array())
+        assert np.allclose(
+            apply_csp_set(scaled, model).to_array(), 3.5 * apply_csp_set(dataset, model).to_array()
+        )
 
     def test_channel_mismatch_rejected(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3)
         model = fit_csp(dataset, m=1)
         with pytest.raises(ValueError, match="channels"):
-            apply_csp(make_epoch(np.zeros((3, 10)), rate=100.0), model)
+            apply_csp_set(EpochSet(epochs=(make_epoch(np.zeros((3, 10)), rate=100.0),), num_classes=2), model)
 
     def test_set_apply_keeps_length(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3, samples=33)
@@ -193,6 +194,15 @@ class TestTransformer:
         assert params["m"] == 1
         tr.set_params(m=2)
         assert tr.m == 2
+
+    def test_transform_equals_the_set_pipeline(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(12, 3, 128))
+        y = np.array([1] * 6 + [2] * 6)
+        tr = CspTransformer(m=1, sampling_rate=250.0).fit(X, y)
+        dataset = EpochSet.from_arrays(X, y, sampling_rate=250.0)
+        expected = apply_csp_set(apply_filter_bank_set(dataset, tr.model_.bank), tr.model_)
+        assert np.array_equal(tr.transform(X), expected.to_array())
 
     def test_transform_before_fit_raises(self):
         from mibci.base import NotFittedError

@@ -80,6 +80,16 @@ class TestEpochSet:
         assert np.array_equal(rebuilt.to_array(), dataset.to_array())
         assert np.array_equal(rebuilt.labels, dataset.labels)
 
+    def test_with_data_keeps_labels_and_metadata(self):
+        dataset = balanced_set(2)
+        X = 2.0 * dataset.to_array()
+        rebuilt = dataset.with_data(X)
+        assert np.array_equal(rebuilt.to_array(), X)
+        for before, after in zip(dataset, rebuilt):
+            assert (after.label, after.subject_id, after.origin) == (before.label, before.subject_id, before.origin)
+        with pytest.raises(ValueError):
+            dataset.with_data(X[:-1])
+
     def test_fingerprint_changes_with_order(self):
         dataset = balanced_set(2)
         shuffled = dataset.subset([1, 0, 2, 3])

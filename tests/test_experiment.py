@@ -10,11 +10,14 @@ from mibci.experiment import (
     MATRIX_CELLS,
     ExperimentPlan,
     ExperimentReport,
+    LeakageError,
     compare_augmentation,
     run_experiment,
     run_matrix,
 )
 from mibci.synthetic import SyntheticSpec, generate_synthetic
+
+from helpers import plant_training_copy
 
 FAST_NET = dict(
     structure="2,5,8 / 8,8,16",
@@ -150,6 +153,14 @@ class TestRunExperiment:
         report = run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
         assert report.n_failed == 1
         assert "outside the training partition" in report.runs[0].error
+
+    @pytest.mark.parametrize("partition", ["test", "validation"])
+    @pytest.mark.parametrize("transform", ["NTS", "TS"])
+    def test_held_out_epoch_in_training_aborts(self, tiny_dataset, partition, transform):
+        plan = tiny_plan(transform=transform, n_runs=1)
+        planted = plant_training_copy(tiny_dataset, plan, partition)
+        with pytest.raises(LeakageError, match="run 0: 1 training epoch"):
+            run_experiment(plan, planted)
 
     def test_augment_leak_is_caught(self, tiny_dataset, monkeypatch):
         real_augment = experiment_module.augment_set

@@ -11,8 +11,7 @@ from mibci.mdn import (
     SchemeMember,
     mdn_classify,
     mdn_distances,
-    ovo_predict,
-    ovr_predict,
+    scheme_predict,
     tally_ovo_votes,
 )
 from mibci.network import ConvBlockSpec, NetworkSpec, init_params
@@ -125,7 +124,7 @@ class TestOvo:
         )
         scheme = MetaScheme(kind="ovo", num_classes=3, members=members)
         x = np.zeros((2, 8))
-        assert ovo_predict(x, scheme, clf) == 1
+        assert scheme_predict(x, scheme, clf)[0] == 1
 
     def test_tally_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -146,12 +145,27 @@ class TestOvo:
             expect = min(tied, key=lambda c: (windist[c], c))
             assert got == expect
 
-    def test_wrong_kind_rejected(self):
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(1, 2), (1, 3), (2,)],  # a member with one class
+            [(1, 2), (1, 3), (3, 3)],  # a pair of one label
+            [(1, 2), (1, 3), (1, 2)],  # a pair twice, (2, 3) missing
+            [(1, 2), (1, 3), (2, 4)],  # a label above C
+            [(0, 1), (1, 2), (1, 3)],  # label 0
+        ],
+    )
+    def test_members_must_be_each_pair_once(self, pairs):
         clf = clf_for(2)
-        member = constant_output_member((1,), clf.codebook.target(1))
-        scheme = MetaScheme(kind="ovr", num_classes=1, members=(member,))
-        with pytest.raises(ValueError, match="ovo"):
-            ovo_predict(np.zeros((2, 8)), scheme, clf)
+        members = tuple(constant_output_member(p, clf.codebook.target(1)) for p in pairs)
+        with pytest.raises(ValueError, match="each pair"):
+            MetaScheme(kind="ovo", num_classes=3, members=members)
+
+    def test_pair_order_is_free(self):
+        clf = clf_for(2)
+        pairs = [(2, 1), (1, 3), (3, 2)]
+        members = tuple(constant_output_member(p, clf.codebook.target(1)) for p in pairs)
+        MetaScheme(kind="ovo", num_classes=3, members=members)
 
 
 class TestOvr:
@@ -165,7 +179,7 @@ class TestOvr:
             constant_output_member((4,), rest_row),
         )
         scheme = MetaScheme(kind="ovr", num_classes=4, members=members)
-        assert ovr_predict(np.zeros((2, 8)), scheme, clf) == 2
+        assert scheme_predict(np.zeros((2, 8)), scheme, clf)[0] == 2
 
     def test_member_count_is_num_classes(self):
         clf = clf_for(2)
@@ -180,7 +194,7 @@ class TestOvr:
         outputs = [rng.uniform(0, 1, 16) for _ in range(3)]
         members = tuple(constant_output_member((c + 1,), outputs[c]) for c in range(3))
         scheme = MetaScheme(kind="ovr", num_classes=3, members=members)
-        got = ovr_predict(np.zeros((2, 8)), scheme, clf)
+        got = scheme_predict(np.zeros((2, 8)), scheme, clf)[0]
         t1, t2 = clf.codebook.target(1), clf.codebook.target(2)
         scores = [
             float(((o - t2) ** 2).sum() - ((o - t1) ** 2).sum()) for o in outputs
@@ -192,13 +206,35 @@ class TestOvr:
         row = clf.codebook.target(1)
         members = tuple(constant_output_member((c,), row) for c in (1, 2))
         scheme = MetaScheme(kind="ovr", num_classes=2, members=members)
-        assert ovr_predict(np.zeros((2, 8)), scheme, clf) == 1
+        assert scheme_predict(np.zeros((2, 8)), scheme, clf)[0] == 1
+
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [(0,), (1,), (2,)],  # label 0
+            [(1,), (2,), (2,)],  # a label twice, 3 missing
+            [(1,), (2,), (4,)],  # a label above C
+            [(1, 2), (2,), (3,)],  # a member with two labels
+        ],
+    )
+    def test_members_must_cover_each_label_once(self, classes):
+        clf = clf_for(2)
+        members = tuple(constant_output_member(c, clf.codebook.target(1)) for c in classes)
+        with pytest.raises(ValueError, match="one label each"):
+            MetaScheme(kind="ovr", num_classes=3, members=members)
+
+
+class TestSingle:
+    @pytest.mark.parametrize("classes", [(1, 2), (1, 2, 4), (0, 1, 2)])
+    def test_member_must_hold_every_class(self, classes):
+        row = clf_for(3).codebook.target(1)
+        MetaScheme(kind="single", num_classes=3, members=(constant_output_member((1, 2, 3), row),))
+        with pytest.raises(ValueError, match="every label in 1..3"):
+            MetaScheme(kind="single", num_classes=3, members=(constant_output_member(classes, row),))
 
 
 class TestSchemeSerialization:
     def test_json_round_trip_preserves_predictions(self):
-        from mibci.mdn import scheme_predict
-
         clf = clf_for(2)
         rng = np.random.default_rng(10)
         members = tuple(
@@ -214,8 +250,6 @@ class TestSchemeSerialization:
 
 class TestSchemePredict:
     def test_matches_per_sample_functions(self):
-        from mibci.mdn import scheme_predict
-
         clf = clf_for(2)
         rng = np.random.default_rng(11)
         pairs = [(1, 2), (1, 3), (2, 3)]
@@ -223,9 +257,9 @@ class TestSchemePredict:
         ovo = MetaScheme(kind="ovo", num_classes=3, members=members)
         x = rng.normal(size=(4, 2, 8))
         batch = scheme_predict(x, ovo, clf)
-        assert [ovo_predict(x[i], ovo, clf) for i in range(4)] == batch.tolist()
+        assert [scheme_predict(x[i], ovo, clf)[0] for i in range(4)] == batch.tolist()
 
         ovr_members = tuple(constant_output_member((c,), rng.uniform(0, 1, 16)) for c in (1, 2, 3))
         ovr = MetaScheme(kind="ovr", num_classes=3, members=ovr_members)
         batch = scheme_predict(x, ovr, clf)
-        assert [ovr_predict(x[i], ovr, clf) for i in range(4)] == batch.tolist()
+        assert [scheme_predict(x[i], ovr, clf)[0] for i in range(4)] == batch.tolist()

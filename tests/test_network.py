@@ -264,6 +264,18 @@ class TestParamsSerialization:
         with pytest.raises(ValueError, match="layer 1: running_var needs 8 values"):
             NetworkParams.from_json(json.dumps(doc))
 
+    def test_non_triple_structure_row_rejected(self):
+        doc = self._bn_doc()
+        doc["structure"] = "2,5 / 8,16,16"
+        with pytest.raises(ValueError, match="layer 1 is not an in,kernel,out triple"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    def test_newline_separated_structure_accepted(self):
+        doc = self._bn_doc()
+        doc["structure"] = "2,5,8\n8,16,16"
+        spec, _ = NetworkParams.from_json(json.dumps(doc))
+        assert render_structure(spec) == "2,5,8 / 8,16,16"
+
     def test_copy_is_deep(self):
         spec = parse_structure("1,3,4 / 4,8,8", input_length=16, output_dim=8)
         params = init_params(spec, seed=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mibci.walsh import WalshCodebook, build_walsh, class_targets, hamming
+from mibci.walsh import WalshCodebook, build_walsh, hamming
 
 # the eight-dimensional modified matrix, all 64 entries
 W8 = np.array(
@@ -49,13 +49,13 @@ def test_build_walsh_rejects_non_powers_of_two(bad):
 
 
 def test_class_targets_two_classes_match_caption_vectors():
-    targets = class_targets(build_walsh(16), 2)
+    targets = WalshCodebook.for_classes(2, 16).targets
     assert np.array_equal(targets[0], np.array([1, 0] * 8, dtype=float))
     assert np.array_equal(targets[1], np.array([1, 1, 0, 0] * 4, dtype=float))
 
 
 def test_class_targets_four_classes_distinct_distance_eight():
-    targets = class_targets(build_walsh(16), 4)
+    targets = WalshCodebook.for_classes(4, 16).targets
     assert len(targets) == 4
     for i in range(4):
         for j in range(i + 1, 4):
@@ -63,17 +63,17 @@ def test_class_targets_four_classes_distinct_distance_eight():
 
 
 def test_class_targets_smallest_case():
-    (target,) = class_targets(build_walsh(2), 1)
+    (target,) = WalshCodebook.for_classes(1, 2).targets
     assert np.array_equal(target, np.array([1.0, 0.0]))
 
 
 def test_class_targets_rejects_too_many_classes():
     with pytest.raises(ValueError):
-        class_targets(build_walsh(4), 4)  # constant row is reserved
+        WalshCodebook.for_classes(4, 4)  # constant row is reserved
 
 
 def test_targets_never_all_ones():
-    targets = class_targets(build_walsh(32), 8)
+    targets = WalshCodebook.for_classes(8, 32).targets
     for t in targets:
         assert t.sum() < len(t)
 
