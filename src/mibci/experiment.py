@@ -218,6 +218,16 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         validation_fraction=plan.validation_fraction,
         seed=derive_seed(plan.master_seed, run, "split"),
     ))
+    for name, indices, fraction in (
+        ("validation", split.validation_indices, plan.validation_fraction),
+        ("test", split.test_indices, plan.test_fraction),
+    ):
+        if not indices:
+            raise ValueError(
+                f"run {run}: the {name} partition is empty: class counts "
+                f"{dataset.class_counts().tolist()} at {name}_fraction {fraction} leave no "
+                f"{name} epoch; raise the fraction or add epochs"
+            )
     train_set = dataset.subset(split.train_indices)
     val_set = dataset.subset(split.validation_indices)
     test_set = dataset.subset(split.test_indices)

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -134,6 +137,28 @@ class MetaScheme:
         return cls(kind=doc["kind"], num_classes=doc["num_classes"], members=tuple(members))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_members(fn: Callable, members: Sequence) -> list:
+    """``[fn(m) for m in members]``, with the members run concurrently.
+
+    Members share no mutable state, and numpy/BLAS release the GIL, so up
+    to one thread per usable CPU runs them at once. With one worker the
+    calls run inline and no pool is started. Results come back in member
+    order; the first member (in that order) that raised re-raises here.
+    """
+    workers = min(len(members), _usable_cpus())
+    if workers <= 1:
+        return [fn(m) for m in members]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, members))
+
+
 def _member_output(member: SchemeMember, data: np.ndarray) -> np.ndarray:
     return forward(member.spec, member.params, data, mode="eval")
 
@@ -174,10 +199,11 @@ def scheme_predict(data: np.ndarray, scheme: MetaScheme, clf: MdnClassifier) -> 
         out = np.atleast_2d(_member_output(member, data))
         return np.asarray(mdn_classify(out, clf))
 
-    member_distances = [
-        (member.classes, mdn_distances(np.atleast_2d(_member_output(member, data)), clf))
-        for member in scheme.members
-    ]
+    distances = _map_members(
+        lambda member: mdn_distances(np.atleast_2d(_member_output(member, data)), clf),
+        scheme.members,
+    )
+    member_distances = [(member.classes, d) for member, d in zip(scheme.members, distances)]
     n = data.shape[0]
     if scheme.kind == "ovo":
         predictions = np.empty(n, dtype=np.int64)

@@ -18,6 +18,7 @@ from .mdn import (
     MdnClassifier,
     MetaScheme,
     SchemeMember,
+    _map_members,
     mdn_distances,
     scheme_predict,
 )
@@ -160,7 +161,6 @@ class WalshCnnClassifier(EstimatorMixin):
             return self
 
         self.codebook_ = WalshCodebook.for_classes(2, self.code_size)
-        members = []
         if self.scheme == "ovo":
             problems = [
                 (a, b)
@@ -172,20 +172,26 @@ class WalshCnnClassifier(EstimatorMixin):
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-        for k, classes in enumerate(problems):
+        def fit_member(k: int):
+            classes = problems[k]
             y_bin = self._binarize(y, classes)
             yv_bin = self._binarize(y_val, classes)
             keep = y_bin > 0
             keep_val = yv_bin > 0
-            params, report = train(
+            return train(
                 spec,
                 (X[keep], y_bin[keep]),
                 (X_val[keep_val], yv_bin[keep_val]),
                 self.codebook_,
                 self._train_config(derive_seed(self.seed, "member", k)),
             )
-            members.append(SchemeMember(classes=classes, spec=spec, params=params))
-            self.train_reports_.append(report)
+
+        fitted = _map_members(fit_member, range(len(problems)))
+        members = [
+            SchemeMember(classes=classes, spec=spec, params=params)
+            for classes, (params, _) in zip(problems, fitted)
+        ]
+        self.train_reports_.extend(report for _, report in fitted)
         self.scheme_ = MetaScheme(kind=self.scheme, num_classes=num_classes, members=tuple(members))
         return self
 

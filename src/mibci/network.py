@@ -347,6 +347,13 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
     return NetworkParams(blocks=blocks, init_seed=seed)
 
 
+# Epochs per eval-mode forward block. Every layer works per epoch in eval
+# mode, so blocking changes no value beyond the rounding of the BLAS kernel
+# picked for a block's shape; it bounds the conv window copies (for the
+# paper-scale net, 128 x 126 x 40 x 7 float64 is about 36 MB per block).
+EVAL_BLOCK_EPOCHS = 128
+
+
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -356,22 +363,16 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected (planes, length) or (batch, planes, length), got {x.shape}")
 
 
-def forward(
+def _forward_stack(
     spec: NetworkSpec,
     params: NetworkParams,
     x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    caches: list | None = None,
+    mode: str,
+    rng: np.random.Generator | None,
+    caches: list | None,
 ) -> np.ndarray:
-    """Run the block stack and flatten to the output vector(s).
-
-    A single ``(planes, length)`` epoch yields an ``(output_dim,)`` vector; a
-    batch yields ``(batch, output_dim)``. Eval mode is a pure deterministic
-    function of (params, input). Passing a list as ``caches`` records every
-    stage for :func:`backward`.
-    """
-    x, single = _as_batch(x)
+    """One pass of a ``(batch, planes, length)`` batch through every block,
+    flattened to ``(batch, output_dim)``."""
     for i, (block, p) in enumerate(zip(spec.blocks, params.blocks)):
         if x.shape[1] != block.in_planes:
             raise ValueError(
@@ -401,6 +402,35 @@ def forward(
             f"flattened output has {out.shape[1]} values, spec says {spec.output_dim}; "
             "check the structure against the input length"
         )
+    return out
+
+
+def forward(
+    spec: NetworkSpec,
+    params: NetworkParams,
+    x: np.ndarray,
+    mode: str = "eval",
+    rng: np.random.Generator | None = None,
+    caches: list | None = None,
+) -> np.ndarray:
+    """Run the block stack and flatten to the output vector(s).
+
+    A single ``(planes, length)`` epoch yields an ``(output_dim,)`` vector; a
+    batch yields ``(batch, output_dim)``. Eval mode is a pure deterministic
+    function of (params, input) and runs in blocks of at most
+    :data:`EVAL_BLOCK_EPOCHS` epochs, so its intermediates stay small however
+    large the batch. Passing a list as ``caches`` records every stage for
+    :func:`backward` in one whole-batch pass.
+    """
+    x, single = _as_batch(x)
+    if mode == "eval" and caches is None:
+        n = x.shape[0]
+        out = np.empty((n, spec.output_dim))
+        for start in range(0, n, EVAL_BLOCK_EPOCHS):
+            stop = start + EVAL_BLOCK_EPOCHS
+            out[start:stop] = _forward_stack(spec, params, x[start:stop], mode, rng, None)
+    else:
+        out = _forward_stack(spec, params, x, mode, rng, caches)
     return out[0] if single else out
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import mibci.mdn as mdn_module
 from mibci.cli import main
 from mibci.experiment import ExperimentPlan
 from mibci.io import load_epochs, save_epochs
@@ -148,6 +149,29 @@ class TestTrainEval:
         assert code == 1
         assert f"{member} over 2 classes needs" in err
 
+    def test_member_error_on_a_worker_thread_is_validation_error(
+        self, synth_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 2)
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(synth_file),
+             "--scheme", "ovr", *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 0, err
+        wide = tmp_path / "wide"
+        code, _, err = run(
+            ["--out", str(wide), "--seed", "3", "synth", *SYNTH_ARGS, "--channels", "3"], capsys
+        )
+        assert code == 0, err
+        code, _, err = run(
+            ["--out", str(tmp_path), "eval", "--in", str(wide / "synthetic.epb"),
+             "--params", str(tmp_path / "scheme.json")],
+            capsys,
+        )
+        assert code == 1
+        assert "error: layer 1: input has 3 planes, block expects 2" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_is_runtime_failure(self, synth_file, tmp_path, capsys):
         code, _, err = run(
@@ -176,6 +200,7 @@ def tiny_plan_doc(dataset_path: str) -> dict:
         "max_iterations": 3,
         "patience": 3,
         "dropout_p": 0.0,
+        "validation_fraction": 0.25,
         "n_runs": 2,
         "master_seed": 4,
     }
@@ -190,9 +215,9 @@ class TestExperimentCommands:
             capsys,
         )
         assert code == 0, err
-        assert "mean accuracy" in out
+        assert "mean accuracy" in out and "over 2 runs, 0 failed" in out
         report_path = tmp_path / "experiment.json"
-        assert report_path.exists()
+        assert json.loads(report_path.read_text())["n_failed"] == 0
 
         code, out, _ = run(
             ["--format", "csv", "report", "--in", str(report_path)], capsys
@@ -217,7 +242,9 @@ class TestExperimentCommands:
         assert code == 0, err
         for cell in ("TS-A", "TS-NA", "NTS-A", "NTS-NA"):
             assert any(line.startswith(cell) for line in out.splitlines())
-        assert (tmp_path / "matrix.json").exists()
+        cells = json.loads((tmp_path / "matrix.json").read_text())
+        assert {cell: rep["n_failed"] for cell, rep in cells.items()} == {
+            "TS-A": 0, "TS-NA": 0, "NTS-A": 0, "NTS-NA": 0}
         assert (tmp_path / "matrix.txt").exists()
         assert "augmentation effect" in out
 

@@ -118,6 +118,22 @@ class TestRunExperiment:
         assert report.mean_accuracy is None
         assert all(r.error is not None for r in report.runs)
 
+    @pytest.mark.parametrize(
+        "name, fractions",
+        [
+            ("validation", dict(test_fraction=0.2, validation_fraction=0.1)),
+            ("test", dict(test_fraction=0.1, validation_fraction=0.25)),
+        ],
+    )
+    def test_empty_partition_is_named(self, name, fractions):
+        spec = SyntheticSpec(num_classes=2, epochs_per_class=8, channels=3, samples=16,
+                             sampling_rate=100.0, seed=22)
+        report = run_experiment(tiny_plan(n_runs=1, **fractions), generate_synthetic(spec))
+        assert report.n_failed == 1
+        error = report.runs[0].error
+        assert f"ValueError: run 0: the {name} partition is empty" in error
+        assert f"class counts [8, 8] at {name}_fraction {fractions[name + '_fraction']}" in error
+
     def test_train_truncation(self, tiny_dataset):
         plan = tiny_plan(max_train_epochs=8, n_runs=1)
         report = run_experiment(plan, tiny_dataset)

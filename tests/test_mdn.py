@@ -1,10 +1,16 @@
 """Minimum-distance decisions and the OVO/OVR compositions."""
 
+import itertools
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mibci.mdn as mdn_module
 from mibci.mdn import (
     MdnClassifier,
     MetaScheme,
@@ -14,7 +20,7 @@ from mibci.mdn import (
     scheme_predict,
     tally_ovo_votes,
 )
-from mibci.network import ConvBlockSpec, NetworkSpec, init_params
+from mibci.network import ConvBlockSpec, NetworkSpec, forward, init_params, parse_structure
 from mibci.walsh import WalshCodebook, build_walsh
 
 
@@ -263,3 +269,103 @@ class TestSchemePredict:
         ovr = MetaScheme(kind="ovr", num_classes=3, members=ovr_members)
         batch = scheme_predict(x, ovr, clf)
         assert [scheme_predict(x[i], ovr, clf)[0] for i in range(4)] == batch.tolist()
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Pretend four CPUs are usable and record the workers of every pool started."""
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(mdn_module, "ThreadPoolExecutor", RecordingPool)
+    return started
+
+
+def random_scheme(kind: str, num_classes: int, seed: int) -> MetaScheme:
+    spec = parse_structure("2,7,8 / 8,7,8 / 8,16,16", input_channels=2, input_length=64)
+    labels = range(1, num_classes + 1)
+    groups = {
+        "single": [tuple(labels)],
+        "ovo": list(itertools.combinations(labels, 2)),
+        "ovr": [(c,) for c in labels],
+    }[kind]
+    members = tuple(
+        SchemeMember(classes=classes, spec=spec, params=init_params(spec, seed=seed + k))
+        for k, classes in enumerate(groups)
+    )
+    return MetaScheme(kind=kind, num_classes=num_classes, members=members)
+
+
+def sequential_predict(x: np.ndarray, scheme: MetaScheme, clf: MdnClassifier) -> np.ndarray:
+    """The decision rules applied member by member on one thread."""
+    outputs = [forward(m.spec, m.params, x, mode="eval") for m in scheme.members]
+    if scheme.kind == "single":
+        return mdn_classify(outputs[0], clf)
+    distances = [mdn_distances(out, clf) for out in outputs]
+    if scheme.kind == "ovo":
+        return np.array([
+            tally_ovo_votes([(m.classes, d[i]) for m, d in zip(scheme.members, distances)],
+                            scheme.num_classes)
+            for i in range(len(x))
+        ])
+    scores = np.empty((len(x), scheme.num_classes))
+    for m, d in zip(scheme.members, distances):
+        scores[:, m.classes[0] - 1] = d[:, 1] - d[:, 0]
+    return scores.argmax(axis=1) + 1
+
+
+class TestConcurrentMembers:
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    def test_threaded_predict_matches_sequential_reference(self, kind, pools):
+        scheme = random_scheme(kind, num_classes=4, seed=30)
+        clf = clf_for(4 if kind == "single" else 2)
+        x = np.random.default_rng(31).normal(size=(150, 2, 64))
+        predicted = scheme_predict(x, scheme, clf)
+        expected = sequential_predict(x, scheme, clf)
+        assert np.array_equal(predicted, expected)
+        assert len(np.unique(expected)) > 1
+        assert pools == ([] if kind == "single" else [4])
+
+    def test_workers_capped_by_member_count(self, pools):
+        assert mdn_module._map_members(lambda m: m * m, [3, 4]) == [9, 16]
+        assert pools == [2]
+
+    def test_results_come_back_in_member_order(self, pools):
+        def slow_first(m):
+            time.sleep(0.02 * (5 - m))
+            return m
+
+        assert mdn_module._map_members(slow_first, list(range(5))) == list(range(5))
+
+    def test_first_member_in_order_raises(self, pools):
+        def fail_some(m):
+            if m == 1:
+                time.sleep(0.1)
+                raise ValueError("member 1 failed")
+            if m == 3:
+                raise ValueError("member 3 failed")
+            return m
+
+        with pytest.raises(ValueError, match="member 1 failed"):
+            mdn_module._map_members(fail_some, list(range(4)))
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(mdn_module, "ThreadPoolExecutor", no_pool)
+        scheme = random_scheme("ovo", num_classes=3, seed=40)
+        x = np.random.default_rng(41).normal(size=(6, 2, 64))
+        assert np.array_equal(scheme_predict(x, scheme, clf_for(2)), sequential_predict(x, scheme, clf_for(2)))
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert mdn_module._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert mdn_module._usable_cpus() == (os.cpu_count() or 1)

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import mibci.network as network_module
 from mibci.network import (
+    EVAL_BLOCK_EPOCHS,
     BlockParams,
     ConvBlockSpec,
     NetworkParams,
@@ -23,6 +25,7 @@ from helpers import max_relative_gradient_error, numeric_gradients
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 TABLE5 = "68,9,40 / 40,9,40 / 40,9,40 / 40,9,40 / 40,9,40 / 40,8,16"
+E2E_STRUCTURE = "4,5,12 / 12,5,12 / 12,5,12 / 12,5,12 / 12,16,16"
 
 
 class TestParseStructure:
@@ -138,6 +141,69 @@ class TestForward:
         params = init_params(spec, seed=1)
         x = np.random.default_rng(0).normal(size=(4, 2, 32))
         assert np.array_equal(forward(spec, params, x), forward(spec, params, x))
+
+
+def trained_looking_params(spec: NetworkSpec, seed: int) -> NetworkParams:
+    """Random init plus non-trivial biases and batchnorm statistics."""
+    params = init_params(spec, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for p in params.blocks:
+        p.bias = rng.normal(0, 0.1, p.bias.shape)
+        if p.gamma is not None:
+            p.gamma = rng.uniform(0.5, 1.5, p.gamma.shape)
+            p.beta = rng.normal(0, 0.2, p.beta.shape)
+            p.running_mean = rng.normal(0, 0.2, p.running_mean.shape)
+            p.running_var = rng.uniform(0.5, 2.0, p.running_var.shape)
+    return params
+
+
+class TestBlockedEval:
+    """Eval mode runs in blocks of EVAL_BLOCK_EPOCHS; a ``caches`` list runs
+    the same stack over the whole batch at once, which is the reference.
+
+    BLAS may pick a different kernel for a short tail block than for the
+    whole batch, so a batch that spans blocks agrees to rounding only:
+    at most 1.1e-16 (e2e) and 1.0e-15 (paper) measured on OpenBLAS 0.3.31.
+    """
+
+    @pytest.mark.parametrize(
+        "structure, channels, length",
+        [(E2E_STRUCTURE, 4, 250), (TABLE7_S1, 2, 251)],
+        ids=["e2e", "paper"],
+    )
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    def test_matches_whole_batch(self, structure, channels, length, n):
+        assert EVAL_BLOCK_EPOCHS == 128
+        spec = parse_structure(structure, input_channels=channels, input_length=length, output_dim=16)
+        params = trained_looking_params(spec, seed=n)
+        x = np.random.default_rng(n).normal(size=(n, channels, length))
+        whole = forward(spec, params, x, mode="eval", caches=[])
+        blocked = forward(spec, params, x, mode="eval")
+        assert blocked.shape == (n, 16)
+        if n <= EVAL_BLOCK_EPOCHS:
+            assert np.array_equal(blocked, whole)
+        else:
+            assert np.max(np.abs(blocked - whole)) <= 1e-12
+        assert np.array_equal(forward(spec, params, x, mode="eval"), blocked)
+
+    def test_blocks_split_at_the_block_size(self, monkeypatch):
+        spec = parse_structure("3,5,8 / 8,16,16", input_length=32, output_dim=16)
+        params = trained_looking_params(spec, seed=2)
+        x = np.random.default_rng(3).normal(size=(2 * EVAL_BLOCK_EPOCHS + 5, 3, 32))
+        batches = []
+        conv = network_module.layers.conv1d_forward
+
+        def recording_conv(x, *args):
+            batches.append(len(x))
+            return conv(x, *args)
+
+        monkeypatch.setattr(network_module.layers, "conv1d_forward", recording_conv)
+        out = forward(spec, params, x)
+        assert batches == [128, 128, 128, 128, 5, 5]
+        monkeypatch.undo()
+        for start in (0, EVAL_BLOCK_EPOCHS, 2 * EVAL_BLOCK_EPOCHS):
+            block = x[start : start + EVAL_BLOCK_EPOCHS]
+            assert np.array_equal(out[start : start + len(block)], forward(spec, params, block))
 
 
 class TestMseLoss:
