@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import EstimatorMixin, as_epoch_array, as_labels
-from .epochs import Epoch, EpochSet
+from .epochs import EpochSet
 
 __all__ = [
     "AugmentConfig",
@@ -61,82 +61,80 @@ class AugmentConfig:
             raise ValueError("copies_per_epoch must be >= 0")
 
 
-def zero_mean(epoch: Epoch) -> Epoch:
-    """Subtract each channel's sample mean; shape and metadata unchanged."""
-    data = epoch.data - epoch.data.mean(axis=1, keepdims=True)
-    return epoch.with_data(data)
+def zero_mean(data: np.ndarray) -> np.ndarray:
+    """Subtract each channel's sample mean from a channels x samples array."""
+    return data - data.mean(axis=1, keepdims=True)
 
 
 def random_scale(
-    epoch: Epoch,
+    data: np.ndarray,
     rng: np.random.Generator,
     amp_low: float = 0.2,
     amp_high: float = 5.0,
-) -> tuple[Epoch, float]:
+) -> tuple[np.ndarray, float]:
     """Multiply every sample of every channel by one uniform random factor.
 
-    Returns the scaled epoch and the drawn factor for auditability.
+    Returns the scaled array and the drawn factor for auditability.
     """
     factor = float(rng.uniform(amp_low, amp_high))
-    return epoch.with_data(epoch.data * factor), factor
+    return data * factor, factor
 
 
 def polarity_invert(
-    epoch: Epoch,
+    data: np.ndarray,
     rng: np.random.Generator,
     flip_probability: float = 0.5,
-) -> tuple[Epoch, int]:
+) -> tuple[np.ndarray, int]:
     """Multiply all channels by -1 with the given probability, else by +1."""
     sign = -1 if rng.uniform() < flip_probability else 1
-    return epoch.with_data(epoch.data * sign), sign
+    return data * sign, sign
 
 
 def time_rotate(
-    epoch: Epoch,
+    data: np.ndarray,
     rng: np.random.Generator,
     half_range: int | None = None,
-) -> tuple[Epoch, int]:
+) -> tuple[np.ndarray, int]:
     """Circularly shift every channel by one integer drawn from [-N/2, +N/2].
 
     Sample index j moves to (j + shift) mod N, the same shift on all channels.
     """
+    n_samples = data.shape[1]
     if half_range is None:
-        half_range = epoch.n_samples // 2
-    if half_range > epoch.n_samples:
+        half_range = n_samples // 2
+    if half_range > n_samples:
         raise ValueError("rotation_half_range cannot exceed the epoch length")
     shift = int(rng.integers(-half_range, half_range + 1))
-    return epoch.with_data(np.roll(epoch.data, shift, axis=1)), shift
+    return np.roll(data, shift, axis=1), shift
 
 
 def noise_inject(
-    epoch: Epoch,
+    data: np.ndarray,
     rng: np.random.Generator,
     noise_sd: float = 0.01,
-) -> Epoch:
+) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise to every sample of every channel."""
     if noise_sd == 0:
-        return epoch
-    return epoch.with_data(epoch.data + rng.normal(0.0, noise_sd, size=epoch.data.shape))
+        return data
+    return data + rng.normal(0.0, noise_sd, size=data.shape)
 
 
 def augment_epoch(
-    epoch: Epoch,
+    data: np.ndarray,
     cfg: AugmentConfig,
     rng: np.random.Generator,
     return_draws: bool = False,
-) -> Epoch | tuple[Epoch, dict]:
+) -> np.ndarray | tuple[np.ndarray, dict]:
     """Apply the five augmentation steps in order with fresh draws.
 
-    The result carries ``origin="augmented"``; label and metadata are
-    preserved. With ``return_draws=True`` the drawn (factor, sign, shift)
-    values are returned alongside for audits.
+    ``data`` is one channels x samples epoch. With ``return_draws=True`` the
+    drawn (factor, sign, shift) values are returned alongside for audits.
     """
-    out = zero_mean(epoch)
+    out = zero_mean(data)
     out, factor = random_scale(out, rng, cfg.amp_low, cfg.amp_high)
     out, sign = polarity_invert(out, rng, cfg.flip_probability)
     out, shift = time_rotate(out, rng, cfg.rotation_half_range)
     out = noise_inject(out, rng, cfg.noise_sd)
-    out = out.with_data(out.data, origin="augmented")
     if return_draws:
         return out, {"scale": factor, "sign": sign, "shift": shift}
     return out
@@ -146,19 +144,24 @@ def augment_set(dataset: EpochSet, cfg: AugmentConfig) -> EpochSet:
     """Expand a training set with augmented variants of every epoch.
 
     Each source epoch keeps its position followed by ``copies_per_epoch``
-    variants, so the output size is ``len(dataset) * (1 + copies_per_epoch)``
-    and the class histogram scales by the same factor. Epoch ``i`` draws from
-    its own substream seeded by ``(cfg.seed, i)``; the result is bit-identical
-    for identical inputs and safe to compute in parallel per epoch.
+    variants with ``origin="augmented"`` and the source's label and subject,
+    so the output size is ``len(dataset) * (1 + copies_per_epoch)`` and the
+    class histogram scales by the same factor. Epoch ``i`` draws from its own
+    substream seeded by ``(cfg.seed, i)``; the result is bit-identical for
+    identical inputs and safe to compute in parallel per epoch.
     """
-    out: list[Epoch] = []
-    for i, epoch in enumerate(dataset):
-        out.append(epoch)
-        if cfg.copies_per_epoch:
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, i]))
-            for _ in range(cfg.copies_per_epoch):
-                out.append(augment_epoch(epoch, cfg, rng))
-    return EpochSet(epochs=tuple(out), num_classes=dataset.num_classes)
+    stride = 1 + cfg.copies_per_epoch
+    out = np.empty((len(dataset) * stride, dataset.n_channels, dataset.n_samples))
+    out[::stride] = dataset.data
+    for i, epoch in enumerate(dataset.data):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, i]))
+        for j in range(1, stride):
+            out[i * stride + j] = augment_epoch(epoch, cfg, rng)
+    out.setflags(write=False)
+    source = np.repeat(np.arange(len(dataset)), stride)
+    origins = np.where(np.arange(len(out)) % stride == 0, dataset.origins[source], "augmented")
+    return EpochSet(out, dataset.labels[source], dataset.sampling_rate, dataset.num_classes,
+                    dataset.subject_ids[source], origins)
 
 
 class EpochAugmenter(EstimatorMixin):
@@ -206,6 +209,5 @@ class EpochAugmenter(EstimatorMixin):
     def fit_resample(self, X, y) -> tuple[np.ndarray, np.ndarray]:
         X = as_epoch_array(X)
         y = as_labels(y)
-        dataset = EpochSet.from_arrays(X, y, sampling_rate=self.sampling_rate)
-        grown = augment_set(dataset, self._config())
+        grown = augment_set(EpochSet(X, y, self.sampling_rate), self._config())
         return grown.to_array(), grown.labels

@@ -110,7 +110,7 @@ def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = 4) -> np
 
 
 def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> np.ndarray:
-    """Expand ``(n, E, T)`` epochs to ``(n, E*B, T)`` band-filtered signals.
+    """Expand ``(n, E, T)`` epochs to read-only ``(n, E*B, T)`` band-filtered signals.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
     the sample count is unchanged.
@@ -121,6 +121,7 @@ def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> n
     for b, (lo, hi) in enumerate(spec.bands):
         sos = design_bandpass(lo, hi, sampling_rate, spec.order)
         out[:, b * e : (b + 1) * e] = zero_phase_bandpass(X, sos, spec.order)
+    out.setflags(write=False)
     return out
 
 

@@ -263,7 +263,7 @@ class CspTransformer(EstimatorMixin):
     def fit(self, X, y):
         X = as_epoch_array(X)
         y = as_labels(y)
-        dataset = EpochSet.from_arrays(X, y, sampling_rate=self.sampling_rate)
+        dataset = EpochSet(X, y, self.sampling_rate)
         bank = FilterBankSpec(bands=self.bands, order=self.order)
         filtered = apply_filter_bank_set(dataset, bank)
         scheme = self.scheme

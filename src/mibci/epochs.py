@@ -38,9 +38,20 @@ def derive_seed(*parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _read_only(data: np.ndarray) -> np.ndarray:
+    """``data`` itself when it is read-only and C-contiguous, else a read-only copy."""
+    if data.flags.writeable or not data.flags.c_contiguous:
+        data = data.copy()
+        data.setflags(write=False)
+    return data
+
+
 @dataclass(frozen=True)
 class Epoch:
     """One labeled trial: a channels x samples matrix with its sampling rate.
+
+    A standalone epoch keeps a read-only copy of a writable ``data`` array;
+    the epochs an :class:`EpochSet` yields are views of its read-only rows.
 
     Attributes
     ----------
@@ -72,10 +83,7 @@ class Epoch:
             raise ValueError(f"labels are 1-based, got {self.label}")
         if not self.sampling_rate > 0:
             raise ValueError(f"sampling_rate must be positive, got {self.sampling_rate}")
-        if data is self.data or data.base is not None:
-            data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _read_only(data))
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "sampling_rate", float(self.sampling_rate))
 
@@ -87,10 +95,6 @@ class Epoch:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def with_data(self, data: np.ndarray, origin: str | None = None) -> "Epoch":
-        """New epoch with replaced samples, label and metadata preserved."""
-        return replace(self, data=data, origin=self.origin if origin is None else origin)
-
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of the epoch (metadata + raw samples)."""
@@ -98,70 +102,93 @@ class Epoch:
         h.update(self.subject_id.encode("utf-8"))
         h.update(np.int64(self.label).tobytes())
         h.update(np.float64(self.sampling_rate).tobytes())
-        h.update(np.ascontiguousarray(self.data).tobytes())
+        h.update(self.data.tobytes())
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpochSet:
-    """A homogeneous collection of epochs sharing shape, rate, and label range."""
+    """Epochs stacked into one read-only ``(n, channels, samples)`` float64 array.
 
-    epochs: tuple[Epoch, ...]
-    num_classes: int
+    ``labels`` (1-based int64), ``subject_ids`` and ``origins`` hold one entry
+    per row; a single string applies to every row, and ``num_classes=None``
+    takes the largest label. A writable ``data`` array is copied, a read-only
+    one is kept. Iterating yields :class:`Epoch` views of the rows.
+    """
+
+    data: np.ndarray
+    labels: np.ndarray
+    sampling_rate: float
+    num_classes: int | None = None
+    subject_ids: np.ndarray | str = ""
+    origins: np.ndarray | str = "recorded"
 
     def __post_init__(self) -> None:
-        epochs = tuple(self.epochs)
+        data = np.asarray(self.data, dtype=np.float64)
+        if data.ndim == 3 and len(data) == 0:
+            raise ValueError("empty set: an EpochSet needs at least one epoch")
+        if data.ndim != 3 or min(data.shape) < 1:
+            raise ValueError(f"epoch data must be (n, channels, samples), got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError("epoch data contains non-finite values")
+        n = len(data)
+        labels = np.asarray(self.labels).astype(np.int64)
+        if labels.shape != (n,):
+            raise ValueError(f"need one label per epoch: {labels.shape} labels for {n} epochs")
+        num_classes = int(labels.max() if self.num_classes is None else self.num_classes)
+        if num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        bad = np.flatnonzero((labels < 1) | (labels > num_classes))
+        if bad.size:
+            raise ValueError(f"epoch {bad[0]} label {labels[bad[0]]} outside 1..{num_classes}")
+        if not self.sampling_rate > 0:
+            raise ValueError(f"sampling_rate must be positive, got {self.sampling_rate}")
+        labels.setflags(write=False)
+        object.__setattr__(self, "data", _read_only(data))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sampling_rate", float(self.sampling_rate))
+        object.__setattr__(self, "num_classes", num_classes)
+        for name in ("subject_ids", "origins"):
+            object.__setattr__(self, name, np.broadcast_to(np.array(getattr(self, name), dtype=object), (n,)))
+
+    @classmethod
+    def from_epochs(cls, epochs: Iterable[Epoch], num_classes: int | None = None) -> "EpochSet":
+        """Stack epochs that share one shape and one sampling rate."""
+        epochs = tuple(epochs)
         if not epochs:
             raise ValueError("empty set: an EpochSet needs at least one epoch")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        first = epochs[0]
-        for i, ep in enumerate(epochs):
-            if ep.data.shape != first.data.shape:
-                raise ValueError(
-                    f"heterogeneous epoch shapes: epoch {i} is {ep.data.shape}, "
-                    f"expected {first.data.shape}"
-                )
-            if ep.sampling_rate != first.sampling_rate:
-                raise ValueError("heterogeneous sampling rates within one set")
-            if not 1 <= ep.label <= self.num_classes:
-                raise ValueError(
-                    f"epoch {i} label {ep.label} outside 1..{self.num_classes}"
-                )
-        object.__setattr__(self, "epochs", epochs)
+        shapes = sorted({ep.data.shape for ep in epochs})
+        if len(shapes) > 1:
+            raise ValueError(f"heterogeneous epoch shapes {shapes} within one set")
+        if len({ep.sampling_rate for ep in epochs}) > 1:
+            raise ValueError("heterogeneous sampling rates within one set")
+        data = np.stack([ep.data for ep in epochs])
+        data.setflags(write=False)
+        return cls(data, [ep.label for ep in epochs], epochs[0].sampling_rate, num_classes,
+                   [ep.subject_id for ep in epochs], [ep.origin for ep in epochs])
 
     def __len__(self) -> int:
-        return len(self.epochs)
+        return len(self.data)
 
     def __iter__(self):
-        return iter(self.epochs)
+        for row, label, subject_id, origin in zip(self.data, self.labels, self.subject_ids, self.origins):
+            yield Epoch(subject_id, label, row, self.sampling_rate, origin)
 
     @property
     def n_channels(self) -> int:
-        return self.epochs[0].n_channels
+        return self.data.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return self.epochs[0].n_samples
-
-    @property
-    def sampling_rate(self) -> float:
-        return self.epochs[0].sampling_rate
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([ep.label for ep in self.epochs], dtype=np.int64)
+        return self.data.shape[2]
 
     def to_array(self) -> np.ndarray:
-        """Stack all epochs into one (n, channels, samples) float64 array."""
-        return np.stack([ep.data for ep in self.epochs])
+        """The stored read-only (n, channels, samples) float64 array."""
+        return self.data
 
     def class_counts(self) -> np.ndarray:
         """Per-class epoch counts, index 0 = class 1."""
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for ep in self.epochs:
-            counts[ep.label - 1] += 1
-        return counts
+        return np.bincount(self.labels - 1, minlength=self.num_classes)
 
     def require_all_classes(self) -> "EpochSet":
         """Raise unless every class 1..num_classes has at least one epoch."""
@@ -172,52 +199,31 @@ class EpochSet:
         return self
 
     def subset(self, indices: Sequence[int]) -> "EpochSet":
-        return EpochSet(
-            epochs=tuple(self.epochs[i] for i in indices),
-            num_classes=self.num_classes,
-        )
+        """The epochs at ``indices``, in that order; repeats are allowed."""
+        idx = np.asarray(indices, dtype=np.intp)
+        data = self.data[idx]
+        data.setflags(write=False)
+        return EpochSet(data, self.labels[idx], self.sampling_rate, self.num_classes,
+                        self.subject_ids[idx], self.origins[idx])
 
     def with_data(self, X: np.ndarray) -> "EpochSet":
         """New set whose epoch i carries ``X[i]``, labels and metadata preserved."""
-        return EpochSet(
-            epochs=tuple(ep.with_data(x) for ep, x in zip(self.epochs, X, strict=True)),
-            num_classes=self.num_classes,
-        )
+        return replace(self, data=X)
+
+    @cached_property
+    def _row_fingerprints(self) -> tuple[str, ...]:
+        return tuple(ep.fingerprint for ep in self)
 
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of the full set (epoch order matters)."""
-        h = hashlib.sha256()
-        h.update(np.int64(self.num_classes).tobytes())
-        for ep in self.epochs:
-            h.update(bytes.fromhex(ep.fingerprint))
+        h = hashlib.sha256(np.int64(self.num_classes).tobytes())
+        for row in self._row_fingerprints:
+            h.update(bytes.fromhex(row))
         return h.hexdigest()
 
     def epoch_fingerprints(self) -> set[str]:
-        return {ep.fingerprint for ep in self.epochs}
-
-    @classmethod
-    def from_arrays(
-        cls,
-        X: np.ndarray,
-        y: Iterable[int],
-        sampling_rate: float,
-        num_classes: int | None = None,
-        subject_id: str = "",
-        origin: str = "recorded",
-    ) -> "EpochSet":
-        """Build a set from a stacked (n, channels, samples) array and labels."""
-        X = np.asarray(X, dtype=np.float64)
-        y = [int(v) for v in y]
-        if X.ndim != 3 or X.shape[0] != len(y):
-            raise ValueError("X must be (n, channels, samples) with one label per epoch")
-        if num_classes is None:
-            num_classes = max(y)
-        epochs = tuple(
-            Epoch(subject_id=subject_id, label=lbl, data=X[i], sampling_rate=sampling_rate, origin=origin)
-            for i, lbl in enumerate(y)
-        )
-        return cls(epochs=epochs, num_classes=num_classes)
+        return set(self._row_fingerprints)
 
 
 @dataclass(frozen=True)

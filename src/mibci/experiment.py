@@ -7,9 +7,9 @@ evaluation on the untouched test partition. Before any fitting, the
 training epochs' fingerprints must be disjoint from the validation and test
 epochs'; an overlap raises :class:`LeakageError` and aborts the experiment.
 The CSP and augmentation boundaries then check that they consumed exactly
-the training partition. A matrix executes all four
-transform/augmentation cells with one master seed, which makes the splits
-identical across cells.
+the training partition and raise :class:`LeakageError` when they did not. A
+matrix executes all four transform/augmentation cells with one master seed,
+which makes the splits identical across cells.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ MATRIX_CELLS = ("TS-A", "TS-NA", "NTS-A", "NTS-NA")
 
 
 class LeakageError(RuntimeError):
-    """A validation or test epoch is also in the training partition."""
+    """Epochs outside the training partition reached training, CSP or augmentation."""
 
 
 @dataclass(frozen=True)
@@ -192,14 +192,9 @@ def _load_dataset(plan: ExperimentPlan, dataset: EpochSet | None) -> EpochSet:
 
 def _truncate_stratified(train: EpochSet, limit: int) -> EpochSet:
     """Keep at most ``limit`` epochs, balanced over classes, order-stable."""
-    counts = np.zeros(train.num_classes, dtype=int)
     per_class = max(1, limit // train.num_classes)
-    keep = []
-    for i, ep in enumerate(train):
-        if counts[ep.label - 1] < per_class and len(keep) < limit:
-            keep.append(i)
-            counts[ep.label - 1] += 1
-    return train.subset(keep)
+    firsts = [np.flatnonzero(train.labels == c)[:per_class] for c in range(1, train.num_classes + 1)]
+    return train.subset(np.sort(np.concatenate(firsts))[:limit])
 
 
 def _adapt_structure(structure: str, channels: int) -> str:
@@ -250,7 +245,7 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         scheme = "two_class" if dataset.num_classes == 2 else "one_vs_rest"
         model = fit_csp(train_set, m=plan.m, scheme=scheme, bank=bank)
         if model.fitted_on != train_set.fingerprint:
-            raise AssertionError("CSP was fitted on epochs outside the training partition")
+            raise LeakageError(f"run {run}: CSP was fitted on epochs outside the training partition")
         train_set = apply_csp_set(train_set, model)
         val_set = apply_csp_set(val_set, model)
         test_set = apply_csp_set(test_set, model)
@@ -259,9 +254,9 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         allowed_fps = train_set.epoch_fingerprints()
         cfg = replace(plan.augment_config, seed=derive_seed(plan.master_seed, run, "augment"))
         train_set = augment_set(train_set, cfg)
-        originals = {ep.fingerprint for ep in train_set if ep.origin != "augmented"}
-        if originals != allowed_fps:
-            raise AssertionError("augmentation consumed epochs outside the training partition")
+        originals = train_set.subset(np.flatnonzero(train_set.origins != "augmented"))
+        if originals.epoch_fingerprints() != allowed_fps:
+            raise LeakageError(f"run {run}: augmentation consumed epochs outside the training partition")
 
     structure = plan.structure
     if structure is None:

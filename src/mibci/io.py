@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .epochs import Epoch, EpochSet
+from .epochs import EpochSet
 
 __all__ = ["EpochFormatError", "load_epochs", "save_epochs"]
 
@@ -81,11 +81,11 @@ def _save_binary(dataset: EpochSet, path: Path) -> None:
                 dataset.sampling_rate,
             )
         )
-        for ep in dataset:
-            sid = ep.subject_id.encode("utf-8")
-            fh.write(struct.pack("<II", ep.label, len(sid)))
+        for sid, label, epoch in zip(dataset.subject_ids, dataset.labels, dataset.data):
+            sid = sid.encode("utf-8")
+            fh.write(struct.pack("<II", label, len(sid)))
             fh.write(sid)
-            fh.write(np.ascontiguousarray(ep.data, dtype="<f4").tobytes())
+            fh.write(epoch.astype("<f4").tobytes())
 
 
 def _load_binary(path: Path) -> EpochSet:
@@ -99,13 +99,22 @@ def _load_binary(path: Path) -> EpochSet:
     off += _HEADER.size
     if channels < 1 or samples < 1:
         raise EpochFormatError(f"{path}: non-positive epoch shape in header at byte 4")
+    if num_classes < 2:
+        raise EpochFormatError(f"{path}: class count {num_classes} below 2 in header at byte 12")
     if count < 1:
         raise EpochFormatError(f"{path}: empty set (epoch_count=0) at byte 16")
     if not rate > 0 or not np.isfinite(rate):
         raise EpochFormatError(f"{path}: invalid sampling rate at byte 20")
 
     n_floats = channels * samples
-    epochs = []
+    if len(blob) - off < count * (8 + 4 * n_floats):  # each record's fixed part
+        raise EpochFormatError(
+            f"{path}: {len(blob)} bytes cannot hold the header-declared {count} epochs "
+            f"of {channels}x{samples} samples at byte {len(blob)}"
+        )
+    data = np.empty((count, channels, samples))
+    labels = np.empty(count, dtype=np.int64)
+    subject_ids = []
     for k in range(count):
         if len(blob) < off + 8:
             raise EpochFormatError(f"{path}: truncated epoch record {k} at byte {off}")
@@ -120,40 +129,46 @@ def _load_binary(path: Path) -> EpochSet:
                 f"{path}: epoch {k} shorter than the header-declared "
                 f"{channels}x{samples} shape at byte {off}"
             )
-        sid = blob[off : off + sid_len].decode("utf-8")
+        try:
+            subject_ids.append(blob[off : off + sid_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise EpochFormatError(f"{path}: epoch {k} subject id is not UTF-8 at byte {off + exc.start}") from None
         off += sid_len
-        data = np.frombuffer(blob, dtype="<f4", count=n_floats, offset=off)
-        if not np.isfinite(data).all():
-            bad = off + 4 * int(np.nonzero(~np.isfinite(data))[0][0])
+        row = np.frombuffer(blob, dtype="<f4", count=n_floats, offset=off)
+        if not np.isfinite(row).all():
+            bad = off + 4 * int(np.nonzero(~np.isfinite(row))[0][0])
             raise EpochFormatError(f"{path}: non-finite sample value at byte {bad}")
         off += 4 * n_floats
-        epochs.append(
-            Epoch(
-                subject_id=sid,
-                label=label,
-                data=data.astype(np.float64).reshape(channels, samples),
-                sampling_rate=rate,
-            )
-        )
+        data[k] = row.reshape(channels, samples)
+        labels[k] = label
     if off != len(blob):
         raise EpochFormatError(f"{path}: {len(blob) - off} trailing bytes at byte {off}")
-    return EpochSet(epochs=tuple(epochs), num_classes=num_classes)
+    data.setflags(write=False)
+    return EpochSet(data, labels, rate, num_classes, subject_ids)
 
 
 def _save_csv(dataset: EpochSet, path: Path) -> None:
+    for k, sid in enumerate(dataset.subject_ids):
+        if "," in sid or sid.splitlines() not in ([], [sid]):
+            raise ValueError(
+                f"epoch {k}: subject id {sid!r} holds a comma or a line break, "
+                "which the CSV layout cannot store"
+            )
     n = dataset.n_samples
     header = "subject,label,channel," + ",".join(f"s{i}" for i in range(n))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for ep in dataset:
-            for ch in range(ep.n_channels):
-                row = ",".join(repr(float(v)) for v in ep.data[ch])
-                fh.write(f"{ep.subject_id},{ep.label},{ch},{row}\n")
+        for sid, label, epoch in zip(dataset.subject_ids, dataset.labels, dataset.data):
+            for ch, channel in enumerate(epoch):
+                row = ",".join(repr(float(v)) for v in channel)
+                fh.write(f"{sid},{label},{ch},{row}\n")
 
 
 def _load_csv(path: Path, sampling_rate: float) -> EpochSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise EpochFormatError(f"{path}: invalid UTF-8 at byte {exc.start}") from None
     if not lines:
         raise EpochFormatError(f"{path}: empty file at line 1")
     header = lines[0].split(",")
@@ -163,18 +178,8 @@ def _load_csv(path: Path, sampling_rate: float) -> EpochSet:
     if n_samples < 1 or header[3] != "s0":
         raise EpochFormatError(f"{path}: header declares no sample columns at line 1")
 
-    epochs: list[Epoch] = []
-    current: list[np.ndarray] = []
-    current_meta: tuple[str, int] | None = None
-
-    def flush() -> None:
-        if current_meta is None:
-            return
-        sid, label = current_meta
-        epochs.append(
-            Epoch(subject_id=sid, label=label, data=np.array(current), sampling_rate=sampling_rate)
-        )
-
+    rows: list[np.ndarray] = []
+    meta: list[tuple[str, int, int]] = []  # subject, label and first row of each epoch
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -190,34 +195,31 @@ def _load_csv(path: Path, sampling_rate: float) -> EpochSet:
             values = np.array([float(v) for v in parts[3:]], dtype=np.float64)
         except ValueError as exc:
             raise EpochFormatError(f"{path}: unparseable number at line {line_no}: {exc}") from None
-        if label < 1:
+        if not 1 <= label < 2**32:  # EPB1 stores labels as u32
             raise EpochFormatError(f"{path}: label {label} out of range at line {line_no}")
         if not np.isfinite(values).all():
             raise EpochFormatError(f"{path}: non-finite sample value at line {line_no}")
         if ch == 0:
-            flush()
-            current = [values]
-            current_meta = (sid, label)
-        else:
-            if current_meta is None or ch != len(current):
-                raise EpochFormatError(
-                    f"{path}: channel index {ch} breaks the 0..E-1 sequence at line {line_no}"
-                )
-            if (sid, label) != current_meta:
-                raise EpochFormatError(
-                    f"{path}: subject/label changes mid-epoch at line {line_no}"
-                )
-            current.append(values)
-    flush()
-    if not epochs:
+            meta.append((sid, label, len(rows)))
+        elif not meta or ch != len(rows) - meta[-1][2]:
+            raise EpochFormatError(
+                f"{path}: channel index {ch} breaks the 0..E-1 sequence at line {line_no}"
+            )
+        elif (sid, label) != meta[-1][:2]:
+            raise EpochFormatError(f"{path}: subject/label changes mid-epoch at line {line_no}")
+        rows.append(values)
+    if not meta:
         raise EpochFormatError(f"{path}: no epoch rows after the header at line 2")
 
-    first_e = epochs[0].n_channels
-    for k, ep in enumerate(epochs):
-        if ep.n_channels != first_e:
-            raise EpochFormatError(
-                f"{path}: epoch {k} has {ep.n_channels} channels, expected {first_e} "
-                "(shape mismatch)"
-            )
-    num_classes = max(2, max(ep.label for ep in epochs))
-    return EpochSet(epochs=tuple(epochs), num_classes=num_classes)
+    subject_ids, labels, starts = zip(*meta)
+    channels = np.diff(starts + (len(rows),))
+    mismatched = np.flatnonzero(channels != channels[0])
+    if mismatched.size:
+        k = mismatched[0]
+        raise EpochFormatError(
+            f"{path}: epoch {k} has {channels[k]} channels, expected {channels[0]} "
+            "(shape mismatch)"
+        )
+    data = np.array(rows).reshape(len(meta), channels[0], n_samples)
+    data.setflags(write=False)
+    return EpochSet(data, labels, sampling_rate, max(2, max(labels)), subject_ids)

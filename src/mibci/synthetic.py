@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epochs import Epoch, EpochSet
+from .epochs import EpochSet
 
 __all__ = ["SyntheticSpec", "generate_synthetic"]
 
@@ -85,23 +85,16 @@ def generate_synthetic(spec: SyntheticSpec) -> EpochSet:
     """Generate a labeled epoch set from the parameters; deterministic given the seed."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.samples) / spec.sampling_rate
-    epochs = []
-    for c in range(1, spec.num_classes + 1):
-        mu_g = spec.mu_gains[c - 1][:, None]
-        beta_g = spec.beta_gains[c - 1][:, None]
-        for _ in range(spec.epochs_per_class):
+    data = np.empty((spec.num_classes * spec.epochs_per_class, spec.channels, spec.samples))
+    for c in range(spec.num_classes):
+        mu_g = spec.mu_gains[c][:, None]
+        beta_g = spec.beta_gains[c][:, None]
+        for k in range(c * spec.epochs_per_class, (c + 1) * spec.epochs_per_class):
             phase_mu = rng.uniform(0.0, 2.0 * np.pi)
             phase_beta = rng.uniform(0.0, 2.0 * np.pi)
-            data = rng.normal(0.0, spec.noise_sd, size=(spec.channels, spec.samples))
-            data += mu_g * np.sin(2.0 * np.pi * spec.mu_hz * t + phase_mu)
-            data += beta_g * np.sin(2.0 * np.pi * spec.beta_hz * t + phase_beta)
-            epochs.append(
-                Epoch(
-                    subject_id=spec.subject_id,
-                    label=c,
-                    data=data,
-                    sampling_rate=spec.sampling_rate,
-                    origin="synthetic",
-                )
-            )
-    return EpochSet(epochs=tuple(epochs), num_classes=spec.num_classes)
+            data[k] = rng.normal(0.0, spec.noise_sd, size=(spec.channels, spec.samples))
+            data[k] += mu_g * np.sin(2.0 * np.pi * spec.mu_hz * t + phase_mu)
+            data[k] += beta_g * np.sin(2.0 * np.pi * spec.beta_hz * t + phase_beta)
+    data.setflags(write=False)
+    labels = np.repeat(np.arange(1, spec.num_classes + 1), spec.epochs_per_class)
+    return EpochSet(data, labels, spec.sampling_rate, spec.num_classes, spec.subject_id, "synthetic")

@@ -77,13 +77,9 @@ def make_epoch(data, label: int = 1, rate: float = 250.0, subject: str = "s") ->
 def make_set(n_per_class: int, channels: int = 3, samples: int = 16, num_classes: int = 2,
              rate: float = 250.0, seed: int = 0) -> EpochSet:
     rng = np.random.default_rng(seed)
-    epochs = []
-    for c in range(1, num_classes + 1):
-        for _ in range(n_per_class):
-            epochs.append(
-                Epoch(subject_id="s", label=c, data=rng.normal(size=(channels, samples)), sampling_rate=rate)
-            )
-    return EpochSet(epochs=tuple(epochs), num_classes=num_classes)
+    data = rng.normal(size=(num_classes * n_per_class, channels, samples))
+    labels = np.repeat(np.arange(1, num_classes + 1), n_per_class)
+    return EpochSet(data, labels, rate, num_classes, subject_ids="s")
 
 
 def plant_training_copy(dataset: EpochSet, plan, partition: str = "test") -> EpochSet:
@@ -98,11 +94,12 @@ def plant_training_copy(dataset: EpochSet, plan, partition: str = "test") -> Epo
         validation_fraction=plan.validation_fraction,
         seed=derive_seed(plan.master_seed, 0, "split"),
     ))
-    epochs = list(dataset.epochs)
     held = getattr(split, f"{partition}_indices")[0]
-    victim = next(i for i in split.train_indices if epochs[i].label == epochs[held].label)
-    epochs[victim] = epochs[held]
-    return EpochSet(epochs=tuple(epochs), num_classes=dataset.num_classes)
+    labels = dataset.labels
+    victim = next(i for i in split.train_indices if labels[i] == labels[held])
+    order = np.arange(len(dataset))
+    order[victim] = held
+    return dataset.subset(order)
 
 
 class ForcedRng:

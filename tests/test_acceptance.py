@@ -154,7 +154,7 @@ def test_criterion_6_augmentation_properties():
     grown = augment_set(dataset, silent)
     assert len(grown) == 10 * len(dataset)
 
-    spectra_src = np.abs(np.fft.rfft(np.stack([zero_mean(ep).data for ep in dataset]), axis=2))
+    spectra_src = np.abs(np.fft.rfft(np.stack([zero_mean(x) for x in dataset.to_array()]), axis=2))
     out_arr = grown.to_array()
     for i, source in enumerate(dataset):
         base = spectra_src[i]
@@ -247,7 +247,7 @@ def test_criterion_8_csp_properties():
     mixing = np.eye(dim) + (np.sqrt(10) - 1) * np.outer(direction, direction)
     x1 = np.stack([mixing @ rng.normal(size=(dim, samples)) for _ in range(n_ep)])
     x2 = np.stack([rng.normal(size=(dim, samples)) for _ in range(n_ep)])
-    dataset = EpochSet.from_arrays(
+    dataset = EpochSet(
         np.concatenate([x1, x2]), [1] * n_ep + [2] * n_ep, sampling_rate=100.0
     )
     model = fit_csp(dataset, m=1)
@@ -266,12 +266,12 @@ def test_criterion_8_csp_properties():
     w_full = model.full_filters[0]
     assert np.abs(w_full @ (c1 + c2) @ w_full.T - np.eye(dim)).max() <= 1e-8
 
-    same = EpochSet.from_arrays(np.concatenate([x1, x1]), [1] * n_ep + [2] * n_ep, 100.0)
+    same = EpochSet(np.concatenate([x1, x1]), [1] * n_ep + [2] * n_ep, 100.0)
     equal_stats = fit_csp(same, m=1)
     assert np.abs(equal_stats.eigenvalues[0] - 0.5).max() <= 1e-6
 
     assert model.fitted_on == dataset.fingerprint
-    polluted = EpochSet(epochs=dataset.epochs + dataset.epochs[:1], num_classes=2)
+    polluted = dataset.subset([*range(len(dataset)), 0])
     assert fit_csp(polluted, m=1).fitted_on != dataset.fingerprint
     assert time.perf_counter() - start < 30.0
 

@@ -17,43 +17,70 @@ from mibci.augment import (
     zero_mean,
 )
 
-from helpers import ForcedRng, make_epoch, make_set
+from mibci.epochs import Epoch, EpochSet
+
+from helpers import ForcedRng, make_set
+
+
+def reference_augment_set(dataset: EpochSet, cfg: AugmentConfig) -> list[Epoch]:
+    """The Epoch-by-Epoch expansion loop, each step building a new Epoch."""
+    out = []
+    for i, epoch in enumerate(dataset):
+        out.append(epoch)
+        if not cfg.copies_per_epoch:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, i]))
+        for _ in range(cfg.copies_per_epoch):
+            ep = Epoch(epoch.subject_id, epoch.label, epoch.data - epoch.data.mean(axis=1, keepdims=True),
+                       epoch.sampling_rate, "augmented")
+            ep = Epoch(ep.subject_id, ep.label, ep.data * float(rng.uniform(cfg.amp_low, cfg.amp_high)),
+                       ep.sampling_rate, ep.origin)
+            sign = -1 if rng.uniform() < cfg.flip_probability else 1
+            ep = Epoch(ep.subject_id, ep.label, ep.data * sign, ep.sampling_rate, ep.origin)
+            half = ep.n_samples // 2 if cfg.rotation_half_range is None else cfg.rotation_half_range
+            shift = int(rng.integers(-half, half + 1))
+            ep = Epoch(ep.subject_id, ep.label, np.roll(ep.data, shift, axis=1), ep.sampling_rate, ep.origin)
+            if cfg.noise_sd:
+                noise = rng.normal(0.0, cfg.noise_sd, size=ep.data.shape)
+                ep = Epoch(ep.subject_id, ep.label, ep.data + noise, ep.sampling_rate, ep.origin)
+            out.append(ep)
+    return out
 
 
 class TestZeroMean:
     def test_simple(self):
-        out = zero_mean(make_epoch([[1.0, 2.0, 3.0]]))
-        assert np.allclose(out.data, [[-1.0, 0.0, 1.0]])
+        out = zero_mean(np.array([[1.0, 2.0, 3.0]]))
+        assert np.allclose(out, [[-1.0, 0.0, 1.0]])
 
     def test_already_zero_mean_unchanged(self):
-        ep = make_epoch([[-1.0, 0.0, 1.0]])
-        assert np.allclose(zero_mean(ep).data, ep.data, atol=1e-12)
+        ep = np.array([[-1.0, 0.0, 1.0]])
+        assert np.allclose(zero_mean(ep), ep, atol=1e-12)
 
     def test_constant_channel(self):
-        out = zero_mean(make_epoch([[5.0, 5.0, 5.0, 5.0]]))
-        assert np.array_equal(out.data, np.zeros((1, 4)))
+        out = zero_mean(np.array([[5.0, 5.0, 5.0, 5.0]]))
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_per_channel_means_vanish(self):
-        ep = make_epoch(np.random.default_rng(0).normal(2.0, 3.0, size=(4, 100)))
+        ep = np.random.default_rng(0).normal(2.0, 3.0, size=(4, 100))
         out = zero_mean(ep)
-        rms = np.sqrt((out.data**2).mean(axis=1))
-        assert np.all(np.abs(out.data.mean(axis=1)) <= 1e-9 * np.maximum(rms, 1.0))
+        rms = np.sqrt((out**2).mean(axis=1))
+        assert np.all(np.abs(out.mean(axis=1)) <= 1e-9 * np.maximum(rms, 1.0))
 
 
 class TestRandomScale:
     def test_forced_factor(self):
-        out, factor = random_scale(make_epoch([[-1.0, 0.0, 1.0]]), ForcedRng(uniform_values=[2.0]))
+        out, factor = random_scale(np.array([[-1.0, 0.0, 1.0]]), ForcedRng(uniform_values=[2.0]))
         assert factor == 2.0
-        assert np.array_equal(out.data, [[-2.0, 0.0, 2.0]])
+        assert np.array_equal(out, [[-2.0, 0.0, 2.0]])
 
     def test_factor_one_is_identity(self):
-        ep = make_epoch([[-1.0, 0.5, 1.0]])
+        ep = np.array([[-1.0, 0.5, 1.0]])
         out, _ = random_scale(ep, ForcedRng(uniform_values=[1.0]))
-        assert np.array_equal(out.data, ep.data)
+        assert np.array_equal(out, ep)
 
     def test_draw_distribution(self):
         rng = np.random.default_rng(42)
-        ep = make_epoch([[1.0]])
+        ep = np.array([[1.0]])
         draws = np.array([random_scale(ep, rng)[1] for _ in range(10_000)])
         assert draws.min() >= 0.2
         assert draws.max() <= 5.0
@@ -62,19 +89,19 @@ class TestRandomScale:
 
 class TestPolarityInvert:
     def test_forced_flip(self):
-        out, sign = polarity_invert(make_epoch([[-2.0, 0.0, 2.0]]), ForcedRng(uniform_values=[0.0]))
+        out, sign = polarity_invert(np.array([[-2.0, 0.0, 2.0]]), ForcedRng(uniform_values=[0.0]))
         assert sign == -1
-        assert np.array_equal(out.data, [[2.0, 0.0, -2.0]])
+        assert np.array_equal(out, [[2.0, 0.0, -2.0]])
 
     def test_no_flip_is_identity(self):
-        ep = make_epoch([[1.0, 2.0]])
+        ep = np.array([[1.0, 2.0]])
         out, sign = polarity_invert(ep, ForcedRng(uniform_values=[0.9]))
         assert sign == 1
-        assert np.array_equal(out.data, ep.data)
+        assert np.array_equal(out, ep)
 
     def test_flip_fraction(self):
         rng = np.random.default_rng(7)
-        ep = make_epoch([[1.0]])
+        ep = np.array([[1.0]])
         signs = np.array([polarity_invert(ep, rng)[1] for _ in range(10_000)])
         fraction = (signs == -1).mean()
         assert 0.47 <= fraction <= 0.53
@@ -82,73 +109,74 @@ class TestPolarityInvert:
 
 class TestTimeRotate:
     def test_unit_shift(self):
-        out, shift = time_rotate(make_epoch([[1.0, 2.0, 3.0, 4.0]]), ForcedRng(integer_values=[1]))
+        out, shift = time_rotate(np.array([[1.0, 2.0, 3.0, 4.0]]), ForcedRng(integer_values=[1]))
         assert shift == 1
-        assert np.array_equal(out.data, [[4.0, 1.0, 2.0, 3.0]])
+        assert np.array_equal(out, [[4.0, 1.0, 2.0, 3.0]])
 
     def test_zero_shift_identity(self):
-        ep = make_epoch([[1.0, 2.0, 3.0, 4.0]])
+        ep = np.array([[1.0, 2.0, 3.0, 4.0]])
         out, _ = time_rotate(ep, ForcedRng(integer_values=[0]))
-        assert np.array_equal(out.data, ep.data)
+        assert np.array_equal(out, ep)
 
     def test_magnitude_spectrum_preserved(self):
         rng = np.random.default_rng(5)
-        ep = make_epoch(rng.normal(size=(3, 64)))
+        ep = rng.normal(size=(3, 64))
         out, _ = time_rotate(ep, rng)
-        before = np.abs(np.fft.rfft(ep.data, axis=1))
-        after = np.abs(np.fft.rfft(out.data, axis=1))
+        before = np.abs(np.fft.rfft(ep, axis=1))
+        after = np.abs(np.fft.rfft(out, axis=1))
         assert np.all(np.abs(after - before) <= 1e-9 * np.maximum(before, 1e-12))
 
     def test_shift_range_bounds(self):
         rng = np.random.default_rng(0)
-        ep = make_epoch(np.zeros((1, 9)))
+        ep = np.zeros((1, 9))
         shifts = {time_rotate(ep, rng)[1] for _ in range(500)}
         assert min(shifts) == -4 and max(shifts) == 4
 
 
 class TestNoiseInject:
     def test_zero_sd_identity(self):
-        ep = make_epoch([[1.0, 2.0]])
+        ep = np.array([[1.0, 2.0]])
         out = noise_inject(ep, np.random.default_rng(0), noise_sd=0.0)
-        assert np.array_equal(out.data, ep.data)
+        assert np.array_equal(out, ep)
 
     def test_variance_bound_at_scale(self):
-        ep = make_epoch(np.zeros((10, 100_000)))
+        ep = np.zeros((10, 100_000))
         out = noise_inject(ep, np.random.default_rng(2), noise_sd=0.01)
-        assert 0.98e-4 <= out.data.var() <= 1.02e-4
+        assert 0.98e-4 <= out.var() <= 1.02e-4
 
     def test_per_channel_mean_clt_bound(self):
         n = 100_000
-        ep = make_epoch(np.zeros((4, n)))
+        ep = np.zeros((4, n))
         out = noise_inject(ep, np.random.default_rng(3), noise_sd=0.5)
         bound = 4 * 0.5 / np.sqrt(n)
-        assert np.all(np.abs(out.data.mean(axis=1)) <= bound)
+        assert np.all(np.abs(out.mean(axis=1)) <= bound)
 
 
 class TestAugmentEpoch:
     def test_degenerate_draws_reduce_to_zero_mean(self):
-        ep = make_epoch([[1.0, 2.0, 3.0, 4.0], [0.0, 4.0, 0.0, 4.0]])
+        ep = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 4.0, 0.0, 4.0]])
         cfg = AugmentConfig(noise_sd=0.0)
         rng = ForcedRng(uniform_values=[1.0, 0.9], integer_values=[0])
         out = augment_epoch(ep, cfg, rng)
-        assert np.allclose(out.data, zero_mean(ep).data)
-        assert out.origin == "augmented"
-        assert out.label == ep.label
+        assert np.allclose(out, zero_mean(ep))
+        source, copy, *_ = augment_set(make_set(1, channels=2, samples=4), AugmentConfig(copies_per_epoch=1))
+        assert copy.origin == "augmented"
+        assert copy.label == source.label
 
     def test_pre_noise_channel_means_zero(self):
         rng = np.random.default_rng(1)
-        ep = make_epoch(rng.normal(3.0, 1.0, size=(4, 50)))
+        ep = rng.normal(3.0, 1.0, size=(4, 50))
         out = augment_epoch(ep, AugmentConfig(noise_sd=0.0), np.random.default_rng(2))
-        assert np.all(np.abs(out.data.mean(axis=1)) <= 1e-9)
+        assert np.all(np.abs(out.mean(axis=1)) <= 1e-9)
 
     def test_pre_noise_spectrum_is_scaled_original(self):
         rng = np.random.default_rng(4)
-        ep = make_epoch(rng.normal(size=(3, 64)))
+        ep = rng.normal(size=(3, 64))
         out, draws = augment_epoch(
             ep, AugmentConfig(noise_sd=0.0), np.random.default_rng(9), return_draws=True
         )
-        base = np.abs(np.fft.rfft(zero_mean(ep).data, axis=1))
-        got = np.abs(np.fft.rfft(out.data, axis=1))
+        base = np.abs(np.fft.rfft(zero_mean(ep), axis=1))
+        got = np.abs(np.fft.rfft(out, axis=1))
         expected = draws["scale"] * base
         floor = 1e-9 * expected.max(axis=1, keepdims=True)  # the DC bin is exactly 0 in theory
         assert np.all(np.abs(got - expected) <= np.maximum(1e-9 * expected, floor))
@@ -190,6 +218,27 @@ class TestAugmentSet:
         origins = [ep.origin for ep in grown]
         assert origins.count("augmented") == 2 * len(dataset)
         assert origins.count("recorded") == len(dataset)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AugmentConfig(seed=3),
+            AugmentConfig(copies_per_epoch=0),
+            AugmentConfig(copies_per_epoch=2, noise_sd=0.0, seed=-5),
+            AugmentConfig(rotation_half_range=1, flip_probability=1.0, noise_sd=0.3, seed=2**64 + 9),
+        ],
+    )
+    def test_bit_equal_to_the_epoch_by_epoch_loop(self, cfg):
+        source = make_set(3, channels=2, samples=11, num_classes=3, seed=4)
+        dataset = EpochSet(source.to_array(), source.labels, source.sampling_rate, 3,
+                           [f"s{i % 2}" for i in range(len(source))], "synthetic")
+        grown = augment_set(dataset, cfg)
+        expected = reference_augment_set(dataset, cfg)
+        assert np.array_equal(grown.to_array(), np.stack([ep.data for ep in expected]))
+        assert grown.labels.tolist() == [ep.label for ep in expected]
+        assert list(grown.origins) == [ep.origin for ep in expected]
+        assert list(grown.subject_ids) == [ep.subject_id for ep in expected]
+        assert grown.fingerprint == EpochSet.from_epochs(expected, num_classes=3).fingerprint
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -72,7 +72,7 @@ class TestFilterBankSpec:
 
 def filter_one(ep):
     """Filter-bank output of a one-epoch set."""
-    (out,) = apply_filter_bank_set(EpochSet(epochs=(ep,), num_classes=2), FilterBankSpec())
+    (out,) = apply_filter_bank_set(EpochSet.from_epochs((ep,), num_classes=2), FilterBankSpec())
     return out
 
 

@@ -303,6 +303,17 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_invalid_utf8_subject_id_is_validation_error(self, synth_file, tmp_path, capsys):
+        blob = bytearray(synth_file.read_bytes())
+        blob[36] = 0xFF  # first subject-id byte: 28-byte header, then label and id length
+        bad = tmp_path / "bad.epb"
+        bad.write_bytes(blob)
+        params = tmp_path / "params.json"
+        params.write_text("{}")
+        code, _, err = run(["eval", "--in", str(bad), "--params", str(params)], capsys)
+        assert code == 1
+        assert f"{bad}: epoch 0 subject id is not UTF-8 at byte 36" in err
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 1
 

@@ -20,7 +20,7 @@ def planted_dataset(dim=6, n_ep=40, samples=100, ratio=10.0, seed=1):
     x2 = np.stack([rng.normal(size=(dim, samples)) for _ in range(n_ep)])
     X = np.concatenate([x1, x2])
     y = [1] * n_ep + [2] * n_ep
-    return EpochSet.from_arrays(X, y, sampling_rate=100.0), x1, x2
+    return EpochSet(X, y, sampling_rate=100.0), x1, x2
 
 
 def class_mean_covs(x1, x2):
@@ -63,7 +63,7 @@ class TestFitTwoClass:
     def test_identical_class_statistics_gives_half_eigenvalues(self):
         rng = np.random.default_rng(3)
         x = np.stack([rng.normal(size=(4, 50)) for _ in range(10)])
-        dataset = EpochSet.from_arrays(
+        dataset = EpochSet(
             np.concatenate([x, x]), [1] * 10 + [2] * 10, sampling_rate=100.0
         )
         model = fit_csp(dataset, m=1)
@@ -91,7 +91,7 @@ class TestFitTwoClass:
     def test_two_class_scheme_requires_two_classes(self):
         rng = np.random.default_rng(8)
         X = np.stack([rng.normal(size=(4, 30)) for _ in range(9)])
-        dataset = EpochSet.from_arrays(X, [1, 1, 1, 2, 2, 2, 3, 3, 3], sampling_rate=100.0)
+        dataset = EpochSet(X, [1, 1, 1, 2, 2, 2, 3, 3, 3], sampling_rate=100.0)
         with pytest.raises(ValueError, match="exactly two"):
             fit_csp(dataset, m=1, scheme="two_class")
 
@@ -104,7 +104,7 @@ class TestFitTwoClass:
         rng = np.random.default_rng(5)
         base = np.stack([rng.normal(size=(2, 40)) for _ in range(8)])
         X = np.concatenate([base, base], axis=1)  # duplicated channels: rank-deficient
-        dataset = EpochSet.from_arrays(X, [1] * 4 + [2] * 4, sampling_rate=100.0)
+        dataset = EpochSet(X, [1] * 4 + [2] * 4, sampling_rate=100.0)
         with pytest.warns(RuntimeWarning, match="ridge"):
             model = fit_csp(dataset, m=1)
         assert np.isfinite(model.projection).all()
@@ -115,7 +115,7 @@ class TestOneVsRest:
         rng = np.random.default_rng(2)
         X = np.stack([rng.normal(size=(6, 60)) for _ in range(30)])
         y = [1] * 10 + [2] * 10 + [3] * 10
-        dataset = EpochSet.from_arrays(X, y, sampling_rate=100.0)
+        dataset = EpochSet(X, y, sampling_rate=100.0)
         model = fit_csp(dataset, m=2, scheme="one_vs_rest")
         assert model.projection.shape == (2 * 2 * 3, 6)
         assert len(model.eigenvalues) == 3
@@ -125,7 +125,7 @@ class TestApply:
     def test_virtual_channel_count(self):
         dataset, _, _ = planted_dataset(dim=15, n_ep=10)
         model = fit_csp(dataset, m=1)
-        out = apply_csp_set(dataset, model).epochs[0]
+        out = next(iter(apply_csp_set(dataset, model)))
         assert out.data.shape == (2, dataset.n_samples)
 
     def test_identity_rows_select_raw_channels(self):
@@ -142,8 +142,8 @@ class TestApply:
             input_channels=4,
             fitted_on="fixture",
         )
-        ep = dataset.epochs[0]
-        out = apply_csp_set(dataset, model).epochs[0]
+        ep = next(iter(dataset))
+        out = next(iter(apply_csp_set(dataset, model)))
         assert np.array_equal(out.data[0], ep.data[1])
         assert np.array_equal(out.data[1], ep.data[3])
 
@@ -159,7 +159,7 @@ class TestApply:
         dataset, _, _ = planted_dataset(dim=4, n_ep=3)
         model = fit_csp(dataset, m=1)
         with pytest.raises(ValueError, match="channels"):
-            apply_csp_set(EpochSet(epochs=(make_epoch(np.zeros((3, 10)), rate=100.0),), num_classes=2), model)
+            apply_csp_set(EpochSet.from_epochs((make_epoch(np.zeros((3, 10)), rate=100.0),), num_classes=2), model)
 
     def test_set_apply_keeps_length(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3, samples=33)
@@ -200,7 +200,7 @@ class TestTransformer:
         X = rng.normal(size=(12, 3, 128))
         y = np.array([1] * 6 + [2] * 6)
         tr = CspTransformer(m=1, sampling_rate=250.0).fit(X, y)
-        dataset = EpochSet.from_arrays(X, y, sampling_rate=250.0)
+        dataset = EpochSet(X, y, sampling_rate=250.0)
         expected = apply_csp_set(apply_filter_bank_set(dataset, tr.model_.bank), tr.model_)
         assert np.array_equal(tr.transform(X), expected.to_array())
 

@@ -1,5 +1,7 @@
 """Epoch/set invariants and the stratified split protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,32 +53,32 @@ class TestEpoch:
 class TestEpochSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty set"):
-            EpochSet(epochs=(), num_classes=2)
+            EpochSet.from_epochs((), num_classes=2)
 
     def test_rejects_heterogeneous_shapes(self):
         eps = (make_epoch(np.zeros((2, 4))), make_epoch(np.zeros((3, 4))))
         with pytest.raises(ValueError, match="heterogeneous"):
-            EpochSet(epochs=eps, num_classes=2)
+            EpochSet.from_epochs(eps, num_classes=2)
 
     def test_rejects_heterogeneous_rates(self):
         eps = (make_epoch(np.zeros((2, 4)), rate=100), make_epoch(np.zeros((2, 4)), rate=250))
         with pytest.raises(ValueError, match="sampling rates"):
-            EpochSet(epochs=eps, num_classes=2)
+            EpochSet.from_epochs(eps, num_classes=2)
 
     def test_rejects_label_out_of_range(self):
         eps = (make_epoch(np.zeros((2, 4)), label=3), make_epoch(np.zeros((2, 4)), label=1))
         with pytest.raises(ValueError, match="outside"):
-            EpochSet(epochs=eps, num_classes=2)
+            EpochSet.from_epochs(eps, num_classes=2)
 
     def test_require_all_classes(self):
         eps = (make_epoch(np.zeros((2, 4)), label=1),)
-        partial = EpochSet(epochs=eps, num_classes=2)
+        partial = EpochSet.from_epochs(eps, num_classes=2)
         with pytest.raises(ValueError, match="no epochs"):
             partial.require_all_classes()
 
     def test_array_round_trip(self):
         dataset = balanced_set(3)
-        rebuilt = EpochSet.from_arrays(dataset.to_array(), dataset.labels, dataset.sampling_rate)
+        rebuilt = EpochSet(dataset.to_array(), dataset.labels, dataset.sampling_rate)
         assert np.array_equal(rebuilt.to_array(), dataset.to_array())
         assert np.array_equal(rebuilt.labels, dataset.labels)
 
@@ -94,6 +96,93 @@ class TestEpochSet:
         dataset = balanced_set(2)
         shuffled = dataset.subset([1, 0, 2, 3])
         assert dataset.fingerprint != shuffled.fingerprint
+
+
+def reference_fingerprint(ep: Epoch) -> str:
+    """The per-Epoch sha256 the set's row hashes must reproduce."""
+    h = hashlib.sha256()
+    h.update(ep.subject_id.encode("utf-8"))
+    h.update(np.int64(ep.label).tobytes())
+    h.update(np.float64(ep.sampling_rate).tobytes())
+    h.update(np.ascontiguousarray(ep.data).tobytes())
+    return h.hexdigest()
+
+
+def reference_set_fingerprint(epochs, num_classes: int) -> str:
+    h = hashlib.sha256()
+    h.update(np.int64(num_classes).tobytes())
+    for ep in epochs:
+        h.update(bytes.fromhex(reference_fingerprint(ep)))
+    return h.hexdigest()
+
+
+class TestArrayLayout:
+    def standalone_epochs(self):
+        rng = np.random.default_rng(8)
+        ids = ["s1", "s\u00fc2", "", "s1"]
+        origins = ["recorded", "synthetic", "augmented", "recorded"]
+        return [
+            Epoch(subject_id=sid, label=label, data=rng.normal(size=(2, 5)), sampling_rate=160.0, origin=origin)
+            for sid, label, origin in zip(ids, [1, 3, 2, 1], origins)
+        ]
+
+    def test_fingerprints_match_the_per_epoch_reference(self):
+        epochs = self.standalone_epochs()
+        dataset = EpochSet.from_epochs(epochs, num_classes=3)
+        assert dataset.fingerprint == reference_set_fingerprint(epochs, 3)
+        assert dataset.epoch_fingerprints() == {reference_fingerprint(ep) for ep in epochs}
+        assert [ep.fingerprint for ep in dataset] == [reference_fingerprint(ep) for ep in epochs]
+        picked = dataset.subset([3, 0, 0, 2])
+        assert picked.fingerprint == reference_set_fingerprint([epochs[i] for i in (3, 0, 0, 2)], 3)
+
+    def test_columns_round_trip_through_the_constructor(self):
+        epochs = self.standalone_epochs()
+        dataset = EpochSet.from_epochs(epochs, num_classes=3)
+        assert dataset.to_array().shape == (4, 2, 5)
+        assert dataset.labels.dtype == np.int64 and dataset.labels.tolist() == [1, 3, 2, 1]
+        assert list(dataset.subject_ids) == [ep.subject_id for ep in epochs]
+        assert list(dataset.origins) == [ep.origin for ep in epochs]
+        for before, after in zip(epochs, dataset):
+            assert (after.subject_id, after.label, after.sampling_rate, after.origin) == (
+                before.subject_id, before.label, before.sampling_rate, before.origin
+            )
+            assert np.array_equal(after.data, before.data)
+
+    def test_arrays_are_read_only_and_iteration_yields_views(self):
+        X = np.random.default_rng(0).normal(size=(3, 2, 4))
+        dataset = EpochSet(X, [1, 2, 1], 100.0)
+        assert not np.shares_memory(dataset.to_array(), X)
+        X[0, 0, 0] = 99.0  # the caller's array stays writable and the set keeps its copy
+        assert dataset.to_array()[0, 0, 0] != 99.0
+        assert dataset.to_array() is dataset.data
+        for arr in (dataset.data, dataset.labels):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        views = list(dataset)
+        assert all(np.shares_memory(ep.data, dataset.data) for ep in views)
+        with pytest.raises(ValueError):
+            views[0].data[0, 0] = 1.0
+
+    def test_scalar_columns_apply_to_every_row(self):
+        dataset = EpochSet(np.zeros((2, 1, 3)), [1, 2], 50.0, subject_ids="x", origins="synthetic")
+        assert dataset.num_classes == 2
+        assert list(dataset.subject_ids) == ["x", "x"]
+        assert list(dataset.origins) == ["synthetic", "synthetic"]
+
+    @pytest.mark.parametrize(
+        "data, labels, rate, match",
+        [
+            (np.zeros((0, 2, 3)), [], 100.0, "empty set"),
+            (np.zeros((2, 3)), [1, 2], 100.0, "n, channels, samples"),
+            (np.full((2, 1, 3), np.inf), [1, 2], 100.0, "non-finite"),
+            (np.zeros((2, 1, 3)), [1], 100.0, "one label per epoch"),
+            (np.zeros((2, 1, 3)), [0, 2], 100.0, "outside"),
+            (np.zeros((2, 1, 3)), [1, 2], 0.0, "sampling_rate"),
+        ],
+    )
+    def test_constructor_validates_arrays(self, data, labels, rate, match):
+        with pytest.raises(ValueError, match=match):
+            EpochSet(data, labels, rate)
 
 
 class TestSplit:
@@ -127,7 +216,7 @@ class TestSplit:
             make_epoch(np.zeros((2, 4)), label=1),
             make_epoch(np.zeros((2, 4)), label=2),
         )
-        dataset = EpochSet(epochs=eps, num_classes=2)
+        dataset = EpochSet.from_epochs(eps, num_classes=2)
         with pytest.raises(ValueError, match="too few"):
             split_dataset(dataset, SplitSpec())
 

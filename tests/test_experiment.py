@@ -160,15 +160,12 @@ class TestRunExperiment:
         real_fit = experiment_module.fit_csp
 
         def leaky_fit(train, m, scheme, bank):
-            polluted = EpochSet(
-                epochs=train.epochs + train.epochs[:1], num_classes=train.num_classes
-            )
+            polluted = train.subset([*range(len(train)), 0])
             return real_fit(polluted, m=m, scheme=scheme, bank=bank)
 
         monkeypatch.setattr(experiment_module, "fit_csp", leaky_fit)
-        report = run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
-        assert report.n_failed == 1
-        assert "outside the training partition" in report.runs[0].error
+        with pytest.raises(LeakageError, match="run 0: CSP was fitted on epochs outside the training partition"):
+            run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
 
     @pytest.mark.parametrize("partition", ["test", "validation"])
     @pytest.mark.parametrize("transform", ["NTS", "TS"])
@@ -182,15 +179,14 @@ class TestRunExperiment:
         real_augment = experiment_module.augment_set
 
         def leaky_augment(dataset, cfg):
-            polluted = EpochSet(
-                epochs=dataset.epochs + tiny_dataset.epochs[:1], num_classes=dataset.num_classes
+            polluted = EpochSet.from_epochs(
+                [*dataset, next(iter(tiny_dataset))], num_classes=dataset.num_classes
             )
             return real_augment(polluted, cfg)
 
         monkeypatch.setattr(experiment_module, "augment_set", leaky_augment)
-        report = run_experiment(tiny_plan(augment="A", n_runs=1), tiny_dataset)
-        assert report.n_failed == 1
-        assert "outside the training partition" in report.runs[0].error
+        with pytest.raises(LeakageError, match="run 0: augmentation consumed epochs outside the training partition"):
+            run_experiment(tiny_plan(augment="A", n_runs=1), tiny_dataset)
 
 
 @pytest.fixture(scope="module")
