@@ -192,10 +192,11 @@ class EpochSet:
 
     def require_all_classes(self) -> "EpochSet":
         """Raise unless every class 1..num_classes has at least one epoch."""
-        counts = self.class_counts()
-        if (counts == 0).any():
-            missing = [c + 1 for c in np.nonzero(counts == 0)[0]]
-            raise ValueError(f"classes with no epochs: {missing}")
+        missing = np.flatnonzero(self.class_counts() == 0) + 1
+        if missing.size:
+            shown = missing[:10].tolist()
+            more = f" and {missing.size - 10} more" if missing.size > 10 else ""
+            raise ValueError(f"classes with no epochs: {shown}{more}")
         return self
 
     def subset(self, indices: Sequence[int]) -> "EpochSet":

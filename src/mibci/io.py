@@ -103,6 +103,10 @@ def _load_binary(path: Path) -> EpochSet:
         raise EpochFormatError(f"{path}: class count {num_classes} below 2 in header at byte 12")
     if count < 1:
         raise EpochFormatError(f"{path}: empty set (epoch_count=0) at byte 16")
+    if num_classes > count:  # every class holds an epoch in a saved set
+        raise EpochFormatError(
+            f"{path}: class count {num_classes} exceeds the epoch count {count} at byte 12"
+        )
     if not rate > 0 or not np.isfinite(rate):
         raise EpochFormatError(f"{path}: invalid sampling rate at byte 20")
 

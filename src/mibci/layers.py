@@ -1,6 +1,7 @@
 """1-D network layers with explicit forward/backward passes.
 
-All layer inputs are batched ``(batch, planes, length)`` float arrays.
+All layer inputs are batched ``(batch, planes, length)`` float arrays, and
+every layer computes in its input's dtype (float32 or float64).
 Convolution is cross-correlation (no kernel flip). Forward functions return
 ``(output, cache)``; the cache feeds the matching backward function, which
 returns the input gradient plus parameter gradients where applicable.
@@ -34,6 +35,16 @@ def _pad_widths(kernel_size: int) -> tuple[int, int]:
     return left, total - left
 
 
+def _zero_padded(x: np.ndarray, left: int, right: int) -> np.ndarray:
+    """``x`` with ``left`` and ``right`` zeros added on its last axis."""
+    n = x.shape[2]
+    xp = np.empty(x.shape[:2] + (left + n + right,), dtype=x.dtype)
+    xp[:, :, :left] = 0
+    xp[:, :, left + n :] = 0
+    xp[:, :, left : left + n] = x
+    return xp
+
+
 def conv1d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -52,7 +63,7 @@ def conv1d_forward(
         raise ValueError(f"input has {x.shape[1]} planes, kernel expects {in_planes}")
     if padding == "same":
         left, right = _pad_widths(k)
-        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
+        xp = _zero_padded(x, left, right)
     elif padding == "valid":
         if x.shape[2] < k:
             raise ValueError(f"valid padding needs length >= kernel ({x.shape[2]} < {k})")
@@ -65,18 +76,24 @@ def conv1d_forward(
     return y, (windows, padding, weight)
 
 
-def conv1d_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv1d_backward(
+    dy: np.ndarray, cache: tuple, need_dx: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of a conv layer: returns (dx, dweight, dbias).
 
     ``dx`` is one full correlation of ``dy`` with the flipped kernel, taken
-    only at the positions of the unpadded input.
+    only at the positions of the unpadded input. With ``need_dx`` false it
+    is not computed and None is returned in its place (a first layer's
+    input is data, so nothing consumes its gradient).
     """
     windows, padding, weight = cache
     k = weight.shape[2]
     dw = np.einsum("bol,bplk->opk", dy, windows, optimize=True)
     db = dy.sum(axis=(0, 2))
+    if not need_dx:
+        return None, dw, db
     left, right = _pad_widths(k) if padding == "same" else (0, 0)
-    dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1 - left, k - 1 - right)))
+    dyp = _zero_padded(dy, k - 1 - left, k - 1 - right)
     dy_windows = np.lib.stride_tricks.sliding_window_view(dyp, k, axis=2)
     dx = np.einsum("bolk,opk->bpl", dy_windows, weight[:, :, ::-1], optimize=True)
     return dx, dw, db
@@ -192,7 +209,8 @@ def dropout_forward(
         return x, None
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    # drawn and scaled in x's dtype, so a float32 pass stays float32
+    mask = (rng.random(x.shape, dtype=x.dtype) >= p) * x.dtype.type(1.0 / (1.0 - p))
     return x * mask, mask
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import NetworkParams, NetworkSpec, forward
+from .network import NetworkParams, NetworkSpec, _require, forward
 from .walsh import WalshCodebook
 
 __all__ = [
@@ -129,12 +129,25 @@ class MetaScheme:
 
     @classmethod
     def from_json(cls, text: str) -> "MetaScheme":
+        """Inverse of :meth:`to_json`; a missing field raises ``ValueError``
+        naming it."""
         doc = json.loads(text)
+        where = "scheme document"
         members = []
-        for entry in doc["members"]:
-            spec, params = NetworkParams.from_json(json.dumps(entry["network"]))
-            members.append(SchemeMember(classes=tuple(entry["classes"]), spec=spec, params=params))
-        return cls(kind=doc["kind"], num_classes=doc["num_classes"], members=tuple(members))
+        for i, entry in enumerate(_require(doc, "members", where)):
+            at = f"{where} member {i + 1}"
+            network = _require(entry, "network", at)
+            try:
+                spec, params = NetworkParams.from_json(json.dumps(network))
+            except ValueError as exc:
+                raise ValueError(f"{at}: {exc}") from None
+            classes = tuple(_require(entry, "classes", at))
+            members.append(SchemeMember(classes=classes, spec=spec, params=params))
+        return cls(
+            kind=_require(doc, "kind", where),
+            num_classes=_require(doc, "num_classes", where),
+            members=tuple(members),
+        )
 
 
 def _usable_cpus() -> int:

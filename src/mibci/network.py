@@ -8,12 +8,16 @@ except the last, which is valid-padded with its kernel spanning the whole
 remaining length so the flattened output has exactly ``output_dim`` values.
 The final activation is a ReLU, so outputs are nonnegative and can be
 regressed onto 0/1 code vectors.
+
+A network computes in its parameters' dtype: :func:`forward` and
+:func:`backward` cast their inputs and targets to it, and every output and
+gradient comes back in it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -230,14 +234,11 @@ class BlockParams:
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
 
-    def copy(self) -> "BlockParams":
+    def astype(self, dtype) -> "BlockParams":
+        """A copy with every array converted to ``dtype``."""
         return BlockParams(
-            weight=self.weight.copy(),
-            bias=self.bias.copy(),
-            gamma=None if self.gamma is None else self.gamma.copy(),
-            beta=None if self.beta is None else self.beta.copy(),
-            running_mean=None if self.running_mean is None else self.running_mean.copy(),
-            running_var=None if self.running_var is None else self.running_var.copy(),
+            **{f.name: None if (a := getattr(self, f.name)) is None else a.astype(dtype)
+               for f in fields(self)}
         )
 
     def trainable(self) -> list[str]:
@@ -247,8 +248,17 @@ class BlockParams:
         return names
 
 
-def _json_vector(entry: dict, name: str, length: int, index: int) -> np.ndarray:
-    values = np.array(entry.get(name, []), dtype=np.float64)
+def _require(doc, name: str, where: str):
+    """``doc[name]``; a ``ValueError`` naming the field when it is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        raise ValueError(f"{where}: missing field {name!r}")
+    return doc[name]
+
+
+def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str) -> np.ndarray:
+    values = np.array(entry.get(name, []), dtype=dtype)
     if values.shape != (length,):
         raise ValueError(f"layer {index + 1}: {name} needs {length} values, got shape {values.shape}")
     return values
@@ -261,14 +271,24 @@ class NetworkParams:
     blocks: list[BlockParams]
     init_seed: int = 0
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype a network with these parameters computes in."""
+        return self.blocks[0].weight.dtype
+
+    def astype(self, dtype) -> "NetworkParams":
+        """A copy with every array converted to ``dtype``."""
+        return NetworkParams(blocks=[b.astype(dtype) for b in self.blocks], init_seed=self.init_seed)
+
     def copy(self) -> "NetworkParams":
-        return NetworkParams(blocks=[b.copy() for b in self.blocks], init_seed=self.init_seed)
+        return self.astype(self.dtype)
 
     def to_json(self, spec: NetworkSpec) -> str:
         doc = {
             "structure": render_structure(spec),
             "output_dim": spec.output_dim,
             "init_seed": self.init_seed,
+            "dtype": self.dtype.name,
             "blocks": [],
         }
         for block_spec, p in zip(spec.blocks, self.blocks):
@@ -290,39 +310,47 @@ class NetworkParams:
 
     @classmethod
     def from_json(cls, text: str) -> tuple[NetworkSpec, "NetworkParams"]:
-        """Inverse of :meth:`to_json`; a block count or vector length that
-        does not match the structure raises ``ValueError``."""
+        """Inverse of :meth:`to_json`. A missing field, a ``dtype`` other than
+        float32/float64, or a block count or vector length that does not match
+        the structure raises ``ValueError``; a document without ``dtype``
+        loads as float64."""
         doc = json.loads(text)
-        triples = _parse_triples(doc["structure"])
-        if len(triples) != len(doc["blocks"]):
+        where = "network document"
+        triples = _parse_triples(_require(doc, "structure", where))
+        entries = _require(doc, "blocks", where)
+        dtype = doc.get("dtype", "float64")
+        if dtype not in ("float32", "float64"):
+            raise ValueError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
+        if len(triples) != len(entries):
             raise ValueError(
-                f"structure has {len(triples)} layers but the document has {len(doc['blocks'])} blocks"
+                f"structure has {len(triples)} layers but the document has {len(entries)} blocks"
             )
         blocks_spec = []
         blocks_params = []
-        for i, ((in_p, k, out_p), entry) in enumerate(zip(triples, doc["blocks"])):
+        for i, ((in_p, k, out_p), entry) in enumerate(zip(triples, entries)):
+            at = f"{where} layer {i + 1}"
             blocks_spec.append(
                 ConvBlockSpec(
                     in_planes=in_p,
                     kernel_size=k,
                     out_planes=out_p,
-                    padding=entry["padding"],
-                    pool_after=entry["pool_after"],
-                    batch_norm=entry["batch_norm"],
-                    dropout_p=entry["dropout_p"],
+                    padding=_require(entry, "padding", at),
+                    pool_after=_require(entry, "pool_after", at),
+                    batch_norm=_require(entry, "batch_norm", at),
+                    dropout_p=_require(entry, "dropout_p", at),
                 )
             )
             bp = BlockParams(
-                weight=_json_vector(entry, "weight", out_p * in_p * k, i).reshape(out_p, in_p, k),
-                bias=_json_vector(entry, "bias", out_p, i),
+                weight=_json_vector(entry, "weight", out_p * in_p * k, i, dtype).reshape(out_p, in_p, k),
+                bias=_json_vector(entry, "bias", out_p, i, dtype),
             )
             if entry["batch_norm"]:
-                bp.gamma = _json_vector(entry, "gamma", out_p, i)
-                bp.beta = _json_vector(entry, "beta", out_p, i)
-                bp.running_mean = _json_vector(entry, "running_mean", out_p, i)
-                bp.running_var = _json_vector(entry, "running_var", out_p, i)
+                bp.gamma = _json_vector(entry, "gamma", out_p, i, dtype)
+                bp.beta = _json_vector(entry, "beta", out_p, i, dtype)
+                bp.running_mean = _json_vector(entry, "running_mean", out_p, i, dtype)
+                bp.running_var = _json_vector(entry, "running_var", out_p, i, dtype)
             blocks_params.append(bp)
-        spec = NetworkSpec(blocks=tuple(blocks_spec), output_dim=doc["output_dim"])
+        spec = NetworkSpec(blocks=tuple(blocks_spec), output_dim=_require(doc, "output_dim", where))
         return spec, cls(blocks=blocks_params, init_seed=doc.get("init_seed", 0))
 
 
@@ -350,12 +378,13 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
 # Epochs per eval-mode forward block. Every layer works per epoch in eval
 # mode, so blocking changes no value beyond the rounding of the BLAS kernel
 # picked for a block's shape; it bounds the conv window copies (for the
-# paper-scale net, 128 x 126 x 40 x 7 float64 is about 36 MB per block).
+# paper-scale net, 128 x 126 x 40 x 7 float64 is about 36 MB per block, half
+# that in float32).
 EVAL_BLOCK_EPOCHS = 128
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, bool]:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 2:
         return x[None], True
     if x.ndim == 3:
@@ -422,10 +451,10 @@ def forward(
     large the batch. Passing a list as ``caches`` records every stage for
     :func:`backward` in one whole-batch pass.
     """
-    x, single = _as_batch(x)
+    x, single = _as_batch(x, params.dtype)
     if mode == "eval" and caches is None:
         n = x.shape[0]
-        out = np.empty((n, spec.output_dim))
+        out = np.empty((n, spec.output_dim), dtype=params.dtype)
         for start in range(0, n, EVAL_BLOCK_EPOCHS):
             stop = start + EVAL_BLOCK_EPOCHS
             out[start:stop] = _forward_stack(spec, params, x[start:stop], mode, rng, None)
@@ -460,8 +489,8 @@ def backward(
     (``gamma``/``beta`` entries only where the block has batchnorm), plus the
     loss at the evaluated point.
     """
-    x, _ = _as_batch(x)
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    x, _ = _as_batch(x, params.dtype)
+    targets = np.atleast_2d(np.asarray(targets, dtype=params.dtype))
     if targets.shape != (x.shape[0], spec.output_dim):
         raise ValueError(
             f"targets must be (batch, {spec.output_dim}), got {targets.shape}"
@@ -489,7 +518,7 @@ def backward(
             dx, dgamma, dbeta = layers.batchnorm_backward(dx, bn_cache)
             grads[i]["gamma"] = dgamma
             grads[i]["beta"] = dbeta
-        dx, dw, db = layers.conv1d_backward(dx, conv_cache)
+        dx, dw, db = layers.conv1d_backward(dx, conv_cache, need_dx=i > 0)
         grads[i]["weight"] = dw
         grads[i]["bias"] = db
     return grads, loss

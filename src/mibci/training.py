@@ -22,6 +22,10 @@ from .walsh import WalshCodebook
 
 __all__ = ["TrainConfig", "TrainReport", "TrainingDivergedError", "train"]
 
+# Training data, targets and parameters are converted to this dtype, so the
+# network computes in it and the returned parameters keep it.
+TRAIN_DTYPE = np.float32
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; the message names the offending pass."""
@@ -106,10 +110,8 @@ class _Adam:
 
 
 def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, EpochSet):
-        return data.to_array(), data.labels
-    X, y = data
-    return np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    X, y = (data.to_array(), data.labels) if isinstance(data, EpochSet) else data
+    return np.asarray(X, dtype=TRAIN_DTYPE), np.asarray(y, dtype=np.int64)
 
 
 def _feature_divergence(spec, params, X, y) -> float | None:
@@ -144,7 +146,9 @@ def train(
     -------
     (NetworkParams, TrainReport)
         Parameters of the best-validation-loss pass and the full series.
-        The same seeds and data reproduce both bit-identically.
+        Training runs in float32 (:data:`TRAIN_DTYPE`), and the returned
+        parameters are float32, so the network keeps computing in it. The
+        same seeds and data reproduce both bit-identically.
 
     Raises
     ------
@@ -161,12 +165,12 @@ def train(
         )
     spec.validate_io(X_train.shape[1], X_train.shape[2])
 
-    targets_train = np.stack([codebook.target(int(lbl)) for lbl in y_train])
+    targets_train = np.stack([codebook.target(int(lbl)) for lbl in y_train], dtype=TRAIN_DTYPE)
     targets_val = np.stack([codebook.target(int(lbl)) for lbl in y_val])
 
     seed_root = np.random.SeedSequence(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     init_seed, shuffle_seed, dropout_seed = (int(s.generate_state(1)[0]) for s in seed_root.spawn(3))
-    params = init_params(spec, seed=init_seed)
+    params = init_params(spec, seed=init_seed).astype(TRAIN_DTYPE)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     dropout_rng = np.random.default_rng(dropout_seed)
 

@@ -314,6 +314,43 @@ class TestExitCodes:
         assert code == 1
         assert f"{bad}: epoch 0 subject id is not UTF-8 at byte 36" in err
 
+    def test_params_without_structure_names_the_field(self, synth_file, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"kind": "single"}))
+        code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
+        assert code == 1
+        assert "error: network document: missing field 'structure'" in err
+
+    def test_scheme_member_without_network_names_the_field(self, synth_file, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(synth_file),
+             "--scheme", "ovo", *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 0, err
+        scheme_path = tmp_path / "scheme.json"
+        doc = json.loads(scheme_path.read_text())
+        del doc["members"][0]["network"]
+        scheme_path.write_text(json.dumps(doc))
+        code, _, err = run(["eval", "--in", str(synth_file), "--params", str(scheme_path)], capsys)
+        assert code == 1
+        assert "error: scheme document member 1: missing field 'network'" in err
+
+    def test_unknown_params_dtype_names_the_field(self, synth_file, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "5", "train", "--train", str(synth_file), *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 0, err
+        params = tmp_path / "params.json"
+        doc = json.loads(params.read_text())
+        assert doc["dtype"] == "float32"
+        doc["dtype"] = "int8"
+        params.write_text(json.dumps(doc))
+        code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
+        assert code == 1
+        assert "error: network document: field 'dtype' is 'int8'" in err
+
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 1
 

@@ -76,6 +76,18 @@ class TestEpochSet:
         with pytest.raises(ValueError, match="no epochs"):
             partial.require_all_classes()
 
+    def test_require_all_classes_message_is_capped(self):
+        sparse = EpochSet(np.zeros((2, 1, 2)), [1, 2], 100.0, num_classes=1000)
+        with pytest.raises(ValueError) as info:
+            sparse.require_all_classes()
+        assert str(info.value) == "classes with no epochs: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 988 more"
+
+    def test_require_all_classes_lists_up_to_ten(self):
+        sparse = EpochSet(np.zeros((2, 1, 2)), [1, 2], 100.0, num_classes=12)
+        with pytest.raises(ValueError) as info:
+            sparse.require_all_classes()
+        assert str(info.value) == "classes with no epochs: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]"
+
     def test_array_round_trip(self):
         dataset = balanced_set(3)
         rebuilt = EpochSet(dataset.to_array(), dataset.labels, dataset.sampling_rate)

@@ -86,6 +86,13 @@ class TestRunExperiment:
         b = run_experiment(plan, tiny_dataset)
         assert a.to_dict() == b.to_dict()
 
+    def test_float32_training_runs_repeat_exactly(self, tiny_dataset):
+        plan = tiny_plan(augment="A", dropout_p=0.2, n_runs=2)
+        a = run_experiment(plan, tiny_dataset)
+        b = run_experiment(plan, tiny_dataset)
+        assert a.n_failed == 0
+        assert [r.to_dict() for r in a.runs] == [r.to_dict() for r in b.runs]
+
     def test_augmented_train_partition_is_ten_times_post_validation_count(self, tiny_dataset):
         plan = tiny_plan(augment="A", augment_config=AugmentConfig(copies_per_epoch=9), n_runs=1)
         report = run_experiment(plan, tiny_dataset)

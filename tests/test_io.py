@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -117,6 +118,33 @@ class TestMalformedBinary:
         path.write_bytes(blob)
         with pytest.raises(EpochFormatError, match="byte 0"):
             load_epochs(path)
+
+    @staticmethod
+    def _four_epoch_bytes(num_classes: int) -> bytes:
+        """Four one-channel, two-sample epochs (labels 1, 2, 1, 2) in 92 bytes."""
+        blob = b"EPB1" + struct.pack("<IIIId", 1, 2, num_classes, 4, 100.0)
+        for k in range(4):
+            blob += struct.pack("<II", 1 + k % 2, 0) + struct.pack("<2f", 0.5, -0.5)
+        assert len(blob) == 92
+        return blob
+
+    def test_class_count_above_epoch_count_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "classes.epb"
+        path.write_bytes(self._four_epoch_bytes(2**22))
+        start = time.perf_counter()
+        with pytest.raises(EpochFormatError) as info:
+            load_epochs(path)
+        assert time.perf_counter() - start < 1.0
+        message = str(info.value)
+        assert message.endswith("class count 4194304 exceeds the epoch count 4 at byte 12")
+        assert len(message) < 100 + len(str(path))
+
+    def test_class_count_equal_to_epoch_count_loads(self, tmp_path):
+        path = tmp_path / "classes.epb"
+        path.write_bytes(self._four_epoch_bytes(4))
+        loaded = load_epochs(path)
+        assert loaded.num_classes == 4
+        assert loaded.labels.tolist() == [1, 2, 1, 2]
 
     def test_shape_mismatch_truncated_record(self, tmp_path):
         # header declares 3x4 but the last epoch record is a row short

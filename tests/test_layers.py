@@ -157,6 +157,14 @@ class TestDropout:
         y, _ = layers.dropout_forward(x, 0.5, "train", np.random.default_rng(5))
         assert 0.99 <= y.mean() <= 1.01
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_drawn_and_scaled_in_input_dtype(self, dtype):
+        x = np.random.default_rng(0).normal(size=(4, 3, 50)).astype(dtype)
+        y, mask = layers.dropout_forward(x, 0.3, "train", np.random.default_rng(7))
+        keep = np.random.default_rng(7).random(x.shape, dtype=dtype) >= 0.3
+        assert mask.dtype == dtype and y.dtype == dtype
+        assert np.array_equal(mask, np.where(keep, dtype(1.0 / 0.7), dtype(0.0)))
+
     def test_train_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
             layers.dropout_forward(np.zeros((1, 1, 2)), 0.5, "train")

@@ -1,6 +1,7 @@
 """Minimum-distance decisions and the OVO/OVR compositions."""
 
 import itertools
+import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -252,6 +253,34 @@ class TestSchemeSerialization:
         assert [m.classes for m in restored.members] == [(1, 2), (1, 3), (2, 3)]
         x = rng.normal(size=(5, 2, 8))
         assert np.array_equal(scheme_predict(x, scheme, clf), scheme_predict(x, restored, clf))
+
+
+    @staticmethod
+    def _ovo_doc() -> dict:
+        members = tuple(constant_output_member(p, np.full(16, 0.5)) for p in [(1, 2), (1, 3), (2, 3)])
+        return json.loads(MetaScheme(kind="ovo", num_classes=3, members=members).to_json())
+
+    @pytest.mark.parametrize("name", ["members", "kind", "num_classes"])
+    def test_missing_field_named(self, name):
+        doc = self._ovo_doc()
+        del doc[name]
+        with pytest.raises(ValueError, match=f"scheme document: missing field '{name}'"):
+            MetaScheme.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["network", "classes"])
+    def test_missing_member_field_named(self, name):
+        doc = self._ovo_doc()
+        del doc["members"][2][name]
+        with pytest.raises(ValueError, match=f"scheme document member 3: missing field '{name}'"):
+            MetaScheme.from_json(json.dumps(doc))
+
+    def test_member_network_error_names_the_member(self):
+        doc = self._ovo_doc()
+        del doc["members"][1]["network"]["structure"]
+        with pytest.raises(
+            ValueError, match="scheme document member 2: network document: missing field 'structure'"
+        ):
+            MetaScheme.from_json(json.dumps(doc))
 
 
 class TestSchemePredict:

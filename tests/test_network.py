@@ -286,6 +286,93 @@ class TestBackward:
             backward(spec, params, np.zeros((2, 2, 32)), np.zeros((2, 4)))
 
 
+def _padded_reference_conv_forward(x, weight, bias, padding="same"):
+    """The conv forward as it was before the single-allocation padding."""
+    k = weight.shape[2]
+    left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (left, k - 1 - left))) if padding == "same" else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    y = np.einsum("bplk,opk->bol", windows, weight, optimize=True)
+    y += bias[None, :, None]
+    return y, (windows, padding, weight)
+
+
+def _padded_reference_conv_backward(dy, cache, need_dx=True):
+    """The conv backward as it was before ``need_dx``: ``np.pad`` and a dx
+    computed for every layer, the first one included."""
+    windows, padding, weight = cache
+    k = weight.shape[2]
+    dw = np.einsum("bol,bplk->opk", dy, windows, optimize=True)
+    db = dy.sum(axis=(0, 2))
+    left = (k - 1) // 2 if padding == "same" else 0
+    right = k - 1 - left if padding == "same" else 0
+    dyp = np.pad(dy, ((0, 0), (0, 0), (k - 1 - left, k - 1 - right)))
+    dy_windows = np.lib.stride_tricks.sliding_window_view(dyp, k, axis=2)
+    dx = np.einsum("bolk,opk->bpl", dy_windows, weight[:, :, ::-1], optimize=True)
+    return dx, dw, db
+
+
+class TestBackwardMatchesPaddedReference:
+    @pytest.mark.parametrize(
+        "structure, channels, length, batch, dropout",
+        [(E2E_STRUCTURE, 4, 250, 16, 0.0), (E2E_STRUCTURE, 4, 250, 16, 0.3), (TABLE7_S1, 2, 251, 8, 0.5)],
+    )
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_float64_gradients_bit_identical(self, monkeypatch, structure, channels, length, batch, dropout, mode):
+        spec = parse_structure(structure, input_channels=channels, input_length=length, output_dim=16,
+                               dropout_p=dropout)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(batch, channels, length))
+        targets = rng.integers(0, 2, size=(batch, 16)).astype(float)
+
+        def run():
+            params = trained_looking_params(spec, seed=6)
+            return backward(spec, params, x, targets, mode=mode, rng=np.random.default_rng(8))
+
+        grads, loss = run()
+        with monkeypatch.context() as m:
+            m.setattr(network_module.layers, "conv1d_forward", _padded_reference_conv_forward)
+            m.setattr(network_module.layers, "conv1d_backward", _padded_reference_conv_backward)
+            ref_grads, ref_loss = run()
+        assert loss == ref_loss
+        for got, want in zip(grads, ref_grads):
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].dtype == np.float64
+                assert np.array_equal(got[name], want[name]), name
+
+    def test_first_layer_input_gradient_is_not_computed(self, monkeypatch):
+        spec = parse_structure(E2E_STRUCTURE, input_channels=4, input_length=250, output_dim=16,
+                               dropout_p=0.0)
+        seen = []
+        real = network_module.layers.conv1d_backward
+
+        def spy(dy, cache, need_dx=True):
+            seen.append(need_dx)
+            return real(dy, cache, need_dx)
+
+        monkeypatch.setattr(network_module.layers, "conv1d_backward", spy)
+        x = np.random.default_rng(0).normal(size=(4, 4, 250))
+        backward(spec, init_params(spec, seed=0), x, np.zeros((4, 16)), mode="train")
+        assert seen == [True, True, True, True, False]  # last entry is block 1
+
+
+class TestComputeDtype:
+    def test_float32_params_compute_in_float32(self):
+        spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16, dropout_p=0.5)
+        assert init_params(spec, seed=3).dtype == np.float64
+        params = trained_looking_params(spec, seed=3).astype(np.float32)
+        assert params.dtype == np.float32
+        x = np.random.default_rng(1).normal(size=(5, 2, 32))  # float64 input is cast
+        assert forward(spec, params, x).dtype == np.float32
+        assert forward(spec, params, x[0]).dtype == np.float32
+        grads, loss = backward(spec, params, x, np.ones((5, 16)), mode="train",
+                               rng=np.random.default_rng(2))
+        assert np.isfinite(loss)
+        for g in grads:
+            assert all(arr.dtype == np.float32 for arr in g.values())
+
+
 class TestParamsSerialization:
     def test_json_round_trip(self):
         spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16)
@@ -341,6 +428,53 @@ class TestParamsSerialization:
         doc["structure"] = "2,5,8\n8,16,16"
         spec, _ = NetworkParams.from_json(json.dumps(doc))
         assert render_structure(spec) == "2,5,8 / 8,16,16"
+
+    def test_float32_round_trip_predicts_identically(self):
+        spec = parse_structure(TABLE7_S1, input_channels=2, input_length=251, output_dim=16)
+        params = trained_looking_params(spec, seed=11).astype(np.float32)
+        text = params.to_json(spec)
+        assert json.loads(text)["dtype"] == "float32"
+        spec2, params2 = NetworkParams.from_json(text)
+        assert params2.dtype == np.float32
+        x = np.random.default_rng(12).normal(size=(40, 2, 251))
+        assert np.array_equal(forward(spec2, params2, x), forward(spec, params, x))
+
+    def test_document_without_dtype_loads_as_float64(self):
+        doc = self._bn_doc()
+        assert doc.pop("dtype") == "float64"
+        spec, params = NetworkParams.from_json(json.dumps(doc))
+        assert params.dtype == np.float64
+        assert all(
+            arr.dtype == np.float64
+            for bp in params.blocks
+            for arr in (bp.weight, bp.bias, bp.gamma, bp.beta, bp.running_mean, bp.running_var)
+            if arr is not None
+        )
+        x = np.random.default_rng(0).normal(size=(3, 2, 32))
+        assert np.array_equal(forward(spec, params, x), forward(spec, init_params(spec, seed=0), x))
+
+    def test_unknown_dtype_rejected(self):
+        doc = self._bn_doc()
+        doc["dtype"] = "float16"
+        with pytest.raises(ValueError, match="field 'dtype' is 'float16'"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["structure", "blocks", "output_dim"])
+    def test_missing_top_level_field_named(self, name):
+        doc = self._bn_doc()
+        del doc[name]
+        with pytest.raises(ValueError, match=f"network document: missing field '{name}'"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    def test_missing_block_field_named(self):
+        doc = self._bn_doc()
+        del doc["blocks"][1]["padding"]
+        with pytest.raises(ValueError, match="network document layer 2: missing field 'padding'"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="must be a JSON object, got list"):
+            NetworkParams.from_json("[]")
 
     def test_copy_is_deep(self):
         spec = parse_structure("1,3,4 / 4,8,8", input_length=16, output_dim=8)

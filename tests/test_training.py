@@ -131,6 +131,59 @@ def test_returns_best_iteration_parameters():
     assert loss == pytest.approx(report.best_validation_loss, rel=1e-9)
 
 
+def test_training_computes_in_float32(monkeypatch):
+    import mibci.network as network_module
+    import mibci.training as training_module
+
+    optimizers, masks, outputs = [], [], []
+
+    class SpyAdam(training_module._Adam):
+        def __init__(self, arrays, cfg):
+            super().__init__(arrays, cfg)
+            optimizers.append(self)
+
+    real_dropout = network_module.layers.dropout_forward
+    real_forward = network_module.forward
+
+    def spy_dropout(x, p, mode="train", rng=None):
+        y, mask = real_dropout(x, p, mode, rng)
+        masks.append(mask)
+        return y, mask
+
+    def spy_forward(*args, **kwargs):
+        out = real_forward(*args, **kwargs)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(training_module, "_Adam", SpyAdam)
+    monkeypatch.setattr(network_module.layers, "dropout_forward", spy_dropout)
+    monkeypatch.setattr(network_module, "forward", spy_forward)
+    monkeypatch.setattr(training_module, "forward", spy_forward)
+
+    train_data, val_data = small_problem()
+    cfg = TrainConfig(max_iterations=3, patience=3, batch_size=4, seed=2)
+    codebook = WalshCodebook.for_classes(2, 16)
+    params, report = train(small_spec(dropout=0.3), train_data, val_data, codebook, cfg)
+
+    assert report.stopped_at == 3
+    (adam,) = optimizers
+    assert adam.t == 3 * 3  # 12 training epochs in batches of 4, three passes
+    for arr in adam.arrays + adam.m + adam.v:
+        assert arr.dtype == np.float32
+    train_masks = [mask for mask in masks if mask is not None]  # eval passes draw none
+    assert len(train_masks) == 9
+    assert all(mask.dtype == np.float32 for mask in train_masks)
+    # backward's forward (one per step), validation (one per pass), two divergences
+    assert len(outputs) == 9 + 3 + 2
+    assert all(out.dtype == np.float32 for out in outputs)
+    assert params.dtype == np.float32
+    bn = params.blocks[0]
+    for arr in (bn.weight, bn.bias, bn.gamma, bn.beta, bn.running_mean, bn.running_var):
+        assert arr.dtype == np.float32
+    assert not np.array_equal(bn.running_mean, np.zeros_like(bn.running_mean))
+    assert not np.array_equal(bn.running_var, np.ones_like(bn.running_var))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0)
