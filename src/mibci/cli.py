@@ -63,9 +63,10 @@ def _out_path(ctx, name: str) -> Path:
 def _emit(ctx, doc: dict, name: str, text: str | None = None) -> None:
     fmt = ctx.obj.get("format", "json")
     path = _out_path(ctx, name)
-    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    encoded = json.dumps(doc, indent=2)
+    path.write_text(encoded, encoding="utf-8")
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(encoded)
     elif text is not None:
         click.echo(text)
     else:
@@ -277,12 +278,12 @@ def eval_cmd(ctx, in_path, params_path):
     from .walsh import WalshCodebook
 
     dataset = load_epochs(in_path)
-    text = Path(params_path).read_text(encoding="utf-8")
-    if "members" in json.loads(text):
-        scheme = MetaScheme.from_json(text)
+    doc = json.loads(Path(params_path).read_text(encoding="utf-8"))
+    if isinstance(doc, dict) and "members" in doc:
+        scheme = MetaScheme.from_doc(doc)
         codebook = WalshCodebook.for_classes(2, scheme.members[0].spec.output_dim)
     else:
-        spec, params = NetworkParams.from_json(text)
+        spec, params = NetworkParams.from_doc(doc)
         codebook = WalshCodebook.for_classes(dataset.num_classes, spec.output_dim)
         scheme = MetaScheme(
             kind="single",
@@ -355,10 +356,9 @@ def matrix(ctx, dataset, n_runs):
 
 
 def _load_series(path: str) -> list[float]:
-    text = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(text)
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if isinstance(doc, dict) and "runs" in doc:
-        return ExperimentReport.from_json(text).accuracies()
+        return ExperimentReport.from_dict(doc).accuracies()
     if isinstance(doc, list):
         return [float(v) for v in doc]
     raise click.ClickException(f"{path}: expected a JSON number list or an experiment report")
@@ -397,16 +397,15 @@ def count_weights_cmd(ctx, structure, classes, code_size):
 @click.pass_context
 def report(ctx, in_path):
     """Render a stored experiment/matrix report as json, text, or csv."""
-    text = Path(in_path).read_text(encoding="utf-8")
-    doc = json.loads(text)
+    doc = json.loads(Path(in_path).read_text(encoding="utf-8"))
     fmt = ctx.obj.get("format", "json")
     if fmt == "json":
         click.echo(json.dumps(doc, indent=2))
         return
     if "runs" in doc:
-        cells = {"experiment": ExperimentReport.from_json(text)}
+        cells = {"experiment": ExperimentReport.from_dict(doc)}
     else:
-        cells = {name: ExperimentReport.from_json(json.dumps(cell)) for name, cell in doc.items()}
+        cells = {name: ExperimentReport.from_dict(cell) for name, cell in doc.items()}
     if fmt == "csv":
         click.echo("cell,run,accuracy,kappa,error")
         for name, rep in cells.items():

@@ -113,7 +113,7 @@ class CspModel:
 
 def _normalized_covariances(X: np.ndarray) -> np.ndarray:
     """Per-epoch spatial covariance X X^T divided by its trace."""
-    covs = np.einsum("nct,ndt->ncd", X, X)
+    covs = X @ X.transpose(0, 2, 1)
     traces = np.trace(covs, axis1=1, axis2=2)
     if (traces <= 0).any():
         raise ValueError("an epoch with zero total power has no spatial covariance")

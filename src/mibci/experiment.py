@@ -167,8 +167,8 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "ExperimentReport":
+        """Inverse of :meth:`to_dict`."""
         runs = [RunResult(**r) for r in doc["runs"]]
         return cls(
             plan=doc["plan"],
@@ -180,6 +180,10 @@ class ExperimentReport:
             n_failed=doc["n_failed"],
             provenance=doc["provenance"],
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentReport":
+        return cls.from_dict(json.loads(text))
 
 
 def _load_dataset(plan: ExperimentPlan, dataset: EpochSet | None) -> EpochSet:

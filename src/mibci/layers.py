@@ -17,6 +17,7 @@ __all__ = [
     "relu",
     "relu_forward",
     "relu_backward",
+    "maxpool",
     "maxpool_forward",
     "maxpool_backward",
     "batchnorm_forward",
@@ -111,6 +112,23 @@ def relu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return dy * mask
+
+
+def maxpool(x: np.ndarray) -> np.ndarray:
+    """Window-2/stride-2 max pooling with ceil semantics, keeping no mask.
+
+    Each window's output is ``np.maximum`` of its two samples, and an odd
+    trailing sample is kept as its own window; NaN propagates. On its own it
+    can differ from :func:`maxpool_forward` on a (-0, +0) tie, which may keep
+    the other zero. Followed by :func:`relu`, which turns every zero into
+    +0, it equals :func:`relu_forward` then :func:`maxpool_forward` bit for
+    bit, so an eval pass can pool first and build no masks.
+    """
+    half = x.shape[2] // 2
+    pooled = np.maximum(x[:, :, 0 : 2 * half : 2], x[:, :, 1 : 2 * half : 2])
+    if x.shape[2] % 2:
+        pooled = np.concatenate([pooled, x[:, :, -1:]], axis=2)
+    return pooled
 
 
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:

@@ -115,30 +115,36 @@ class MetaScheme:
                 f"{rule} in 1..{c}, got {[tuple(m.classes) for m in self.members]}"
             )
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
         """Bundle every member's network document with its class subset."""
-        doc = {
+        return {
             "kind": self.kind,
             "num_classes": self.num_classes,
             "members": [
-                {"classes": list(m.classes), "network": json.loads(m.params.to_json(m.spec))}
+                {"classes": list(m.classes), "network": m.params.to_doc(m.spec)}
                 for m in self.members
             ],
         }
-        return json.dumps(doc)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc())
 
     @classmethod
-    def from_json(cls, text: str) -> "MetaScheme":
-        """Inverse of :meth:`to_json`; a missing field raises ``ValueError``
+    def from_doc(cls, doc: dict) -> "MetaScheme":
+        """Inverse of :meth:`to_doc`; a missing field raises ``ValueError``
         naming it."""
-        doc = json.loads(text)
         where = "scheme document"
+        entries = _require(doc, "members", where)
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"{where}: field 'members' must be a list, got {type(entries).__name__}"
+            )
         members = []
-        for i, entry in enumerate(_require(doc, "members", where)):
+        for i, entry in enumerate(entries):
             at = f"{where} member {i + 1}"
             network = _require(entry, "network", at)
             try:
-                spec, params = NetworkParams.from_json(json.dumps(network))
+                spec, params = NetworkParams.from_doc(network)
             except ValueError as exc:
                 raise ValueError(f"{at}: {exc}") from None
             classes = tuple(_require(entry, "classes", at))
@@ -148,6 +154,11 @@ class MetaScheme:
             num_classes=_require(doc, "num_classes", where),
             members=tuple(members),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "MetaScheme":
+        """Inverse of :meth:`to_json`; see :meth:`from_doc`."""
+        return cls.from_doc(json.loads(text))
 
 
 def _usable_cpus() -> int:

@@ -283,7 +283,8 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return self.astype(self.dtype)
 
-    def to_json(self, spec: NetworkSpec) -> str:
+    def to_doc(self, spec: NetworkSpec) -> dict:
+        """The network document: structure, dtype and every block's arrays."""
         doc = {
             "structure": render_structure(spec),
             "output_dim": spec.output_dim,
@@ -306,18 +307,30 @@ class NetworkParams:
                 entry["running_mean"] = p.running_mean.tolist()
                 entry["running_var"] = p.running_var.tolist()
             doc["blocks"].append(entry)
-        return json.dumps(doc)
+        return doc
+
+    def to_json(self, spec: NetworkSpec) -> str:
+        return json.dumps(self.to_doc(spec))
 
     @classmethod
-    def from_json(cls, text: str) -> tuple[NetworkSpec, "NetworkParams"]:
-        """Inverse of :meth:`to_json`. A missing field, a ``dtype`` other than
-        float32/float64, or a block count or vector length that does not match
-        the structure raises ``ValueError``; a document without ``dtype``
-        loads as float64."""
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> tuple[NetworkSpec, "NetworkParams"]:
+        """Inverse of :meth:`to_doc`. A missing field, a ``structure`` that is
+        not a string, ``blocks`` that are not a list of objects, a ``dtype``
+        other than float32/float64, or a block count or vector length that
+        does not match the structure raises ``ValueError``; a document without
+        ``dtype`` loads as float64."""
         where = "network document"
-        triples = _parse_triples(_require(doc, "structure", where))
+        structure = _require(doc, "structure", where)
+        if not isinstance(structure, str):
+            raise ValueError(
+                f"{where}: field 'structure' must be a string, got {type(structure).__name__}"
+            )
+        triples = _parse_triples(structure)
         entries = _require(doc, "blocks", where)
+        if not isinstance(entries, list):
+            raise ValueError(
+                f"{where}: field 'blocks' must be a list of objects, got {type(entries).__name__}"
+            )
         dtype = doc.get("dtype", "float64")
         if dtype not in ("float32", "float64"):
             raise ValueError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
@@ -352,6 +365,11 @@ class NetworkParams:
             blocks_params.append(bp)
         spec = NetworkSpec(blocks=tuple(blocks_spec), output_dim=_require(doc, "output_dim", where))
         return spec, cls(blocks=blocks_params, init_seed=doc.get("init_seed", 0))
+
+    @classmethod
+    def from_json(cls, text: str) -> tuple[NetworkSpec, "NetworkParams"]:
+        """Inverse of :meth:`to_json`; see :meth:`from_doc`."""
+        return cls.from_doc(json.loads(text))
 
 
 def init_params(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
@@ -401,7 +419,13 @@ def _forward_stack(
     caches: list | None,
 ) -> np.ndarray:
     """One pass of a ``(batch, planes, length)`` batch through every block,
-    flattened to ``(batch, output_dim)``."""
+    flattened to ``(batch, output_dim)``.
+
+    In eval mode without ``caches`` a block builds no masks: dropout is the
+    identity, and it pools before its ReLU, which gives the same bits (see
+    :func:`layers.maxpool`) with the ReLU on half the samples.
+    """
+    keep_masks = mode != "eval" or caches is not None
     for i, (block, p) in enumerate(zip(spec.blocks, params.blocks)):
         if x.shape[1] != block.in_planes:
             raise ValueError(
@@ -416,6 +440,11 @@ def _forward_stack(
             x, bn_cache = layers.batchnorm_forward(
                 x, p.gamma, p.beta, p.running_mean, p.running_var, mode
             )
+        if not keep_masks:
+            if block.pool_after:
+                x = layers.maxpool(x)
+            x = layers.relu(x)
+            continue
         x, relu_cache = layers.relu_forward(x)
         drop_cache = None
         if block.dropout_p:
@@ -448,7 +477,8 @@ def forward(
     batch yields ``(batch, output_dim)``. Eval mode is a pure deterministic
     function of (params, input) and runs in blocks of at most
     :data:`EVAL_BLOCK_EPOCHS` epochs, so its intermediates stay small however
-    large the batch. Passing a list as ``caches`` records every stage for
+    large the batch, and builds none of the masks only :func:`backward`
+    reads. Passing a list as ``caches`` records every stage for
     :func:`backward` in one whole-batch pass.
     """
     x, single = _as_batch(x, params.dtype)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from mibci.epochs import Epoch, EpochSet, SplitSpec, derive_seed, split_dataset
-from mibci.network import forward, mse_loss
+from mibci.network import EVAL_BLOCK_EPOCHS, forward, mse_loss
 
 
 def naive_dft_magnitude(x: np.ndarray) -> np.ndarray:
@@ -58,6 +58,19 @@ def numeric_gradients(spec, params, x, targets, h: float = 1e-5, mode: str = "ev
             entry[name] = g
         grads.append(entry)
     return grads
+
+
+def masked_eval_forward(spec, params, x, mode: str = "eval"):
+    """Eval forward through the training stack, which builds the ReLU,
+    dropout and pool masks, in blocks of EVAL_BLOCK_EPOCHS as ``forward``
+    runs them."""
+    x = np.asarray(x, dtype=params.dtype)
+    if x.ndim == 2:
+        return masked_eval_forward(spec, params, x[None], mode)[0]
+    return np.concatenate([
+        forward(spec, params, x[start : start + EVAL_BLOCK_EPOCHS], mode=mode, caches=[])
+        for start in range(0, len(x), EVAL_BLOCK_EPOCHS)
+    ])
 
 
 def max_relative_gradient_error(analytic, numeric) -> float:

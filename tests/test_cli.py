@@ -1,15 +1,19 @@
 """CLI subcommands, output files, and exit codes."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 import mibci.mdn as mdn_module
 from mibci.cli import main
 from mibci.experiment import ExperimentPlan
 from mibci.io import load_epochs, save_epochs
+from mibci.mdn import MetaScheme, SchemeMember
+from mibci.network import init_params, parse_structure
 
-from helpers import plant_training_copy
+from helpers import masked_eval_forward, plant_training_copy
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 ALEXNET_CONV = "3,121,96 / 96,25,256 / 256,9,192 / 192,9,192 / 192,9,128"
@@ -185,6 +189,79 @@ class TestTrainEval:
         assert "runtime failure" in err
 
 
+def write_params_file(tmp_path, kind: str, num_classes: int, structure: str, channels: int,
+                      samples: int, seed: int = 0):
+    """A float32 single-network params file or OVO/OVR scheme file with
+    random weights, biases and batchnorm statistics."""
+    spec = parse_structure(structure, input_channels=channels, input_length=samples)
+    rng = np.random.default_rng(seed)
+
+    def params(k):
+        p = init_params(spec, seed=seed + k)
+        for block in p.blocks:
+            block.bias = rng.normal(0, 0.1, block.bias.shape)
+            if block.gamma is not None:
+                block.running_mean = rng.normal(0, 0.2, block.gamma.shape)
+                block.running_var = rng.uniform(0.5, 2.0, block.gamma.shape)
+        return p.astype(np.float32)
+
+    labels = range(1, num_classes + 1)
+    if kind == "single":
+        path = tmp_path / "params.json"
+        path.write_text(params(0).to_json(spec), encoding="utf-8")
+        return path
+    groups = itertools.combinations(labels, 2) if kind == "ovo" else [(c,) for c in labels]
+    members = tuple(SchemeMember(classes=g, spec=spec, params=params(k)) for k, g in enumerate(groups))
+    path = tmp_path / "scheme.json"
+    path.write_text(MetaScheme(kind=kind, num_classes=num_classes, members=members).to_json(),
+                    encoding="utf-8")
+    return path
+
+
+class TestEvalInference:
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    def test_eval_json_equals_the_masked_forward(self, kind, tmp_path, capsys, monkeypatch):
+        # 150 epochs: two eval blocks, the second a short tail
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "4", "synth", *SYNTH_ARGS,
+             "--classes", "3", "--epochs-per-class", "50"],
+            capsys,
+        )
+        assert code == 0, err
+        data = tmp_path / "synthetic.epb"
+        params = write_params_file(tmp_path, kind, 3, "2,5,8 / 8,16,16", 2, 32, seed=7)
+        argv = ["eval", "--in", str(data), "--params", str(params)]
+        assert run(["--out", str(tmp_path / "lean"), *argv], capsys)[0] == 0
+        monkeypatch.setattr(mdn_module, "forward", masked_eval_forward)
+        assert run(["--out", str(tmp_path / "masked"), *argv], capsys)[0] == 0
+        lean = (tmp_path / "lean" / "eval.json").read_bytes()
+        assert lean == (tmp_path / "masked" / "eval.json").read_bytes()
+        assert sum(map(sum, json.loads(lean)["confusion"])) == 150
+
+    def test_scheme_file_is_decoded_once(self, tmp_path, capsys, monkeypatch):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "4", "synth", "--classes", "4",
+             "--epochs-per-class", "3", "--channels", "2", "--samples", "251"],
+            capsys,
+        )
+        assert code == 0, err
+        scheme = write_params_file(tmp_path, "ovo", 4, TABLE7_S1, 2, 251)
+        assert len(json.loads(scheme.read_text())["members"]) == 6
+        loads, dumps = [], []
+        real_loads, real_dumps = json.loads, json.dumps
+        monkeypatch.setattr(json, "loads", lambda s, *a, **k: loads.append(len(s)) or real_loads(s, *a, **k))
+        monkeypatch.setattr(json, "dumps", lambda o, *a, **k: dumps.append(o) or real_dumps(o, *a, **k))
+        code, _, err = run(
+            ["--out", str(tmp_path), "eval", "--in", str(tmp_path / "synthetic.epb"),
+             "--params", str(scheme)],
+            capsys,
+        )
+        assert code == 0, err
+        assert loads == [len(scheme.read_text())]
+        # the report only, encoded once for eval.json and the console
+        assert len(dumps) == 1 and "confusion" in dumps[0]
+
+
 def tiny_plan_doc(dataset_path: str) -> dict:
     return {
         "dataset": dataset_path,
@@ -350,6 +427,23 @@ class TestExitCodes:
         code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
         assert code == 1
         assert "error: network document: field 'dtype' is 'int8'" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("structure", 5, "network document: field 'structure' must be a string, got int"),
+            ("blocks", 5, "network document: field 'blocks' must be a list of objects, got int"),
+            ("blocks", [1, 2], "network document layer 1 must be a JSON object, got int"),
+        ],
+    )
+    def test_mistyped_params_field_names_it(self, synth_file, tmp_path, capsys, field, value, message):
+        params = write_params_file(tmp_path, "single", 2, "2,5,8 / 8,16,16", 2, 32)
+        doc = json.loads(params.read_text())
+        doc[field] = value
+        params.write_text(json.dumps(doc))
+        code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
+        assert code == 1
+        assert f"error: {message}" in err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 1

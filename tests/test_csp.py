@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mibci.csp import CspModel, CspTransformer, apply_csp_set, fit_csp
+from mibci.csp import CspModel, CspTransformer, _normalized_covariances, apply_csp_set, fit_csp
 from mibci.bandpass import FilterBankSpec, apply_filter_bank_set
 from mibci.epochs import EpochSet
 
@@ -29,6 +29,22 @@ def class_mean_covs(x1, x2):
         return np.mean([c / np.trace(c) for c in covs], axis=0)
 
     return mean_cov(x1), mean_cov(x2)
+
+
+class TestCovariances:
+    def test_symmetric_trace_normalized_and_equal_to_the_per_epoch_product(self):
+        X = np.random.default_rng(3).normal(size=(7, 11, 50)) * np.arange(1, 12)[None, :, None]
+        covs = _normalized_covariances(X)
+        assert np.array_equal(covs, covs.transpose(0, 2, 1))
+        assert np.allclose(np.trace(covs, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)
+        expected = np.stack([x @ x.T / np.trace(x @ x.T) for x in X])
+        assert np.max(np.abs(covs - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_zero_power_epoch_rejected(self):
+        X = np.random.default_rng(4).normal(size=(3, 2, 10))
+        X[1] = 0
+        with pytest.raises(ValueError, match="zero total power"):
+            _normalized_covariances(X)
 
 
 class TestFitTwoClass:

@@ -1,5 +1,7 @@
 """Runner data flow, the study matrix, and report plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,10 @@ class TestRunExperiment:
         report = run_experiment(tiny_plan(n_runs=1), tiny_dataset)
         again = ExperimentReport.from_json(report.to_json())
         assert again.to_dict() == report.to_dict()
+
+    def test_report_from_dict_equals_from_json(self, tiny_dataset):
+        doc = run_experiment(tiny_plan(n_runs=2), tiny_dataset).to_dict()
+        assert ExperimentReport.from_dict(doc) == ExperimentReport.from_json(json.dumps(doc))
 
     def test_csp_leak_is_caught(self, tiny_dataset, monkeypatch):
         real_fit = experiment_module.fit_csp

@@ -91,6 +91,10 @@ class TestMaxPool:
         dx = layers.maxpool_backward(dy, cache)
         assert np.array_equal(dx, np.array([[[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0, 5.0]]]))
 
+    def test_mask_free_pool_keeps_the_odd_tail(self):
+        y = layers.maxpool(np.array([[[1.0, 3.0, 2.0, 0.0, -5.0]]]))
+        assert np.array_equal(y, np.array([[[3.0, 2.0, -5.0]]]))
+
     def test_nan_wins_its_window_like_argmax(self):
         x = np.array([[[np.nan, 1.0, 1.0, np.nan]]])
         y, cache = layers.maxpool_forward(x)
@@ -299,6 +303,37 @@ def test_maxpool_matches_argmax_reference_bit_for_bit(x, seed):
     dx = layers.maxpool_backward(dy, cache)
     # equal element for element; an unrouted slot may hold -0.0 for +0.0
     assert np.array_equal(dx, reference_maxpool_backward(dy, x.shape, argmax))
+
+
+def pool_arrays(dtype, width: int):
+    """Small batches of odd and even lengths, heavy in ties, +-0, inf and NaN."""
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.0, np.inf, -np.inf, np.nan]),
+        st.floats(allow_nan=True, allow_infinity=True, width=width),
+    )
+    return st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 13)).flatmap(
+        lambda shape: hnp.arrays(dtype, shape, elements=values)
+    )
+
+
+any_pool_array = st.one_of(pool_arrays(np.float64, 64), pool_arrays(np.float32, 32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=any_pool_array)
+def test_pool_then_relu_equals_relu_then_masked_pool_bit_for_bit(x):
+    expected, _ = layers.maxpool_forward(layers.relu_forward(x)[0])
+    actual = layers.relu(layers.maxpool(x))
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=any_pool_array)
+def test_mask_free_pool_keeps_the_values_the_masked_pool_keeps(x):
+    # equal as values (NaN to NaN, -0.0 to +0.0); only a zero's sign may differ
+    np.testing.assert_array_equal(layers.maxpool(x), layers.maxpool_forward(x)[0])
 
 
 @settings(max_examples=100, deadline=None)

@@ -283,6 +283,52 @@ class TestSchemeSerialization:
             MetaScheme.from_json(json.dumps(doc))
 
 
+def reference_scheme_json(scheme: MetaScheme) -> str:
+    """The bundle encoded by decoding each member's network text back in."""
+    return json.dumps({
+        "kind": scheme.kind,
+        "num_classes": scheme.num_classes,
+        "members": [
+            {"classes": list(m.classes), "network": json.loads(m.params.to_json(m.spec))}
+            for m in scheme.members
+        ],
+    })
+
+
+class TestSchemeDocuments:
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_to_json_matches_the_member_round_trip(self, kind, dtype):
+        scheme = random_scheme(kind, 3, seed=20)
+        members = []
+        for k, m in enumerate(scheme.members):
+            params = m.params.astype(dtype)
+            # values whose text form is easy to get wrong
+            params.blocks[0].weight.flat[:5] = [-0.0, 5e-324 if dtype == np.float64 else 1e-45,
+                                                1e300 if dtype == np.float64 else 3e38, np.nan, k]
+            params.blocks[0].gamma[0] = np.inf
+            members.append(SchemeMember(classes=m.classes, spec=m.spec, params=params))
+        scheme = MetaScheme(kind=kind, num_classes=3, members=tuple(members))
+        assert scheme.to_json() == reference_scheme_json(scheme)
+
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    def test_from_doc_equals_from_json(self, kind):
+        doc = random_scheme(kind, 4, seed=21).to_doc()
+        a = MetaScheme.from_doc(doc)
+        b = MetaScheme.from_json(json.dumps(doc))
+        assert (a.kind, a.num_classes) == (b.kind, b.num_classes) == (kind, 4)
+        for ma, mb in zip(a.members, b.members, strict=True):
+            assert ma.classes == mb.classes
+            assert ma.spec == mb.spec
+            assert ma.params.to_json(ma.spec) == mb.params.to_json(mb.spec)
+
+    def test_non_list_members_named(self):
+        doc = random_scheme("ovr", 2, seed=22).to_doc()
+        doc["members"] = 3
+        with pytest.raises(ValueError, match="scheme document: field 'members' must be a list, got int"):
+            MetaScheme.from_doc(doc)
+
+
 class TestSchemePredict:
     def test_matches_per_sample_functions(self):
         clf = clf_for(2)

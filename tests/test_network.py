@@ -21,7 +21,7 @@ from mibci.network import (
     render_structure,
 )
 
-from helpers import max_relative_gradient_error, numeric_gradients
+from helpers import masked_eval_forward, max_relative_gradient_error, numeric_gradients
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 TABLE5 = "68,9,40 / 40,9,40 / 40,9,40 / 40,9,40 / 40,9,40 / 40,8,16"
@@ -204,6 +204,51 @@ class TestBlockedEval:
         for start in (0, EVAL_BLOCK_EPOCHS, 2 * EVAL_BLOCK_EPOCHS):
             block = x[start : start + EVAL_BLOCK_EPOCHS]
             assert np.array_equal(out[start : start + len(block)], forward(spec, params, block))
+
+
+class TestMaskFreeEval:
+    """Eval mode without ``caches`` pools before its ReLU and builds no masks;
+    the training stack, run over the same blocks, is the bit-exact reference."""
+
+    @pytest.mark.parametrize(
+        "structure, channels, length",
+        [(E2E_STRUCTURE, 4, 250), (TABLE7_S1, 2, 251)],
+        ids=["e2e", "paper"],
+    )
+    @pytest.mark.parametrize("n", [1, 127, 128, 129])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("values", ["normal", "ternary"])
+    def test_matches_the_masked_stack_bit_for_bit(self, structure, channels, length, n, dtype, values):
+        spec = parse_structure(
+            structure, input_channels=channels, input_length=length, output_dim=16, dropout_p=0.5
+        )
+        params = trained_looking_params(spec, seed=n).astype(dtype)
+        rng = np.random.default_rng(n)
+        if values == "normal":
+            x = rng.normal(size=(n, channels, length))
+        else:
+            # few distinct values: many equal pool pairs and exact zeros
+            x = rng.integers(-1, 2, size=(n, channels, length)).astype(float)
+            params.blocks[0].bias[:] = 0
+        out = forward(spec, params, x)
+        expected = masked_eval_forward(spec, params, x)
+        assert out.dtype == expected.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_builds_no_masks(self, monkeypatch):
+        spec = parse_structure("3,5,8 / 8,5,8 / 8,8,16", input_length=32, output_dim=16, dropout_p=0.5)
+        params = trained_looking_params(spec, seed=4)
+        x = np.random.default_rng(5).normal(size=(6, 3, 32))
+        expected = masked_eval_forward(spec, params, x)
+        expected_single = masked_eval_forward(spec, params, x[0])
+
+        def training_only(*args, **kwargs):
+            raise AssertionError("an eval forward built a training mask")
+
+        for name in ("relu_forward", "maxpool_forward", "dropout_forward"):
+            monkeypatch.setattr(network_module.layers, name, training_only)
+        assert np.array_equal(forward(spec, params, x), expected)
+        assert np.array_equal(forward(spec, params, x[0]), expected_single)
 
 
 class TestMseLoss:
@@ -475,6 +520,45 @@ class TestParamsSerialization:
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object, got list"):
             NetworkParams.from_json("[]")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    def test_from_doc_equals_from_json(self, dtype, batch_norm):
+        spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16, batch_norm=batch_norm)
+        params = trained_looking_params(spec, seed=6).astype(dtype)
+        doc = params.to_doc(spec)
+        assert params.to_json(spec) == json.dumps(doc)
+        spec_a, params_a = NetworkParams.from_doc(doc)
+        spec_b, params_b = NetworkParams.from_json(json.dumps(doc))
+        assert spec_a == spec_b == spec
+        assert params_a.init_seed == params_b.init_seed == params.init_seed
+        for a, b in zip(params_a.blocks, params_b.blocks):
+            for name in ("weight", "bias", "gamma", "beta", "running_mean", "running_var"):
+                va, vb = getattr(a, name), getattr(b, name)
+                assert (va is None) == (vb is None)
+                if va is not None:
+                    assert va.dtype == vb.dtype == dtype
+                    assert va.tobytes() == vb.tobytes()
+
+    @pytest.mark.parametrize("value", [5, None, ["2,5,8", "8,16,16"]])
+    def test_non_string_structure_named(self, value):
+        doc = self._bn_doc()
+        doc["structure"] = value
+        with pytest.raises(ValueError, match="network document: field 'structure' must be a string"):
+            NetworkParams.from_doc(doc)
+
+    @pytest.mark.parametrize("value", [5, "blocks", {"0": {}}])
+    def test_non_list_blocks_named(self, value):
+        doc = self._bn_doc()
+        doc["blocks"] = value
+        with pytest.raises(ValueError, match="network document: field 'blocks' must be a list of objects"):
+            NetworkParams.from_doc(doc)
+
+    def test_non_object_block_named(self):
+        doc = self._bn_doc()
+        doc["blocks"][1] = 7
+        with pytest.raises(ValueError, match="network document layer 2 must be a JSON object, got int"):
+            NetworkParams.from_doc(doc)
 
     def test_copy_is_deep(self):
         spec = parse_structure("1,3,4 / 4,8,8", input_length=16, output_dim=8)
