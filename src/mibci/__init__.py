@@ -28,7 +28,7 @@ from .bandpass import (
 )
 from .base import EstimatorMixin, NotFittedError
 from .csp import CspModel, CspTransformer, apply_csp_set, fit_csp
-from .epochs import Epoch, EpochSet, Split, SplitSpec, derive_seed, split_dataset
+from .epochs import EpochSet, Split, SplitSpec, derive_seed, split_dataset
 from .experiment import (
     ExperimentPlan,
     ExperimentReport,
@@ -77,7 +77,7 @@ from .walsh import WalshCodebook, build_walsh, hamming
 __all__ = [
     "__version__",
     # data model
-    "Epoch", "EpochSet", "Split", "SplitSpec", "split_dataset", "derive_seed",
+    "EpochSet", "Split", "SplitSpec", "split_dataset", "derive_seed",
     "EpochFormatError", "load_epochs", "save_epochs",
     "SyntheticSpec", "generate_synthetic",
     # augmentation

@@ -69,3 +69,12 @@ def as_labels(y, num_classes: int | None = None) -> np.ndarray:
     if num_classes is not None and y.size and y.max() > num_classes:
         raise ValueError(f"label {y.max()} exceeds num_classes={num_classes}")
     return y
+
+
+def _require(doc, name: str, where: str):
+    """``doc[name]``; a ``ValueError`` naming the field when it is missing."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        raise ValueError(f"{where}: missing field {name!r}")
+    return doc[name]

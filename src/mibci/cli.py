@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import mdn
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
 from .bandpass import DEFAULT_BANDS, FilterBankSpec, apply_filter_bank_set
@@ -31,7 +32,7 @@ from .experiment import (
 from .io import EpochFormatError, load_epochs, save_epochs
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
-from .network import NetworkParams, _parse_triples, count_weights
+from .network import _parse_triples, count_weights
 from .stats import paired_ttest
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainingDivergedError
@@ -229,7 +230,7 @@ def csp_apply(ctx, in_path, model_path, output):
 @click.option("--no-batch-norm", is_flag=True, default=False)
 @click.pass_context
 def train(ctx, train_path, val_path, structure, code_size, scheme, learning_rate, batch_size, max_iterations, patience, dropout, no_batch_norm):
-    """Train the feature extractor; writes params.json and train_report.json."""
+    """Train the feature extractor; writes model.json and train_report.json."""
     train_set = load_epochs(train_path)
     clf = WalshCnnClassifier(
         structure=structure,
@@ -248,12 +249,8 @@ def train(ctx, train_path, val_path, structure, code_size, scheme, learning_rate
         clf.fit(train_set.to_array(), train_set.labels, val_set.to_array(), val_set.labels)
     else:
         clf.fit(train_set.to_array(), train_set.labels)
-    if clf.scheme_.kind == "single":
-        params_path = _out_path(ctx, "params.json")
-        params_path.write_text(clf.params_.to_json(clf.spec_), encoding="utf-8")
-    else:
-        params_path = _out_path(ctx, "scheme.json")
-        params_path.write_text(clf.scheme_.to_json(), encoding="utf-8")
+    model_path = _out_path(ctx, "model.json")
+    model_path.write_text(clf.scheme_.to_json(), encoding="utf-8")
     reports = [r.to_dict() for r in clf.train_reports_]
     last = clf.train_reports_[-1]
     _emit(
@@ -265,7 +262,7 @@ def train(ctx, train_path, val_path, structure, code_size, scheme, learning_rate
             f"({last.stop_reason}) with best validation loss {last.best_validation_loss:.6f}"
         ),
     )
-    click.echo(f"wrote {params_path}")
+    click.echo(f"wrote {model_path}")
 
 
 @cli.command("eval")
@@ -273,29 +270,34 @@ def train(ctx, train_path, val_path, structure, code_size, scheme, learning_rate
 @click.option("--params", "params_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.pass_context
 def eval_cmd(ctx, in_path, params_path):
-    """Classify an EPB1 file with trained parameters and report metrics."""
-    from .mdn import MdnClassifier, MetaScheme, SchemeMember, scheme_predict
-    from .walsh import WalshCodebook
-
+    """Classify an EPB1 file with a model.json written by train and report metrics."""
     dataset = load_epochs(in_path)
-    doc = json.loads(Path(params_path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict) and "members" in doc:
-        scheme = MetaScheme.from_doc(doc)
-        codebook = WalshCodebook.for_classes(2, scheme.members[0].spec.output_dim)
-    else:
-        spec, params = NetworkParams.from_doc(doc)
-        codebook = WalshCodebook.for_classes(dataset.num_classes, spec.output_dim)
-        scheme = MetaScheme(
-            kind="single",
-            num_classes=dataset.num_classes,
-            members=(SchemeMember(classes=tuple(range(1, dataset.num_classes + 1)), spec=spec, params=params),),
+    scheme = mdn.MetaScheme.from_json(Path(params_path).read_text(encoding="utf-8"))
+    if scheme.num_classes != dataset.num_classes:
+        raise ValueError(
+            f"the model has {scheme.num_classes} classes but {in_path} has {dataset.num_classes}"
         )
-    predictions = scheme_predict(dataset.to_array(), scheme, MdnClassifier(codebook))
+    predictions = mdn.scheme_predict(dataset.to_array(), scheme, mdn.MdnClassifier(scheme.codebook))
     cm = confusion(predictions, dataset.labels, dataset.num_classes)
     report = classwise_metrics(cm)
     doc = report.to_dict()
     doc["confusion"] = cm.counts.tolist()
     _emit(ctx, doc, "eval.json", text=f"accuracy {report.accuracy:.4f} (kappa {report.kappa:.4f})")
+
+
+def _plan(ctx, command: str, dataset: str | None, n_runs: int | None) -> ExperimentPlan:
+    """The --config plan with the --dataset, --n-runs and --seed overrides applied."""
+    doc = _read_config(ctx)
+    if not doc:
+        raise click.ClickException(f"{command} needs --config pointing at a plan JSON")
+    plan = ExperimentPlan.from_dict(doc)
+    if dataset:
+        plan = replace(plan, dataset=dataset)
+    if n_runs:
+        plan = replace(plan, n_runs=n_runs)
+    if ctx.obj.get("seed") is not None:
+        plan = replace(plan, master_seed=ctx.obj["seed"])
+    return plan
 
 
 @cli.command()
@@ -304,16 +306,7 @@ def eval_cmd(ctx, in_path, params_path):
 @click.pass_context
 def experiment(ctx, dataset, n_runs):
     """Run one plan cell (requires --config with a plan JSON)."""
-    doc = _read_config(ctx)
-    if not doc:
-        raise click.ClickException("experiment needs --config pointing at a plan JSON")
-    plan = ExperimentPlan.from_dict(doc)
-    if dataset:
-        plan = replace(plan, dataset=dataset)
-    if n_runs:
-        plan = replace(plan, n_runs=n_runs)
-    if ctx.obj.get("seed") is not None:
-        plan = replace(plan, master_seed=ctx.obj["seed"])
+    plan = _plan(ctx, "experiment", dataset, n_runs)
     report = run_experiment(plan)
     _emit(
         ctx,
@@ -333,16 +326,7 @@ def experiment(ctx, dataset, n_runs):
 @click.pass_context
 def matrix(ctx, dataset, n_runs):
     """Run all four transform x augmentation cells of a plan."""
-    doc = _read_config(ctx)
-    if not doc:
-        raise click.ClickException("matrix needs --config pointing at a plan JSON")
-    plan = ExperimentPlan.from_dict(doc)
-    if dataset:
-        plan = replace(plan, dataset=dataset)
-    if n_runs:
-        plan = replace(plan, n_runs=n_runs)
-    if ctx.obj.get("seed") is not None:
-        plan = replace(plan, master_seed=ctx.obj["seed"])
+    plan = _plan(ctx, "matrix", dataset, n_runs)
     report = run_matrix(plan)
     table = report.table()
     _out_path(ctx, "matrix.json").write_text(report.to_json(), encoding="utf-8")

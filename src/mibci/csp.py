@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bandpass import DEFAULT_BANDS, FilterBankSpec, _filter_bank, apply_filter_bank_set
-from .base import EstimatorMixin, NotFittedError, as_epoch_array, as_labels
+from .base import EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
 from .epochs import EpochSet
 
 __all__ = ["CspModel", "fit_csp", "apply_csp_set", "CspTransformer"]
@@ -90,17 +90,22 @@ class CspModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CspModel":
+        """Inverse of :meth:`to_json`; a missing field raises ``ValueError`` naming it."""
         doc = json.loads(text)
-        rows = 2 * doc["m"] * (1 if doc["scheme"] == "two_class" else doc["num_classes"])
-        projection = np.array(doc["projection"], dtype=np.float64).reshape(rows, doc["input_channels"])
+        m, scheme, bands, order, num_classes, input_channels, projection, fingerprint = (
+            _require(doc, name, "csp document")
+            for name in ("m", "scheme", "bands", "filter_order", "num_classes", "input_channels",
+                         "projection", "fingerprint")
+        )
+        rows = 2 * m * (1 if scheme == "two_class" else num_classes)
         return cls(
-            m=doc["m"],
-            scheme=doc["scheme"],
-            projection=projection,
-            bank=FilterBankSpec(bands=tuple(tuple(b) for b in doc["bands"]), order=doc["filter_order"]),
-            num_classes=doc["num_classes"],
-            input_channels=doc["input_channels"],
-            fitted_on=doc["fingerprint"],
+            m=m,
+            scheme=scheme,
+            projection=np.array(projection, dtype=np.float64).reshape(rows, input_channels),
+            bank=FilterBankSpec(bands=tuple(tuple(b) for b in bands), order=order),
+            num_classes=num_classes,
+            input_channels=input_channels,
+            fitted_on=fingerprint,
         )
 
     def save(self, path: str | Path) -> None:

@@ -1,16 +1,15 @@
-"""Epoch and dataset types, fingerprints, and the stratified split protocol."""
+"""The epoch set type, its fingerprints, and the stratified split protocol."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Epoch",
     "EpochSet",
     "SplitSpec",
     "Split",
@@ -46,66 +45,6 @@ def _read_only(data: np.ndarray) -> np.ndarray:
     return data
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """One labeled trial: a channels x samples matrix with its sampling rate.
-
-    A standalone epoch keeps a read-only copy of a writable ``data`` array;
-    the epochs an :class:`EpochSet` yields are views of its read-only rows.
-
-    Attributes
-    ----------
-    subject_id : str
-        Identifier of the recorded subject.
-    label : int
-        1-based class label.
-    data : ndarray
-        ``(n_channels, n_samples)`` float64 amplitudes (microvolt scale).
-    sampling_rate : float
-        Sampling rate in Hz, strictly positive.
-    origin : str
-        Provenance flag: ``"recorded"``, ``"synthetic"`` or ``"augmented"``.
-    """
-
-    subject_id: str
-    label: int
-    data: np.ndarray
-    sampling_rate: float
-    origin: str = "recorded"
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError(f"epoch data must be a 2-D channels x samples matrix, got {data.shape}")
-        if not np.isfinite(data).all():
-            raise ValueError("epoch data contains non-finite values")
-        if int(self.label) < 1:
-            raise ValueError(f"labels are 1-based, got {self.label}")
-        if not self.sampling_rate > 0:
-            raise ValueError(f"sampling_rate must be positive, got {self.sampling_rate}")
-        object.__setattr__(self, "data", _read_only(data))
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "sampling_rate", float(self.sampling_rate))
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-    @cached_property
-    def fingerprint(self) -> str:
-        """Content hash of the epoch (metadata + raw samples)."""
-        h = hashlib.sha256()
-        h.update(self.subject_id.encode("utf-8"))
-        h.update(np.int64(self.label).tobytes())
-        h.update(np.float64(self.sampling_rate).tobytes())
-        h.update(self.data.tobytes())
-        return h.hexdigest()
-
-
 @dataclass(frozen=True, eq=False)
 class EpochSet:
     """Epochs stacked into one read-only ``(n, channels, samples)`` float64 array.
@@ -113,7 +52,7 @@ class EpochSet:
     ``labels`` (1-based int64), ``subject_ids`` and ``origins`` hold one entry
     per row; a single string applies to every row, and ``num_classes=None``
     takes the largest label. A writable ``data`` array is copied, a read-only
-    one is kept. Iterating yields :class:`Epoch` views of the rows.
+    one is kept.
     """
 
     data: np.ndarray
@@ -151,28 +90,8 @@ class EpochSet:
         for name in ("subject_ids", "origins"):
             object.__setattr__(self, name, np.broadcast_to(np.array(getattr(self, name), dtype=object), (n,)))
 
-    @classmethod
-    def from_epochs(cls, epochs: Iterable[Epoch], num_classes: int | None = None) -> "EpochSet":
-        """Stack epochs that share one shape and one sampling rate."""
-        epochs = tuple(epochs)
-        if not epochs:
-            raise ValueError("empty set: an EpochSet needs at least one epoch")
-        shapes = sorted({ep.data.shape for ep in epochs})
-        if len(shapes) > 1:
-            raise ValueError(f"heterogeneous epoch shapes {shapes} within one set")
-        if len({ep.sampling_rate for ep in epochs}) > 1:
-            raise ValueError("heterogeneous sampling rates within one set")
-        data = np.stack([ep.data for ep in epochs])
-        data.setflags(write=False)
-        return cls(data, [ep.label for ep in epochs], epochs[0].sampling_rate, num_classes,
-                   [ep.subject_id for ep in epochs], [ep.origin for ep in epochs])
-
     def __len__(self) -> int:
         return len(self.data)
-
-    def __iter__(self):
-        for row, label, subject_id, origin in zip(self.data, self.labels, self.subject_ids, self.origins):
-            yield Epoch(subject_id, label, row, self.sampling_rate, origin)
 
     @property
     def n_channels(self) -> int:
@@ -213,7 +132,16 @@ class EpochSet:
 
     @cached_property
     def _row_fingerprints(self) -> tuple[str, ...]:
-        return tuple(ep.fingerprint for ep in self)
+        """sha256 of each row's subject id (UTF-8), int64 label, float64 rate and samples."""
+        rate = np.float64(self.sampling_rate).tobytes()
+        rows = []
+        for subject_id, label, row in zip(self.subject_ids, self.labels, self.data):
+            h = hashlib.sha256(subject_id.encode("utf-8"))
+            h.update(label.tobytes())
+            h.update(rate)
+            h.update(row.tobytes())
+            rows.append(h.hexdigest())
+        return tuple(rows)
 
     @cached_property
     def fingerprint(self) -> str:

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import NetworkParams, NetworkSpec, _require, forward
+from .base import _require
+from .network import NetworkParams, NetworkSpec, forward
 from .walsh import WalshCodebook
 
 __all__ = [
@@ -114,6 +115,13 @@ class MetaScheme:
                 f"{self.kind} over {c} classes needs {len(want)} member networks holding "
                 f"{rule} in 1..{c}, got {[tuple(m.classes) for m in self.members]}"
             )
+
+    @property
+    def codebook(self) -> WalshCodebook:
+        """The code rows the members regress onto: every class's row for a
+        single network, the shared two-class rows for OVO/OVR members."""
+        rows = self.num_classes if self.kind == "single" else 2
+        return WalshCodebook.for_classes(rows, self.members[0].spec.output_dim)
 
     def to_doc(self) -> dict:
         """Bundle every member's network document with its class subset."""

@@ -149,9 +149,8 @@ class WalshCnnClassifier(EstimatorMixin):
         self.train_reports_ = []
 
         if self.scheme == "single":
-            self.codebook_ = WalshCodebook.for_classes(num_classes, self.code_size)
-            params, report = train(spec, (X, y), (X_val, y_val), self.codebook_, self._train_config(self.seed))
-            self.params_ = params
+            codebook = WalshCodebook.for_classes(num_classes, self.code_size)
+            params, report = train(spec, (X, y), (X_val, y_val), codebook, self._train_config(self.seed))
             self.scheme_ = MetaScheme(
                 kind="single",
                 num_classes=num_classes,
@@ -160,7 +159,7 @@ class WalshCnnClassifier(EstimatorMixin):
             self.train_reports_.append(report)
             return self
 
-        self.codebook_ = WalshCodebook.for_classes(2, self.code_size)
+        codebook = WalshCodebook.for_classes(2, self.code_size)
         if self.scheme == "ovo":
             problems = [
                 (a, b)
@@ -182,7 +181,7 @@ class WalshCnnClassifier(EstimatorMixin):
                 spec,
                 (X[keep], y_bin[keep]),
                 (X_val[keep_val], yv_bin[keep_val]),
-                self.codebook_,
+                codebook,
                 self._train_config(derive_seed(self.seed, "member", k)),
             )
 
@@ -217,16 +216,17 @@ class WalshCnnClassifier(EstimatorMixin):
         if self.scheme_.kind != "single":
             raise ValueError("features() is defined for the single-network scheme")
         X = as_epoch_array(X)
-        return np.atleast_2d(forward(self.spec_, self.params_, X, mode="eval"))
+        member = self.scheme_.members[0]
+        return np.atleast_2d(forward(member.spec, member.params, X, mode="eval"))
 
     def decision_distances(self, X) -> np.ndarray:
         """Per-class code distances (single scheme only)."""
-        return mdn_distances(self.features(X), MdnClassifier(self.codebook_))
+        return mdn_distances(self.features(X), MdnClassifier(self.scheme_.codebook))
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted()
         X = as_epoch_array(X)
-        return scheme_predict(X, self.scheme_, MdnClassifier(self.codebook_))
+        return scheme_predict(X, self.scheme_, MdnClassifier(self.scheme_.codebook))
 
     def score(self, X, y) -> float:
         y = as_labels(y)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
+from .base import _require
 
 __all__ = [
     "ConvBlockSpec",
@@ -246,15 +247,6 @@ class BlockParams:
         if self.gamma is not None:
             names += ["gamma", "beta"]
         return names
-
-
-def _require(doc, name: str, where: str):
-    """``doc[name]``; a ``ValueError`` naming the field when it is missing."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    if name not in doc:
-        raise ValueError(f"{where}: missing field {name!r}")
-    return doc[name]
 
 
 def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str) -> np.ndarray:

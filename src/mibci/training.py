@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epochs import EpochSet
 from .mdn import MdnClassifier, mdn_classify
 from .metrics import divergence
 from .network import NetworkParams, NetworkSpec, backward, forward, init_params, mse_loss
@@ -109,8 +108,8 @@ class _Adam:
             a -= cfg.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + cfg.adam_eps)
 
 
-def _as_arrays(data) -> tuple[np.ndarray, np.ndarray]:
-    X, y = (data.to_array(), data.labels) if isinstance(data, EpochSet) else data
+def _as_arrays(data: tuple) -> tuple[np.ndarray, np.ndarray]:
+    X, y = data
     return np.asarray(X, dtype=TRAIN_DTYPE), np.asarray(y, dtype=np.int64)
 
 
@@ -124,8 +123,8 @@ def _feature_divergence(spec, params, X, y) -> float | None:
 
 def train(
     spec: NetworkSpec,
-    train_data: "EpochSet | tuple",
-    val_data: "EpochSet | tuple",
+    train_data: tuple,
+    val_data: tuple,
     codebook: WalshCodebook,
     cfg: TrainConfig,
 ) -> tuple[NetworkParams, TrainReport]:
@@ -135,7 +134,7 @@ def train(
     ----------
     spec : NetworkSpec
         Its flattened output size must equal the codebook size.
-    train_data, val_data : EpochSet or (X, y) pair
+    train_data, val_data : (X, y) pair
         Non-empty training and validation data with 1-based labels covered
         by the codebook's class assignment.
     codebook : WalshCodebook

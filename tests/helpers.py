@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from mibci.epochs import Epoch, EpochSet, SplitSpec, derive_seed, split_dataset
+from mibci.epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from mibci.network import EVAL_BLOCK_EPOCHS, forward, mse_loss
 
 
@@ -81,10 +81,6 @@ def max_relative_gradient_error(analytic, numeric) -> float:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(arr)), 1e-8)
             worst = max(worst, float((np.abs(a - arr) / denom).max()))
     return worst
-
-
-def make_epoch(data, label: int = 1, rate: float = 250.0, subject: str = "s") -> Epoch:
-    return Epoch(subject_id=subject, label=label, data=np.asarray(data, dtype=float), sampling_rate=rate)
 
 
 def make_set(n_per_class: int, channels: int = 3, samples: int = 16, num_classes: int = 2,

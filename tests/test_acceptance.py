@@ -156,7 +156,7 @@ def test_criterion_6_augmentation_properties():
 
     spectra_src = np.abs(np.fft.rfft(np.stack([zero_mean(x) for x in dataset.to_array()]), axis=2))
     out_arr = grown.to_array()
-    for i, source in enumerate(dataset):
+    for i in range(len(dataset)):
         base = spectra_src[i]
         scale_floor = 1e-9 * base.max()
         for copy in range(1, 10):

@@ -17,33 +17,33 @@ from mibci.augment import (
     zero_mean,
 )
 
-from mibci.epochs import Epoch, EpochSet
+from mibci.epochs import EpochSet
 
 from helpers import ForcedRng, make_set
 
 
-def reference_augment_set(dataset: EpochSet, cfg: AugmentConfig) -> list[Epoch]:
-    """The Epoch-by-Epoch expansion loop, each step building a new Epoch."""
+def reference_augment_set(dataset: EpochSet, cfg: AugmentConfig) -> list[tuple]:
+    """The epoch-by-epoch expansion loop, one step at a time; each output
+    row is a ``(subject_id, label, data, origin)`` tuple."""
     out = []
-    for i, epoch in enumerate(dataset):
-        out.append(epoch)
+    for i, (subject_id, label, source, origin) in enumerate(
+        zip(dataset.subject_ids, dataset.labels, dataset.data, dataset.origins)
+    ):
+        out.append((subject_id, label, source, origin))
         if not cfg.copies_per_epoch:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, i]))
         for _ in range(cfg.copies_per_epoch):
-            ep = Epoch(epoch.subject_id, epoch.label, epoch.data - epoch.data.mean(axis=1, keepdims=True),
-                       epoch.sampling_rate, "augmented")
-            ep = Epoch(ep.subject_id, ep.label, ep.data * float(rng.uniform(cfg.amp_low, cfg.amp_high)),
-                       ep.sampling_rate, ep.origin)
+            data = source - source.mean(axis=1, keepdims=True)
+            data = data * float(rng.uniform(cfg.amp_low, cfg.amp_high))
             sign = -1 if rng.uniform() < cfg.flip_probability else 1
-            ep = Epoch(ep.subject_id, ep.label, ep.data * sign, ep.sampling_rate, ep.origin)
-            half = ep.n_samples // 2 if cfg.rotation_half_range is None else cfg.rotation_half_range
+            data = data * sign
+            half = data.shape[1] // 2 if cfg.rotation_half_range is None else cfg.rotation_half_range
             shift = int(rng.integers(-half, half + 1))
-            ep = Epoch(ep.subject_id, ep.label, np.roll(ep.data, shift, axis=1), ep.sampling_rate, ep.origin)
+            data = np.roll(data, shift, axis=1)
             if cfg.noise_sd:
-                noise = rng.normal(0.0, cfg.noise_sd, size=ep.data.shape)
-                ep = Epoch(ep.subject_id, ep.label, ep.data + noise, ep.sampling_rate, ep.origin)
-            out.append(ep)
+                data = data + rng.normal(0.0, cfg.noise_sd, size=data.shape)
+            out.append((subject_id, label, data, "augmented"))
     return out
 
 
@@ -159,9 +159,9 @@ class TestAugmentEpoch:
         rng = ForcedRng(uniform_values=[1.0, 0.9], integer_values=[0])
         out = augment_epoch(ep, cfg, rng)
         assert np.allclose(out, zero_mean(ep))
-        source, copy, *_ = augment_set(make_set(1, channels=2, samples=4), AugmentConfig(copies_per_epoch=1))
-        assert copy.origin == "augmented"
-        assert copy.label == source.label
+        grown = augment_set(make_set(1, channels=2, samples=4), AugmentConfig(copies_per_epoch=1))
+        assert grown.origins[1] == "augmented"
+        assert grown.labels[1] == grown.labels[0]
 
     def test_pre_noise_channel_means_zero(self):
         rng = np.random.default_rng(1)
@@ -215,7 +215,7 @@ class TestAugmentSet:
     def test_provenance_flags(self):
         dataset = make_set(2, channels=1, samples=8)
         grown = augment_set(dataset, AugmentConfig(copies_per_epoch=2))
-        origins = [ep.origin for ep in grown]
+        origins = list(grown.origins)
         assert origins.count("augmented") == 2 * len(dataset)
         assert origins.count("recorded") == len(dataset)
 
@@ -234,11 +234,13 @@ class TestAugmentSet:
                            [f"s{i % 2}" for i in range(len(source))], "synthetic")
         grown = augment_set(dataset, cfg)
         expected = reference_augment_set(dataset, cfg)
-        assert np.array_equal(grown.to_array(), np.stack([ep.data for ep in expected]))
-        assert grown.labels.tolist() == [ep.label for ep in expected]
-        assert list(grown.origins) == [ep.origin for ep in expected]
-        assert list(grown.subject_ids) == [ep.subject_id for ep in expected]
-        assert grown.fingerprint == EpochSet.from_epochs(expected, num_classes=3).fingerprint
+        subject_ids, labels, data, origins = (list(column) for column in zip(*expected))
+        assert np.array_equal(grown.to_array(), np.stack(data))
+        assert grown.labels.tolist() == labels
+        assert list(grown.origins) == origins
+        assert list(grown.subject_ids) == subject_ids
+        rebuilt = EpochSet(np.stack(data), labels, dataset.sampling_rate, 3, subject_ids, origins)
+        assert grown.fingerprint == rebuilt.fingerprint
 
     @settings(max_examples=25, deadline=None)
     @given(

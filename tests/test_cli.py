@@ -67,6 +67,9 @@ class TestSynthSplitAugment:
         assert "16 -> 80" in out
 
 
+CSP_FIELDS = ["m", "scheme", "bands", "filter_order", "num_classes", "input_channels", "projection", "fingerprint"]
+
+
 class TestCspCommands:
     def test_fit_then_apply(self, synth_file, tmp_path, capsys):
         code, out, _ = run(
@@ -91,6 +94,25 @@ class TestCspCommands:
         assert transformed.n_channels == 2
         assert transformed.n_samples == 32
 
+    @pytest.mark.parametrize("field", CSP_FIELDS)
+    def test_apply_names_a_missing_field(self, synth_file, tmp_path, capsys, field):
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-fit", "--in", str(synth_file), "--m", "1",
+             "--bands", "8-12,18-24"],
+            capsys,
+        )
+        assert code == 0, err
+        model = tmp_path / "csp.json"
+        doc = json.loads(model.read_text())
+        assert sorted(doc) == sorted(CSP_FIELDS)
+        del doc[field]
+        model.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-apply", "--in", str(synth_file), "--model", str(model)], capsys
+        )
+        assert code == 1
+        assert f"error: csp document: missing field {field!r}" in err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, synth_file, tmp_path, capsys):
@@ -100,11 +122,11 @@ class TestTrainEval:
             capsys,
         )
         assert code == 0, out
-        assert (tmp_path / "params.json").exists()
+        assert (tmp_path / "model.json").exists()
         assert (tmp_path / "train_report.json").exists()
         code, out, _ = run(
             ["--out", str(tmp_path), "--format", "text",
-             "eval", "--in", str(synth_file), "--params", str(tmp_path / "params.json")],
+             "eval", "--in", str(synth_file), "--params", str(tmp_path / "model.json")],
             capsys,
         )
         assert code == 0
@@ -119,7 +141,7 @@ class TestTrainEval:
             capsys,
         )
         assert code == 0, err
-        scheme_path = tmp_path / "scheme.json"
+        scheme_path = tmp_path / "model.json"
         assert scheme_path.exists()
         code, out, _ = run(
             ["--out", str(tmp_path), "--format", "text",
@@ -128,6 +150,43 @@ class TestTrainEval:
         )
         assert code == 0
         assert "accuracy" in out
+
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    def test_train_writes_one_model_file(self, kind, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "3", "synth", *SYNTH_ARGS, "--classes", "3"], capsys
+        )
+        assert code == 0, err
+        data = tmp_path / "synthetic.epb"
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(data), "--scheme", kind,
+             *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 0, err
+        assert not (tmp_path / "params.json").exists() and not (tmp_path / "scheme.json").exists()
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert (doc["kind"], doc["num_classes"], len(doc["members"])) == (kind, 3, 1 if kind == "single" else 3)
+        code, _, err = run(
+            ["--out", str(tmp_path), "eval", "--in", str(data), "--params", str(tmp_path / "model.json")],
+            capsys,
+        )
+        assert code == 0, err
+        assert sum(map(sum, json.loads((tmp_path / "eval.json").read_text())["confusion"])) == 24
+
+    @pytest.mark.parametrize("kind, model_classes, file_classes", [("single", 2, 3), ("ovo", 3, 2)])
+    def test_eval_rejects_a_class_count_mismatch(self, kind, model_classes, file_classes, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "3", "synth", *SYNTH_ARGS, "--classes", str(file_classes)],
+            capsys,
+        )
+        assert code == 0, err
+        data = tmp_path / "synthetic.epb"
+        params = write_params_file(tmp_path, kind, model_classes, "2,5,8 / 8,16,16", 2, 32)
+        code, _, err = run(["--out", str(tmp_path), "eval", "--in", str(data), "--params", str(params)], capsys)
+        assert code == 1
+        assert f"error: the model has {model_classes} classes but {data} has {file_classes}" in err
+        assert not (tmp_path / "eval.json").exists()
 
     @pytest.mark.parametrize(
         "member, classes",
@@ -142,7 +201,7 @@ class TestTrainEval:
             capsys,
         )
         assert code == 0, err
-        scheme_path = tmp_path / "scheme.json"
+        scheme_path = tmp_path / "model.json"
         doc = json.loads(scheme_path.read_text())
         doc["members"][0]["classes"] = classes
         scheme_path.write_text(json.dumps(doc))
@@ -170,7 +229,7 @@ class TestTrainEval:
         assert code == 0, err
         code, _, err = run(
             ["--out", str(tmp_path), "eval", "--in", str(wide / "synthetic.epb"),
-             "--params", str(tmp_path / "scheme.json")],
+             "--params", str(tmp_path / "model.json")],
             capsys,
         )
         assert code == 1
@@ -191,8 +250,8 @@ class TestTrainEval:
 
 def write_params_file(tmp_path, kind: str, num_classes: int, structure: str, channels: int,
                       samples: int, seed: int = 0):
-    """A float32 single-network params file or OVO/OVR scheme file with
-    random weights, biases and batchnorm statistics."""
+    """A float32 single, OVO or OVR model file with random weights, biases
+    and batchnorm statistics."""
     spec = parse_structure(structure, input_channels=channels, input_length=samples)
     rng = np.random.default_rng(seed)
 
@@ -205,14 +264,10 @@ def write_params_file(tmp_path, kind: str, num_classes: int, structure: str, cha
                 block.running_var = rng.uniform(0.5, 2.0, block.gamma.shape)
         return p.astype(np.float32)
 
-    labels = range(1, num_classes + 1)
-    if kind == "single":
-        path = tmp_path / "params.json"
-        path.write_text(params(0).to_json(spec), encoding="utf-8")
-        return path
-    groups = itertools.combinations(labels, 2) if kind == "ovo" else [(c,) for c in labels]
+    labels = tuple(range(1, num_classes + 1))
+    groups = {"single": [labels], "ovo": itertools.combinations(labels, 2), "ovr": [(c,) for c in labels]}[kind]
     members = tuple(SchemeMember(classes=g, spec=spec, params=params(k)) for k, g in enumerate(groups))
-    path = tmp_path / "scheme.json"
+    path = tmp_path / "model.json"
     path.write_text(MetaScheme(kind=kind, num_classes=num_classes, members=members).to_json(),
                     encoding="utf-8")
     return path
@@ -385,18 +440,28 @@ class TestExitCodes:
         blob[36] = 0xFF  # first subject-id byte: 28-byte header, then label and id length
         bad = tmp_path / "bad.epb"
         bad.write_bytes(blob)
-        params = tmp_path / "params.json"
+        params = tmp_path / "model.json"
         params.write_text("{}")
         code, _, err = run(["eval", "--in", str(bad), "--params", str(params)], capsys)
         assert code == 1
         assert f"{bad}: epoch 0 subject id is not UTF-8 at byte 36" in err
 
     def test_params_without_structure_names_the_field(self, synth_file, tmp_path, capsys):
-        params = tmp_path / "params.json"
-        params.write_text(json.dumps({"kind": "single"}))
+        params = write_params_file(tmp_path, "single", 2, "2,5,8 / 8,16,16", 2, 32)
+        doc = json.loads(params.read_text())
+        del doc["members"][0]["network"]["structure"]
+        params.write_text(json.dumps(doc))
         code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
         assert code == 1
-        assert "error: network document: missing field 'structure'" in err
+        assert "error: scheme document member 1: network document: missing field 'structure'" in err
+
+    def test_bare_network_document_names_the_missing_members(self, synth_file, tmp_path, capsys):
+        spec = parse_structure("2,5,8 / 8,16,16", input_channels=2, input_length=32)
+        params = tmp_path / "params.json"
+        params.write_text(init_params(spec).to_json(spec))
+        code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
+        assert code == 1
+        assert "error: scheme document: missing field 'members'" in err
 
     def test_scheme_member_without_network_names_the_field(self, synth_file, tmp_path, capsys):
         code, _, err = run(
@@ -405,7 +470,7 @@ class TestExitCodes:
             capsys,
         )
         assert code == 0, err
-        scheme_path = tmp_path / "scheme.json"
+        scheme_path = tmp_path / "model.json"
         doc = json.loads(scheme_path.read_text())
         del doc["members"][0]["network"]
         scheme_path.write_text(json.dumps(doc))
@@ -419,14 +484,15 @@ class TestExitCodes:
             capsys,
         )
         assert code == 0, err
-        params = tmp_path / "params.json"
+        params = tmp_path / "model.json"
         doc = json.loads(params.read_text())
-        assert doc["dtype"] == "float32"
-        doc["dtype"] = "int8"
+        network = doc["members"][0]["network"]
+        assert network["dtype"] == "float32"
+        network["dtype"] = "int8"
         params.write_text(json.dumps(doc))
         code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
         assert code == 1
-        assert "error: network document: field 'dtype' is 'int8'" in err
+        assert "error: scheme document member 1: network document: field 'dtype' is 'int8'" in err
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -439,11 +505,11 @@ class TestExitCodes:
     def test_mistyped_params_field_names_it(self, synth_file, tmp_path, capsys, field, value, message):
         params = write_params_file(tmp_path, "single", 2, "2,5,8 / 8,16,16", 2, 32)
         doc = json.loads(params.read_text())
-        doc[field] = value
+        doc["members"][0]["network"][field] = value
         params.write_text(json.dumps(doc))
         code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
         assert code == 1
-        assert f"error: {message}" in err
+        assert f"error: scheme document member 1: {message}" in err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 1

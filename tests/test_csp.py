@@ -7,8 +7,6 @@ from mibci.csp import CspModel, CspTransformer, _normalized_covariances, apply_c
 from mibci.bandpass import FilterBankSpec, apply_filter_bank_set
 from mibci.epochs import EpochSet
 
-from helpers import make_epoch
-
 
 def planted_dataset(dim=6, n_ep=40, samples=100, ratio=10.0, seed=1):
     """Class 1 has variance `ratio` along one random direction, class 2 is white."""
@@ -141,8 +139,8 @@ class TestApply:
     def test_virtual_channel_count(self):
         dataset, _, _ = planted_dataset(dim=15, n_ep=10)
         model = fit_csp(dataset, m=1)
-        out = next(iter(apply_csp_set(dataset, model)))
-        assert out.data.shape == (2, dataset.n_samples)
+        out = apply_csp_set(dataset, model).data[0]
+        assert out.shape == (2, dataset.n_samples)
 
     def test_identity_rows_select_raw_channels(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3)
@@ -158,10 +156,10 @@ class TestApply:
             input_channels=4,
             fitted_on="fixture",
         )
-        ep = next(iter(dataset))
-        out = next(iter(apply_csp_set(dataset, model)))
-        assert np.array_equal(out.data[0], ep.data[1])
-        assert np.array_equal(out.data[1], ep.data[3])
+        ep = dataset.data[0]
+        out = apply_csp_set(dataset, model).data[0]
+        assert np.array_equal(out[0], ep[1])
+        assert np.array_equal(out[1], ep[3])
 
     def test_linearity(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3)
@@ -175,7 +173,7 @@ class TestApply:
         dataset, _, _ = planted_dataset(dim=4, n_ep=3)
         model = fit_csp(dataset, m=1)
         with pytest.raises(ValueError, match="channels"):
-            apply_csp_set(EpochSet.from_epochs((make_epoch(np.zeros((3, 10)), rate=100.0),), num_classes=2), model)
+            apply_csp_set(EpochSet(np.zeros((1, 3, 10)), [1], 100.0, num_classes=2), model)
 
     def test_set_apply_keeps_length(self):
         dataset, _, _ = planted_dataset(dim=4, n_ep=3, samples=33)

@@ -1,4 +1,4 @@
-"""Epoch/set invariants and the stratified split protocol."""
+"""Epoch-set invariants, fingerprints and the stratified split protocol."""
 
 import hashlib
 
@@ -7,72 +7,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mibci.epochs import Epoch, EpochSet, SplitSpec, derive_seed, split_dataset
+from mibci.augment import AugmentConfig, augment_set
+from mibci.epochs import EpochSet, SplitSpec, derive_seed, split_dataset
+from mibci.io import load_epochs, save_epochs
 
-from helpers import make_epoch, make_set
+from helpers import make_set
 
 
 def balanced_set(per_class: int, num_classes: int = 2) -> EpochSet:
     return make_set(per_class, channels=2, samples=4, num_classes=num_classes)
 
 
+def one_row(data, label: int = 1, rate: float = 250.0) -> EpochSet:
+    """A one-epoch set holding ``data``."""
+    return EpochSet(np.asarray(data, dtype=float)[np.newaxis], [label], rate, num_classes=2, subject_ids="s")
+
+
 class TestEpoch:
+    """One-epoch sets: the checks and copies a single trial gets."""
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
-            make_epoch([[1.0, np.nan]])
+            one_row([[1.0, np.nan]])
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ValueError, match="1-based"):
-            make_epoch([[1.0, 2.0]], label=0)
+        with pytest.raises(ValueError, match="label 0 outside 1..2"):
+            one_row([[1.0, 2.0]], label=0)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="sampling_rate"):
-            make_epoch([[1.0, 2.0]], rate=0.0)
+            one_row([[1.0, 2.0]], rate=0.0)
 
     def test_rejects_1d_data(self):
-        with pytest.raises(ValueError, match="2-D"):
-            make_epoch([1.0, 2.0])
+        with pytest.raises(ValueError, match="n, channels, samples"):
+            one_row([1.0, 2.0])
 
     def test_data_is_read_only(self):
-        ep = make_epoch([[1.0, 2.0]])
+        dataset = one_row([[1.0, 2.0]])
         with pytest.raises(ValueError):
-            ep.data[0, 0] = 5.0
+            dataset.data[0, 0, 0] = 5.0
 
     def test_does_not_mutate_caller_array(self):
         arr = np.array([[1.0, 2.0]])
-        make_epoch(arr)
+        dataset = one_row(arr)
         arr[0, 0] = 7.0  # would raise if flags were shared
+        assert dataset.data[0, 0, 0] == 1.0
 
     def test_fingerprint_sensitive_to_data_and_label(self):
-        a = make_epoch([[1.0, 2.0]], label=1)
-        b = make_epoch([[1.0, 2.0]], label=2)
-        c = make_epoch([[1.0, 2.5]], label=1)
+        a = one_row([[1.0, 2.0]], label=1)
+        b = one_row([[1.0, 2.0]], label=2)
+        c = one_row([[1.0, 2.5]], label=1)
+        assert len(a.epoch_fingerprints() | b.epoch_fingerprints() | c.epoch_fingerprints()) == 3
         assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
 
 
 class TestEpochSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty set"):
-            EpochSet.from_epochs((), num_classes=2)
-
-    def test_rejects_heterogeneous_shapes(self):
-        eps = (make_epoch(np.zeros((2, 4))), make_epoch(np.zeros((3, 4))))
-        with pytest.raises(ValueError, match="heterogeneous"):
-            EpochSet.from_epochs(eps, num_classes=2)
-
-    def test_rejects_heterogeneous_rates(self):
-        eps = (make_epoch(np.zeros((2, 4)), rate=100), make_epoch(np.zeros((2, 4)), rate=250))
-        with pytest.raises(ValueError, match="sampling rates"):
-            EpochSet.from_epochs(eps, num_classes=2)
+            EpochSet(np.zeros((0, 2, 4)), [], 250.0, num_classes=2)
 
     def test_rejects_label_out_of_range(self):
-        eps = (make_epoch(np.zeros((2, 4)), label=3), make_epoch(np.zeros((2, 4)), label=1))
         with pytest.raises(ValueError, match="outside"):
-            EpochSet.from_epochs(eps, num_classes=2)
+            EpochSet(np.zeros((2, 2, 4)), [3, 1], 250.0, num_classes=2)
 
     def test_require_all_classes(self):
-        eps = (make_epoch(np.zeros((2, 4)), label=1),)
-        partial = EpochSet.from_epochs(eps, num_classes=2)
+        partial = EpochSet(np.zeros((1, 2, 4)), [1], 250.0, num_classes=2)
         with pytest.raises(ValueError, match="no epochs"):
             partial.require_all_classes()
 
@@ -99,8 +98,8 @@ class TestEpochSet:
         X = 2.0 * dataset.to_array()
         rebuilt = dataset.with_data(X)
         assert np.array_equal(rebuilt.to_array(), X)
-        for before, after in zip(dataset, rebuilt):
-            assert (after.label, after.subject_id, after.origin) == (before.label, before.subject_id, before.origin)
+        for column in ("labels", "subject_ids", "origins"):
+            assert np.array_equal(getattr(rebuilt, column), getattr(dataset, column))
         with pytest.raises(ValueError):
             dataset.with_data(X[:-1])
 
@@ -110,57 +109,70 @@ class TestEpochSet:
         assert dataset.fingerprint != shuffled.fingerprint
 
 
-def reference_fingerprint(ep: Epoch) -> str:
-    """The per-Epoch sha256 the set's row hashes must reproduce."""
+def reference_fingerprint(subject_id: str, label: int, rate: float, row: np.ndarray) -> str:
+    """The per-epoch sha256 the set's row hashes must reproduce."""
     h = hashlib.sha256()
-    h.update(ep.subject_id.encode("utf-8"))
-    h.update(np.int64(ep.label).tobytes())
-    h.update(np.float64(ep.sampling_rate).tobytes())
-    h.update(np.ascontiguousarray(ep.data).tobytes())
+    h.update(subject_id.encode("utf-8"))
+    h.update(np.int64(label).tobytes())
+    h.update(np.float64(rate).tobytes())
+    h.update(np.ascontiguousarray(row, dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
-def reference_set_fingerprint(epochs, num_classes: int) -> str:
+def reference_set_fingerprint(rows, num_classes: int) -> str:
+    """The set hash over ``(subject_id, label, rate, row)`` tuples in order."""
     h = hashlib.sha256()
     h.update(np.int64(num_classes).tobytes())
-    for ep in epochs:
-        h.update(bytes.fromhex(reference_fingerprint(ep)))
+    for row in rows:
+        h.update(bytes.fromhex(reference_fingerprint(*row)))
     return h.hexdigest()
+
+
+def rows_of(dataset: EpochSet) -> list[tuple]:
+    return [(sid, label, dataset.sampling_rate, row)
+            for sid, label, row in zip(dataset.subject_ids, dataset.labels, dataset.data)]
 
 
 class TestArrayLayout:
-    def standalone_epochs(self):
-        rng = np.random.default_rng(8)
-        ids = ["s1", "s\u00fc2", "", "s1"]
-        origins = ["recorded", "synthetic", "augmented", "recorded"]
-        return [
-            Epoch(subject_id=sid, label=label, data=rng.normal(size=(2, 5)), sampling_rate=160.0, origin=origin)
-            for sid, label, origin in zip(ids, [1, 3, 2, 1], origins)
-        ]
+    IDS = ["s1", "s\u00fc2", "", "s1"]
+    LABELS = [1, 3, 2, 1]
+    ORIGINS = ["recorded", "synthetic", "augmented", "recorded"]
+
+    def standalone_rows(self) -> np.ndarray:
+        return np.random.default_rng(8).normal(size=(4, 2, 5))
 
     def test_fingerprints_match_the_per_epoch_reference(self):
-        epochs = self.standalone_epochs()
-        dataset = EpochSet.from_epochs(epochs, num_classes=3)
-        assert dataset.fingerprint == reference_set_fingerprint(epochs, 3)
-        assert dataset.epoch_fingerprints() == {reference_fingerprint(ep) for ep in epochs}
-        assert [ep.fingerprint for ep in dataset] == [reference_fingerprint(ep) for ep in epochs]
+        data = self.standalone_rows()
+        rows = [(sid, label, 160.0, row) for sid, label, row in zip(self.IDS, self.LABELS, data)]
+        dataset = EpochSet(data, self.LABELS, 160.0, 3, self.IDS, self.ORIGINS)
+        assert dataset.fingerprint == reference_set_fingerprint(rows, 3)
+        assert dataset.epoch_fingerprints() == {reference_fingerprint(*row) for row in rows}
+        assert [dataset.subset([i]).epoch_fingerprints() for i in range(4)] == [
+            {reference_fingerprint(*row)} for row in rows
+        ]
         picked = dataset.subset([3, 0, 0, 2])
-        assert picked.fingerprint == reference_set_fingerprint([epochs[i] for i in (3, 0, 0, 2)], 3)
+        assert picked.fingerprint == reference_set_fingerprint([rows[i] for i in (3, 0, 0, 2)], 3)
+
+    def test_loaded_and_augmented_fingerprints_match_the_reference(self, tmp_path):
+        dataset = EpochSet(self.standalone_rows(), self.LABELS, 160.0, 3, self.IDS, self.ORIGINS)
+        save_epochs(dataset, tmp_path / "rows.epb")
+        loaded = load_epochs(tmp_path / "rows.epb")
+        grown = augment_set(dataset, AugmentConfig(copies_per_epoch=2, rotation_half_range=1, seed=5))
+        for derived in (loaded, grown, grown.subset([7, 7, 0])):
+            assert derived.fingerprint == reference_set_fingerprint(rows_of(derived), 3)
+            assert derived.epoch_fingerprints() == {reference_fingerprint(*row) for row in rows_of(derived)}
 
     def test_columns_round_trip_through_the_constructor(self):
-        epochs = self.standalone_epochs()
-        dataset = EpochSet.from_epochs(epochs, num_classes=3)
+        data = self.standalone_rows()
+        dataset = EpochSet(data, self.LABELS, 160.0, 3, self.IDS, self.ORIGINS)
         assert dataset.to_array().shape == (4, 2, 5)
         assert dataset.labels.dtype == np.int64 and dataset.labels.tolist() == [1, 3, 2, 1]
-        assert list(dataset.subject_ids) == [ep.subject_id for ep in epochs]
-        assert list(dataset.origins) == [ep.origin for ep in epochs]
-        for before, after in zip(epochs, dataset):
-            assert (after.subject_id, after.label, after.sampling_rate, after.origin) == (
-                before.subject_id, before.label, before.sampling_rate, before.origin
-            )
-            assert np.array_equal(after.data, before.data)
+        assert list(dataset.subject_ids) == self.IDS
+        assert list(dataset.origins) == self.ORIGINS
+        assert dataset.sampling_rate == 160.0
+        assert np.array_equal(dataset.data, data)
 
-    def test_arrays_are_read_only_and_iteration_yields_views(self):
+    def test_arrays_are_read_only_and_rows_are_views(self):
         X = np.random.default_rng(0).normal(size=(3, 2, 4))
         dataset = EpochSet(X, [1, 2, 1], 100.0)
         assert not np.shares_memory(dataset.to_array(), X)
@@ -170,10 +182,10 @@ class TestArrayLayout:
         for arr in (dataset.data, dataset.labels):
             with pytest.raises(ValueError):
                 arr[0] = 0
-        views = list(dataset)
-        assert all(np.shares_memory(ep.data, dataset.data) for ep in views)
+        row = dataset.data[0]
+        assert np.shares_memory(row, dataset.data)
         with pytest.raises(ValueError):
-            views[0].data[0, 0] = 1.0
+            row[0, 0] = 1.0
 
     def test_scalar_columns_apply_to_every_row(self):
         dataset = EpochSet(np.zeros((2, 1, 3)), [1, 2], 50.0, subject_ids="x", origins="synthetic")
@@ -223,12 +235,7 @@ class TestSplit:
         assert other != split_dataset(dataset, spec)
 
     def test_rejects_thin_classes(self):
-        eps = (
-            make_epoch(np.zeros((2, 4)), label=1),
-            make_epoch(np.zeros((2, 4)), label=1),
-            make_epoch(np.zeros((2, 4)), label=2),
-        )
-        dataset = EpochSet.from_epochs(eps, num_classes=2)
+        dataset = EpochSet(np.zeros((3, 2, 4)), [1, 1, 2], 250.0, num_classes=2)
         with pytest.raises(ValueError, match="too few"):
             split_dataset(dataset, SplitSpec())
 

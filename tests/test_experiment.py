@@ -192,8 +192,11 @@ class TestRunExperiment:
         real_augment = experiment_module.augment_set
 
         def leaky_augment(dataset, cfg):
-            polluted = EpochSet.from_epochs(
-                [*dataset, next(iter(tiny_dataset))], num_classes=dataset.num_classes
+            both = (dataset, tiny_dataset.subset([0]))
+            polluted = EpochSet(
+                np.concatenate([s.data for s in both]), np.concatenate([s.labels for s in both]),
+                dataset.sampling_rate, dataset.num_classes,
+                np.concatenate([s.subject_ids for s in both]), np.concatenate([s.origins for s in both]),
             )
             return real_augment(polluted, cfg)
 

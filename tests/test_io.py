@@ -31,10 +31,9 @@ def test_binary_round_trip_bit_exact(tmp_path):
     assert len(loaded) == 4
     assert loaded.num_classes == dataset.num_classes
     assert loaded.sampling_rate == dataset.sampling_rate
-    for a, b in zip(loaded, dataset):
-        assert a.subject_id == b.subject_id
-        assert a.label == b.label
-        assert np.array_equal(a.data, b.data)
+    assert list(loaded.subject_ids) == list(dataset.subject_ids)
+    assert np.array_equal(loaded.labels, dataset.labels)
+    assert np.array_equal(loaded.data, dataset.data)
     # second round trip is the identity on bytes
     path2 = tmp_path / "set2.epb"
     save_epochs(loaded, path2)
@@ -54,7 +53,7 @@ def test_csv_round_trip_within_tolerance(tmp_path):
 
 def test_empty_set_is_unrepresentable():
     with pytest.raises(ValueError, match="empty set"):
-        EpochSet.from_epochs((), num_classes=2)
+        EpochSet(np.zeros((0, 3, 4)), [], 250.0, num_classes=2)
 
 
 def test_unknown_format_rejected(tmp_path):
@@ -81,7 +80,7 @@ def hand_packed(channels, samples, num_classes, rate, records) -> bytearray:
 def valid_bytes() -> bytearray:
     """A two-epoch 3x4 EPB1 file; each record is 8 + 1 + 48 bytes after the 28-byte header."""
     dataset = f32_quantized_set(n_per_class=1, channels=3, samples=4)
-    return hand_packed(3, 4, 2, 250.0, [(ep.label, ep.subject_id, ep.data) for ep in dataset])
+    return hand_packed(3, 4, 2, 250.0, list(zip(dataset.labels, dataset.subject_ids, dataset.data)))
 
 
 def load_bytes(blob: bytes, format: str = "binary") -> EpochSet:

@@ -9,6 +9,7 @@ import mibci.mdn as mdn_module
 import mibci.model as model_module
 from mibci.base import NotFittedError
 from mibci.epochs import derive_seed
+from mibci.mdn import MetaScheme
 from mibci.model import WalshCnnClassifier, default_structure
 from mibci.network import parse_structure
 from mibci.synthetic import SyntheticSpec, generate_synthetic
@@ -107,6 +108,25 @@ class TestDecompositions:
         assert len(clf.scheme_.members) == 3
         preds = clf.predict(X)
         assert preds.shape == (len(y),)
+
+    @pytest.mark.parametrize("scheme", ["single", "ovo", "ovr"])
+    def test_scheme_codebook_is_the_one_fit_trained_against(self, scheme, monkeypatch):
+        seen = []
+
+        def recording_train(spec, train_data, val_data, codebook, cfg):
+            seen.append(codebook)
+            return train(spec, train_data, val_data, codebook, cfg)
+
+        monkeypatch.setattr(model_module, "train", recording_train)
+        X, y = separable_arrays(num_classes=3, per_class=8)
+        clf = WalshCnnClassifier(scheme=scheme, seed=1, **{**FAST, "max_iterations": 2}).fit(X, y)
+        assert len(seen) == len(clf.scheme_.members)
+        reloaded = MetaScheme.from_json(clf.scheme_.to_json())
+        for codebook in (clf.scheme_.codebook, reloaded.codebook):
+            assert codebook.num_classes == (3 if scheme == "single" else 2)
+            for trained in seen:
+                assert np.array_equal(codebook.matrix, trained.matrix)
+                assert codebook.class_rows == trained.class_rows
 
     def test_unknown_scheme(self):
         X, y = separable_arrays(per_class=4)

@@ -23,8 +23,8 @@ def test_band_power_separates_classes_by_construction():
     )
     dataset = generate_synthetic(spec)
     powers = {1: [], 2: []}
-    for ep in dataset:
-        powers[ep.label].append(band_power(ep.data[0], spec.sampling_rate, 8.0, 12.0))
+    for label, data in zip(dataset.labels, dataset.data):
+        powers[label].append(band_power(data[0], spec.sampling_rate, 8.0, 12.0))
     assert np.mean(powers[1]) > np.mean(powers[2])
 
 
@@ -40,9 +40,9 @@ def test_pure_noise_variance_bound():
         seed=11,
     )
     dataset = generate_synthetic(spec)
-    for ep in dataset:
-        for ch in range(ep.n_channels):
-            assert 0.8 <= ep.data[ch].var() <= 1.2
+    for data in dataset.data:
+        for ch in range(dataset.n_channels):
+            assert 0.8 <= data[ch].var() <= 1.2
 
 
 def test_same_seed_identical_different_seed_differs():
@@ -71,4 +71,4 @@ def test_labels_and_shapes():
     assert dataset.num_classes == 3
     assert sorted(set(dataset.labels)) == [1, 2, 3]
     assert dataset.to_array().shape == (6, 4, 32)
-    assert all(ep.origin == "synthetic" for ep in dataset)
+    assert all(origin == "synthetic" for origin in dataset.origins)
