@@ -41,7 +41,6 @@ from .experiment import (
 )
 from .io import EpochFormatError, load_epochs, save_epochs
 from .mdn import (
-    MdnClassifier,
     MetaScheme,
     SchemeMember,
     mdn_classify,
@@ -93,7 +92,7 @@ __all__ = [
     "render_structure", "count_weights", "init_params", "forward", "mse_loss", "backward",
     "TrainConfig", "TrainReport", "TrainingDivergedError", "train",
     # classification
-    "MdnClassifier", "MetaScheme", "SchemeMember", "mdn_distances", "mdn_classify",
+    "MetaScheme", "SchemeMember", "mdn_distances", "mdn_classify",
     "scheme_predict", "WalshCnnClassifier", "default_structure",
     # metrics and statistics
     "ConfusionMatrix", "ClasswiseReport", "confusion", "classwise_metrics",

@@ -277,7 +277,7 @@ def eval_cmd(ctx, in_path, params_path):
         raise ValueError(
             f"the model has {scheme.num_classes} classes but {in_path} has {dataset.num_classes}"
         )
-    predictions = mdn.scheme_predict(dataset.to_array(), scheme, mdn.MdnClassifier(scheme.codebook))
+    predictions = mdn.scheme_predict(dataset.to_array(), scheme, scheme.codebook)
     cm = confusion(predictions, dataset.labels, dataset.num_classes)
     report = classwise_metrics(cm)
     doc = report.to_dict()

@@ -28,8 +28,8 @@ from .csp import apply_csp_set, fit_csp
 from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
 from .metrics import classwise_metrics, confusion
-from .model import WalshCnnClassifier, default_structure
-from .network import _parse_triples
+from .model import WalshCnnClassifier
+from .network import _parse_triples, render_structure
 from .stats import TTestResult, paired_ttest
 
 __all__ = [
@@ -263,12 +263,8 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
             raise LeakageError(f"run {run}: augmentation consumed epochs outside the training partition")
 
     structure = plan.structure
-    if structure is None:
-        structure = default_structure(train_set.n_channels, train_set.n_samples, plan.code_size)
-    else:
+    if structure is not None:
         structure = _adapt_structure(structure, train_set.n_channels)
-    result.structure = structure
-
     clf = WalshCnnClassifier(
         structure=structure,
         code_size=plan.code_size,
@@ -282,6 +278,7 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         seed=derive_seed(plan.master_seed, run, "train"),
     )
     clf.fit(train_set.to_array(), train_set.labels, val_set.to_array(), val_set.labels)
+    result.structure = render_structure(clf.spec_)
 
     predictions = clf.predict(test_set.to_array())
     cm = confusion(predictions, test_set.labels, dataset.num_classes)

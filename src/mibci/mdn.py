@@ -1,8 +1,8 @@
 """Minimum-distance decisions over fixed code rows, plus OVO/OVR composition.
 
-The classifier holds one code vector per class and assigns the label whose
-vector is nearest in squared Euclidean distance; its weights are fixed at
-construction and never trained. One-versus-one schemes run C(C-1)/2 member
+A :class:`~mibci.walsh.WalshCodebook` is the whole decision rule: each
+output vector of a batch gets the label whose code row is nearest in squared
+Euclidean distance, and the rows are fixed, never trained. One-versus-one schemes run C(C-1)/2 member
 networks, each a binary problem whose two classes map to code rows 1 and 2;
 one-versus-rest runs C members scored by the margin between the rest row
 and the class row.
@@ -24,7 +24,6 @@ from .network import NetworkParams, NetworkSpec, forward
 from .walsh import WalshCodebook
 
 __all__ = [
-    "MdnClassifier",
     "SchemeMember",
     "MetaScheme",
     "mdn_distances",
@@ -34,42 +33,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MdnClassifier:
-    """Nearest-code-row decision rule; ties go to the smallest class index."""
+def mdn_distances(outputs: np.ndarray, codebook: WalshCodebook) -> np.ndarray:
+    """Squared Euclidean distance from each output vector to every class row.
 
-    codebook: WalshCodebook
-
-    @property
-    def num_classes(self) -> int:
-        return self.codebook.num_classes
-
-
-def mdn_distances(output: np.ndarray, clf: MdnClassifier) -> np.ndarray:
-    """Squared Euclidean distance from an output vector to every class row.
-
-    Accepts one ``(M,)`` vector or a ``(n, M)`` batch and returns ``(C,)``
-    or ``(n, C)`` distances where column k-1 holds the distance to class k.
+    Takes an ``(n, M)`` batch and returns ``(n, C)`` distances, where column
+    k-1 holds the distance to class k.
     """
-    output = np.asarray(output, dtype=np.float64)
-    targets = clf.codebook.targets
-    if output.shape[-1] != targets.shape[1]:
+    outputs = np.asarray(outputs, dtype=np.float64)
+    targets = codebook.targets
+    if outputs.ndim != 2:
+        raise ValueError(f"expected (n, {targets.shape[1]}) outputs, got shape {outputs.shape}")
+    if outputs.shape[1] != targets.shape[1]:
         raise ValueError(
-            f"output length {output.shape[-1]} does not match code size {targets.shape[1]}"
+            f"output length {outputs.shape[1]} does not match code size {targets.shape[1]}"
         )
-    if output.ndim == 1:
-        diff = output[None, :] - targets
-        return (diff * diff).sum(axis=1)
-    diff = output[:, None, :] - targets[None, :, :]
+    diff = outputs[:, None, :] - targets[None, :, :]
     return (diff * diff).sum(axis=2)
 
 
-def mdn_classify(output: np.ndarray, clf: MdnClassifier) -> int | np.ndarray:
-    """Label of the nearest class row (argmin of :func:`mdn_distances`)."""
-    d = mdn_distances(output, clf)
-    if d.ndim == 1:
-        return int(d.argmin()) + 1
-    return d.argmin(axis=1) + 1
+def mdn_classify(outputs: np.ndarray, codebook: WalshCodebook) -> np.ndarray:
+    """``(n,)`` labels of the nearest class rows; ties go to the smallest class."""
+    return mdn_distances(outputs, codebook).argmin(axis=1) + 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +105,7 @@ class MetaScheme:
         """The code rows the members regress onto: every class's row for a
         single network, the shared two-class rows for OVO/OVR members."""
         rows = self.num_classes if self.kind == "single" else 2
-        return WalshCodebook.for_classes(rows, self.members[0].spec.output_dim)
+        return WalshCodebook(rows, self.members[0].spec.output_dim)
 
     def to_doc(self) -> dict:
         """Bundle every member's network document with its class subset."""
@@ -216,27 +200,21 @@ def tally_ovo_votes(ballots: list[tuple[tuple[int, int], np.ndarray]], num_class
     return min(tied, key=lambda c: (win_distance[c], c))
 
 
-def scheme_predict(data: np.ndarray, scheme: MetaScheme, clf: MdnClassifier) -> np.ndarray:
-    """Batch labels under any scheme kind.
+def scheme_predict(data: np.ndarray, scheme: MetaScheme, codebook: WalshCodebook) -> np.ndarray:
+    """Labels of an ``(n, channels, samples)`` batch under any scheme kind.
 
-    ``clf`` must match the decision space of the member networks: the
-    full C-class rule for a single network, the shared two-class rule for
-    OVO/OVR members.
+    ``codebook`` must match the decision space of the member networks: the
+    C-class rows for a single network, the shared two-class rows for OVO/OVR
+    members.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 2:
-        data = data[None]
     if scheme.kind == "single":
-        member = scheme.members[0]
-        out = np.atleast_2d(_member_output(member, data))
-        return np.asarray(mdn_classify(out, clf))
+        return mdn_classify(_member_output(scheme.members[0], data), codebook)
 
     distances = _map_members(
-        lambda member: mdn_distances(np.atleast_2d(_member_output(member, data)), clf),
-        scheme.members,
+        lambda member: mdn_distances(_member_output(member, data), codebook), scheme.members
     )
     member_distances = [(member.classes, d) for member, d in zip(scheme.members, distances)]
-    n = data.shape[0]
+    n = len(data)
     if scheme.kind == "ovo":
         predictions = np.empty(n, dtype=np.int64)
         for i in range(n):

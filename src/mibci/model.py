@@ -14,14 +14,7 @@ import numpy as np
 
 from .base import EstimatorMixin, NotFittedError, as_epoch_array, as_labels
 from .epochs import derive_seed
-from .mdn import (
-    MdnClassifier,
-    MetaScheme,
-    SchemeMember,
-    _map_members,
-    mdn_distances,
-    scheme_predict,
-)
+from .mdn import MetaScheme, SchemeMember, _map_members, mdn_distances, scheme_predict
 from .network import NetworkSpec, forward, parse_structure
 from .training import TrainConfig, train
 from .walsh import WalshCodebook
@@ -149,7 +142,7 @@ class WalshCnnClassifier(EstimatorMixin):
         self.train_reports_ = []
 
         if self.scheme == "single":
-            codebook = WalshCodebook.for_classes(num_classes, self.code_size)
+            codebook = WalshCodebook(num_classes, self.code_size)
             params, report = train(spec, (X, y), (X_val, y_val), codebook, self._train_config(self.seed))
             self.scheme_ = MetaScheme(
                 kind="single",
@@ -159,7 +152,7 @@ class WalshCnnClassifier(EstimatorMixin):
             self.train_reports_.append(report)
             return self
 
-        codebook = WalshCodebook.for_classes(2, self.code_size)
+        codebook = WalshCodebook(2, self.code_size)
         if self.scheme == "ovo":
             problems = [
                 (a, b)
@@ -170,6 +163,12 @@ class WalshCnnClassifier(EstimatorMixin):
             problems = [(c,) for c in self.classes_]
         else:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        missing = sorted(set(range(1, num_classes + 1)) - set(self.classes_))
+        if missing:
+            raise ValueError(
+                f"{self.scheme} over classes 1..{num_classes} needs epochs of every class; "
+                f"class(es) {missing} have none"
+            )
 
         def fit_member(k: int):
             classes = problems[k]
@@ -217,16 +216,16 @@ class WalshCnnClassifier(EstimatorMixin):
             raise ValueError("features() is defined for the single-network scheme")
         X = as_epoch_array(X)
         member = self.scheme_.members[0]
-        return np.atleast_2d(forward(member.spec, member.params, X, mode="eval"))
+        return forward(member.spec, member.params, X, mode="eval")
 
     def decision_distances(self, X) -> np.ndarray:
         """Per-class code distances (single scheme only)."""
-        return mdn_distances(self.features(X), MdnClassifier(self.scheme_.codebook))
+        return mdn_distances(self.features(X), self.scheme_.codebook)
 
     def predict(self, X) -> np.ndarray:
         self._require_fitted()
         X = as_epoch_array(X)
-        return scheme_predict(X, self.scheme_, MdnClassifier(self.scheme_.codebook))
+        return scheme_predict(X, self.scheme_, self.scheme_.codebook)
 
     def score(self, X, y) -> float:
         y = as_labels(y)

@@ -393,13 +393,11 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
 EVAL_BLOCK_EPOCHS = 128
 
 
-def _as_batch(x: np.ndarray, dtype: np.dtype) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"expected (planes, length) or (batch, planes, length), got {x.shape}")
+    if x.ndim != 3:
+        raise ValueError(f"expected a (batch, planes, length) batch, got shape {x.shape}")
+    return x
 
 
 def _forward_stack(
@@ -463,37 +461,36 @@ def forward(
     rng: np.random.Generator | None = None,
     caches: list | None = None,
 ) -> np.ndarray:
-    """Run the block stack and flatten to the output vector(s).
+    """Run the block stack over a ``(batch, planes, length)`` batch and
+    flatten to ``(batch, output_dim)`` output vectors.
 
-    A single ``(planes, length)`` epoch yields an ``(output_dim,)`` vector; a
-    batch yields ``(batch, output_dim)``. Eval mode is a pure deterministic
-    function of (params, input) and runs in blocks of at most
-    :data:`EVAL_BLOCK_EPOCHS` epochs, so its intermediates stay small however
-    large the batch, and builds none of the masks only :func:`backward`
-    reads. Passing a list as ``caches`` records every stage for
-    :func:`backward` in one whole-batch pass.
+    Eval mode is a pure deterministic function of (params, input) and runs
+    in blocks of at most :data:`EVAL_BLOCK_EPOCHS` epochs, so its
+    intermediates stay small however large the batch, and builds none of the
+    masks only :func:`backward` reads. Passing a list as ``caches`` records
+    every stage for :func:`backward` in one whole-batch pass.
     """
-    x, single = _as_batch(x, params.dtype)
-    if mode == "eval" and caches is None:
-        n = x.shape[0]
-        out = np.empty((n, spec.output_dim), dtype=params.dtype)
-        for start in range(0, n, EVAL_BLOCK_EPOCHS):
-            stop = start + EVAL_BLOCK_EPOCHS
-            out[start:stop] = _forward_stack(spec, params, x[start:stop], mode, rng, None)
-    else:
-        out = _forward_stack(spec, params, x, mode, rng, caches)
-    return out[0] if single else out
+    x = _as_batch(x, params.dtype)
+    if mode != "eval" or caches is not None:
+        return _forward_stack(spec, params, x, mode, rng, caches)
+    n = x.shape[0]
+    out = np.empty((n, spec.output_dim), dtype=params.dtype)
+    for start in range(0, n, EVAL_BLOCK_EPOCHS):
+        stop = start + EVAL_BLOCK_EPOCHS
+        out[start:stop] = _forward_stack(spec, params, x[start:stop], mode, rng, None)
+    return out
 
 
 def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error (1/M) sum (output_j - target_j)^2, meaned over a batch."""
+    """Mean squared error (1/M) sum (output_j - target_j)^2 of ``(batch, M)``
+    outputs against their targets, meaned over the batch."""
     output = np.asarray(output, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
+    if output.ndim != 2:
+        raise ValueError(f"expected (batch, M) outputs, got shape {output.shape}")
     if output.shape != target.shape:
         raise ValueError(f"length mismatch: {output.shape} vs {target.shape}")
     diff = output - target
-    if diff.ndim == 1:
-        return float(np.mean(diff * diff))
     return float(np.mean(np.sum(diff * diff, axis=1) / diff.shape[1]))
 
 
@@ -511,15 +508,14 @@ def backward(
     (``gamma``/``beta`` entries only where the block has batchnorm), plus the
     loss at the evaluated point.
     """
-    x, _ = _as_batch(x, params.dtype)
-    targets = np.atleast_2d(np.asarray(targets, dtype=params.dtype))
+    x = _as_batch(x, params.dtype)
+    targets = np.asarray(targets, dtype=params.dtype)
     if targets.shape != (x.shape[0], spec.output_dim):
         raise ValueError(
             f"targets must be (batch, {spec.output_dim}), got {targets.shape}"
         )
     caches: list = []
     out = forward(spec, params, x, mode=mode, rng=rng, caches=caches)
-    out = np.atleast_2d(out)
     batch, m = out.shape
     diff = out - targets
     loss = float(np.mean(np.sum(diff * diff, axis=1) / m))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdn import MdnClassifier, mdn_classify
+from .mdn import mdn_classify
 from .metrics import divergence
 from .network import NetworkParams, NetworkSpec, backward, forward, init_params, mse_loss
 from .walsh import WalshCodebook
@@ -24,6 +24,11 @@ __all__ = ["TrainConfig", "TrainReport", "TrainingDivergedError", "train"]
 # Training data, targets and parameters are converted to this dtype, so the
 # network computes in it and the returned parameters keep it.
 TRAIN_DTYPE = np.float32
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,9 +40,6 @@ class TrainConfig:
     """Optimizer and stopping knobs."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_iterations: int = 500
     patience: int = 20
@@ -46,8 +48,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.batch_size < 1:
             raise ValueError("learning_rate and batch_size must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
         if self.max_iterations < 1 or self.patience < 1:
             raise ValueError("max_iterations and patience must be >= 1")
 
@@ -90,22 +90,21 @@ class _Adam:
 
     def __init__(self, arrays: list[np.ndarray], cfg: TrainConfig):
         self.arrays = arrays
-        self.cfg = cfg
+        self.learning_rate = cfg.learning_rate
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
-        cfg = self.cfg
         self.t += 1
-        correction1 = 1.0 - cfg.beta1**self.t
-        correction2 = 1.0 - cfg.beta2**self.t
+        correction1 = 1.0 - ADAM_BETA1**self.t
+        correction2 = 1.0 - ADAM_BETA2**self.t
         for a, g, m, v in zip(self.arrays, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            a -= cfg.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + cfg.adam_eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            a -= self.learning_rate * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
 def _as_arrays(data: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -115,10 +114,17 @@ def _as_arrays(data: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def _feature_divergence(spec, params, X, y) -> float | None:
     try:
-        feats = np.atleast_2d(forward(spec, params, X, mode="eval"))
-        return divergence(feats, y)
+        return divergence(forward(spec, params, X, mode="eval"), y)
     except (ValueError, np.linalg.LinAlgError):
         return None
+
+
+def _code_targets(codebook: WalshCodebook, y: np.ndarray) -> np.ndarray:
+    """The code row of every label; a label outside 1..C raises ``ValueError``."""
+    outside = y[(y < 1) | (y > codebook.num_classes)]
+    if outside.size:
+        raise ValueError(f"label {outside[0]} has no assigned code row")
+    return codebook.targets[y - 1]
 
 
 def train(
@@ -135,8 +141,8 @@ def train(
     spec : NetworkSpec
         Its flattened output size must equal the codebook size.
     train_data, val_data : (X, y) pair
-        Non-empty training and validation data with 1-based labels covered
-        by the codebook's class assignment.
+        Non-empty training and validation data with labels in
+        1..``codebook.num_classes``.
     codebook : WalshCodebook
         Fixed targets; never updated by training.
     cfg : TrainConfig
@@ -164,8 +170,8 @@ def train(
         )
     spec.validate_io(X_train.shape[1], X_train.shape[2])
 
-    targets_train = np.stack([codebook.target(int(lbl)) for lbl in y_train], dtype=TRAIN_DTYPE)
-    targets_val = np.stack([codebook.target(int(lbl)) for lbl in y_val])
+    targets_train = _code_targets(codebook, y_train).astype(TRAIN_DTYPE)
+    targets_val = _code_targets(codebook, y_val)
 
     seed_root = np.random.SeedSequence(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     init_seed, shuffle_seed, dropout_seed = (int(s.generate_state(1)[0]) for s in seed_root.spawn(3))
@@ -198,9 +204,9 @@ def train(
             optimizer.step(flat)
         train_loss = total / n
 
-        val_out = np.atleast_2d(forward(spec, params, X_val, mode="eval"))
+        val_out = forward(spec, params, X_val, mode="eval")
         val_loss = mse_loss(val_out, targets_val)
-        val_acc = np.mean(mdn_classify(val_out, MdnClassifier(codebook)) == y_val)
+        val_acc = np.mean(mdn_classify(val_out, codebook) == y_val)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at iteration {iteration}")
 

@@ -8,8 +8,7 @@ code length allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -52,60 +51,27 @@ def hamming(u: Sequence[int] | np.ndarray, v: Sequence[int] | np.ndarray) -> int
 
 @dataclass(frozen=True)
 class WalshCodebook:
-    """A binary code matrix plus the class -> row assignment.
+    """The fixed class targets: class ``c`` (1-based) regresses onto Walsh row ``c``.
 
-    Class ``c`` (1-based) is assigned matrix row ``c``; row 0 is the all-ones
-    row and is never used as a class target, so every pair of class targets
-    keeps the full ``size / 2`` Hamming separation and none is constant.
+    Row 0 is the all-ones row and is never a class target, so every pair of
+    class targets keeps the full ``size / 2`` Hamming separation and none is
+    constant. ``targets`` is the read-only ``(num_classes, size)`` float64
+    matrix whose row ``c - 1`` is Walsh row ``c``; the nearest target in
+    squared Euclidean distance is the decision (see :mod:`mibci.mdn`).
     """
 
-    matrix: np.ndarray
-    class_rows: dict[int, int]
+    num_classes: int
+    size: int = 16
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("codebook matrix must be square")
-        if not np.array_equal(m[0], np.ones(m.shape[1], dtype=m.dtype)):
-            raise ValueError("row 0 of the code matrix must be all ones")
-        rows = list(self.class_rows.values())
-        if len(set(rows)) != len(rows):
-            raise ValueError("class -> row assignment must be injective")
-        if 0 in rows:
-            raise ValueError("the constant row 0 cannot serve as a class target")
-        if any(not 0 < r < m.shape[0] for r in rows):
-            raise ValueError("assigned row index out of range")
-
-    @classmethod
-    def for_classes(cls, num_classes: int, size: int = 16) -> "WalshCodebook":
-        """Build a codebook assigning classes 1..num_classes to rows 1..num_classes."""
-        if num_classes < 1:
+        if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        if num_classes + 1 > size:
+        if self.num_classes + 1 > self.size:
             raise ValueError(
-                f"code size {size} too small for {num_classes} classes "
+                f"code size {self.size} too small for {self.num_classes} classes "
                 "(the constant row is reserved)"
             )
-        matrix = build_walsh(size)
-        return cls(matrix=matrix, class_rows={c: c for c in range(1, num_classes + 1)})
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_rows)
-
-    def target(self, label: int) -> np.ndarray:
-        """The binary code vector assigned to a class label (float64 copy)."""
-        if label not in self.class_rows:
-            raise ValueError(f"label {label} has no assigned code row")
-        return self.matrix[self.class_rows[label]].astype(np.float64)
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """Stacked ``(num_classes, size)`` float64 target matrix, row c-1 = class c."""
-        out = np.stack([self.target(c) for c in sorted(self.class_rows)])
-        out.setflags(write=False)
-        return out
+        targets = build_walsh(self.size)[1 : self.num_classes + 1].astype(np.float64)
+        targets.setflags(write=False)
+        object.__setattr__(self, "targets", targets)

@@ -50,9 +50,9 @@ def numeric_gradients(spec, params, x, targets, h: float = 1e-5, mode: str = "ev
             for idx in np.ndindex(*arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = mse_loss(np.atleast_2d(forward(spec, params, x, mode=mode)), targets)
+                lp = mse_loss(forward(spec, params, x, mode=mode), targets)
                 arr[idx] = orig - h
-                lm = mse_loss(np.atleast_2d(forward(spec, params, x, mode=mode)), targets)
+                lm = mse_loss(forward(spec, params, x, mode=mode), targets)
                 arr[idx] = orig
                 g[idx] = (lp - lm) / (2 * h)
             entry[name] = g
@@ -65,8 +65,6 @@ def masked_eval_forward(spec, params, x, mode: str = "eval"):
     dropout and pool masks, in blocks of EVAL_BLOCK_EPOCHS as ``forward``
     runs them."""
     x = np.asarray(x, dtype=params.dtype)
-    if x.ndim == 2:
-        return masked_eval_forward(spec, params, x[None], mode)[0]
     return np.concatenate([
         forward(spec, params, x[start : start + EVAL_BLOCK_EPOCHS], mode=mode, caches=[])
         for start in range(0, len(x), EVAL_BLOCK_EPOCHS)

@@ -14,7 +14,7 @@ from mibci.augment import AugmentConfig, augment_set, zero_mean
 from mibci.csp import fit_csp
 from mibci.epochs import EpochSet
 from mibci.experiment import ExperimentPlan, run_experiment
-from mibci.mdn import MdnClassifier, MetaScheme, SchemeMember, mdn_classify, scheme_predict
+from mibci.mdn import MetaScheme, SchemeMember, mdn_classify, scheme_predict
 from mibci.metrics import divergence, kappa_balanced
 from mibci.network import (
     ConvBlockSpec,
@@ -44,7 +44,7 @@ def test_criterion_1_walsh_fidelity():
             for i in range(size):
                 for j in range(i + 1, size):
                     assert hamming(rows[i], rows[j]) == size // 2
-    targets = WalshCodebook.for_classes(2, 16).targets
+    targets = WalshCodebook(2, 16).targets
     assert np.array_equal(targets[0], np.array([1, 0] * 8, dtype=float))
     assert np.array_equal(targets[1], np.array([1, 1, 0, 0] * 4, dtype=float))
     assert time.perf_counter() - start < 1.0
@@ -303,14 +303,13 @@ def test_criterion_9_divergence_behavior(synthetic_e2e_runs):
 
 @pytest.mark.criterion(10, "MDN equals brute force on 10,000 vectors; OVO(2) equals single net")
 def test_criterion_10_mdn_equivalence():
-    codebook = WalshCodebook.for_classes(4, 16)
-    clf = MdnClassifier(codebook)
+    codebook = WalshCodebook(4, 16)
     rng = np.random.default_rng(555)
     smooth = rng.uniform(0.0, 1.0, size=(8000, 16))
     binary = rng.integers(0, 2, size=(2000, 16)).astype(float)  # engineered distance ties
     outputs = np.vstack([smooth, binary])
     assert outputs.shape[0] == 10_000
-    predicted = mdn_classify(outputs, clf)
+    predicted = mdn_classify(outputs, codebook)
     targets = codebook.targets
     for i in range(outputs.shape[0]):
         best_label, best_distance = 0, np.inf
@@ -322,14 +321,13 @@ def test_criterion_10_mdn_equivalence():
 
     spec = parse_structure("3,5,8 / 8,16,16", input_length=32, output_dim=16, dropout_p=0.0)
     params = init_params(spec, seed=777)
-    two_class = WalshCodebook.for_classes(2, 16)
-    clf2 = MdnClassifier(two_class)
+    two_class = WalshCodebook(2, 16)
     scheme = MetaScheme(
         kind="ovo",
         num_classes=2,
         members=(SchemeMember(classes=(1, 2), spec=spec, params=params),),
     )
     fixtures = rng.normal(size=(1000, 3, 32))
-    single = mdn_classify(np.atleast_2d(forward(spec, params, fixtures, mode="eval")), clf2)
+    single = mdn_classify(forward(spec, params, fixtures, mode="eval"), two_class)
     for i in range(1000):
-        assert scheme_predict(fixtures[i], scheme, clf2)[0] == single[i]
+        assert scheme_predict(fixtures[i : i + 1], scheme, two_class)[0] == single[i]

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import mibci.io as io_module
 import mibci.mdn as mdn_module
 from mibci.cli import main
 from mibci.experiment import ExperimentPlan
@@ -173,6 +174,29 @@ class TestTrainEval:
         )
         assert code == 0, err
         assert sum(map(sum, json.loads((tmp_path / "eval.json").read_text())["confusion"])) == 24
+
+    @pytest.mark.parametrize("kind", ["ovo", "ovr"])
+    def test_train_rejects_a_file_missing_a_class(self, kind, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("mibci.model.train", lambda *args: calls.append(args))
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "3", "synth", *SYNTH_ARGS, "--classes", "3"], capsys
+        )
+        assert code == 0, err
+        data = load_epochs(tmp_path / "synthetic.epb")
+        gapped = tmp_path / "gapped.epb"
+        # save_epochs refuses a set with an empty class; the format itself allows one
+        io_module._save_binary(data.subset(np.flatnonzero(data.labels != 2)), gapped)
+        assert load_epochs(gapped).class_counts().tolist() == [8, 0, 8]
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(gapped), "--scheme", kind,
+             *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 1
+        assert "class(es) [2] have none" in err
+        assert calls == []
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("kind, model_classes, file_classes", [("single", 2, 3), ("ovo", 3, 2)])
     def test_eval_rejects_a_class_count_mismatch(self, kind, model_classes, file_classes, tmp_path, capsys):

@@ -17,6 +17,7 @@ from mibci.experiment import (
     run_experiment,
     run_matrix,
 )
+from mibci.model import default_structure
 from mibci.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import plant_training_copy
@@ -111,6 +112,12 @@ class TestRunExperiment:
         assert report.runs[0].structure.startswith("2,")
         nts = run_experiment(tiny_plan(n_runs=1), tiny_dataset)
         assert nts.runs[0].structure.startswith("3,")
+
+    def test_plan_without_structure_records_the_classifier_default(self, tiny_dataset):
+        for transform, channels in (("NTS", 3), ("TS", 2)):
+            run = run_experiment(tiny_plan(transform=transform, structure=None, n_runs=1), tiny_dataset).runs[0]
+            assert run.error is None
+            assert run.structure == default_structure(channels, 16, 16)
 
     def test_aggregates_match_runs(self, tiny_dataset):
         report = run_experiment(tiny_plan(), tiny_dataset)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import mibci.mdn as mdn_module
 from mibci.mdn import (
-    MdnClassifier,
     MetaScheme,
     SchemeMember,
     mdn_classify,
@@ -22,61 +21,69 @@ from mibci.mdn import (
     tally_ovo_votes,
 )
 from mibci.network import ConvBlockSpec, NetworkSpec, forward, init_params, parse_structure
-from mibci.walsh import WalshCodebook, build_walsh
-
-
-def clf_for(num_classes: int, size: int = 16) -> MdnClassifier:
-    return MdnClassifier(WalshCodebook.for_classes(num_classes, size))
+from mibci.walsh import WalshCodebook
 
 
 class TestDistances:
     def test_exact_code_row_is_zero(self):
-        clf = clf_for(2)
-        d = mdn_distances(clf.codebook.target(2), clf)
+        codebook = WalshCodebook(2)
+        (d,) = mdn_distances(codebook.targets[1:2], codebook)
         assert d[1] == 0.0
         assert d[0] == 8.0  # M/2 for binary rows
 
     def test_hand_oracle_case(self):
         # distances computed with the direct summation oracle ahead of time
-        matrix = build_walsh(4)
-        clf = MdnClassifier(WalshCodebook(matrix=matrix, class_rows={1: 1, 2: 2}))
-        d = mdn_distances(np.array([1.0, 0.0, 0.0, 0.0]), clf)
-        assert np.array_equal(d, np.array([1.0, 1.0]))
+        d = mdn_distances(np.array([[1.0, 0.0, 0.0, 0.0]]), WalshCodebook(2, 4))
+        assert np.array_equal(d, np.array([[1.0, 1.0]]))
 
     def test_all_zero_output_is_half_size_from_every_row(self):
-        clf = clf_for(4, 16)
-        d = mdn_distances(np.zeros(16), clf)
-        assert np.array_equal(d, np.full(4, 8.0))
+        d = mdn_distances(np.zeros((3, 16)), WalshCodebook(4, 16))
+        assert np.array_equal(d, np.full((3, 4), 8.0))
 
     def test_binary_vectors_reduce_to_hamming(self):
-        clf = clf_for(4, 16)
+        codebook = WalshCodebook(4, 16)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.integers(0, 2, size=16).astype(float)
-            d = mdn_distances(v, clf)
+        vs = rng.integers(0, 2, size=(50, 16)).astype(float)
+        d = mdn_distances(vs, codebook)
+        for i, v in enumerate(vs):
             for k in range(4):
-                assert d[k] == np.count_nonzero(v != clf.codebook.target(k + 1))
+                assert d[i, k] == np.count_nonzero(v != codebook.targets[k])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            mdn_distances(np.zeros(8), clf_for(2, 16))
+            mdn_distances(np.zeros((1, 8)), WalshCodebook(2, 16))
+
+
+class TestBatchesOnly:
+    """Decisions take batches; a bare single vector or epoch is refused, naming the shape."""
+
+    @pytest.mark.parametrize("fn", [mdn_distances, mdn_classify])
+    def test_single_output_vector_rejected(self, fn):
+        with pytest.raises(ValueError, match=r"expected \(n, 16\) outputs, got shape \(16,\)"):
+            fn(np.zeros(16), WalshCodebook(2))
+
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    def test_single_epoch_rejected_by_scheme_predict(self, kind):
+        scheme = random_scheme(kind, num_classes=3, seed=50)
+        codebook = WalshCodebook(3 if kind == "single" else 2)
+        with pytest.raises(ValueError, match=r"\(batch, planes, length\) batch, got shape \(2, 64\)"):
+            scheme_predict(np.zeros((2, 64)), scheme, codebook)
 
 
 class TestClassify:
     def test_exact_row_wins(self):
-        clf = clf_for(4)
-        assert mdn_classify(clf.codebook.target(3), clf) == 3
+        codebook = WalshCodebook(4)
+        assert mdn_classify(codebook.targets[2:3], codebook).tolist() == [3]
 
     def test_equidistant_breaks_to_smallest_index(self):
-        clf = clf_for(4)
-        assert mdn_classify(np.zeros(16), clf) == 1
+        assert mdn_classify(np.zeros((1, 16)), WalshCodebook(4)).tolist() == [1]
 
     def test_matches_brute_force_scan(self):
-        clf = clf_for(4)
+        codebook = WalshCodebook(4)
         rng = np.random.default_rng(1)
         outputs = rng.uniform(0, 1, size=(2000, 16))
-        predicted = mdn_classify(outputs, clf)
-        targets = clf.codebook.targets
+        predicted = mdn_classify(outputs, codebook)
+        targets = codebook.targets
         for i in range(len(outputs)):
             best, best_d = None, np.inf
             for k in range(4):
@@ -89,9 +96,8 @@ class TestClassify:
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_positive_scaling_of_outputs_only_rescales_geometry(self, a):
         # argmin of distances is invariant to scaling all distances
-        clf = clf_for(3)
-        out = np.random.default_rng(5).uniform(0, 1, 16)
-        d = mdn_distances(out, clf)
+        out = np.random.default_rng(5).uniform(0, 1, (1, 16))
+        (d,) = mdn_distances(out, WalshCodebook(3))
         assert np.argmin(d * a) == np.argmin(d)
 
 
@@ -114,24 +120,24 @@ def constant_output_member(classes, value_row: np.ndarray) -> SchemeMember:
 
 class TestOvo:
     def test_member_count_enforced(self):
-        clf = clf_for(2)
-        row = clf.codebook.target(1)
+        two_class = WalshCodebook(2)
+        row = two_class.targets[0]
         members = tuple(constant_output_member(p, row) for p in [(1, 2), (1, 3), (2, 3)])
         MetaScheme(kind="ovo", num_classes=3, members=members)
         with pytest.raises(ValueError, match="6 member"):
             MetaScheme(kind="ovo", num_classes=4, members=members)
 
     def test_majority_vote(self):
-        clf = clf_for(2)
-        r1, r2 = clf.codebook.target(1), clf.codebook.target(2)
+        two_class = WalshCodebook(2)
+        r1, r2 = two_class.targets[0], two_class.targets[1]
         members = (
             constant_output_member((1, 2), r1),  # votes 1
             constant_output_member((1, 3), r1),  # votes 1
             constant_output_member((2, 3), r2),  # votes 3
         )
         scheme = MetaScheme(kind="ovo", num_classes=3, members=members)
-        x = np.zeros((2, 8))
-        assert scheme_predict(x, scheme, clf)[0] == 1
+        x = np.zeros((1, 2, 8))
+        assert scheme_predict(x, scheme, two_class)[0] == 1
 
     def test_tally_matches_brute_force(self):
         rng = np.random.default_rng(3)
@@ -163,22 +169,22 @@ class TestOvo:
         ],
     )
     def test_members_must_be_each_pair_once(self, pairs):
-        clf = clf_for(2)
-        members = tuple(constant_output_member(p, clf.codebook.target(1)) for p in pairs)
+        two_class = WalshCodebook(2)
+        members = tuple(constant_output_member(p, two_class.targets[0]) for p in pairs)
         with pytest.raises(ValueError, match="each pair"):
             MetaScheme(kind="ovo", num_classes=3, members=members)
 
     def test_pair_order_is_free(self):
-        clf = clf_for(2)
+        two_class = WalshCodebook(2)
         pairs = [(2, 1), (1, 3), (3, 2)]
-        members = tuple(constant_output_member(p, clf.codebook.target(1)) for p in pairs)
+        members = tuple(constant_output_member(p, two_class.targets[0]) for p in pairs)
         MetaScheme(kind="ovo", num_classes=3, members=members)
 
 
 class TestOvr:
     def test_dominant_network_wins(self):
-        clf = clf_for(2)
-        class_row, rest_row = clf.codebook.target(1), clf.codebook.target(2)
+        two_class = WalshCodebook(2)
+        class_row, rest_row = two_class.targets[0], two_class.targets[1]
         members = (
             constant_output_member((1,), rest_row),   # on the rest side
             constant_output_member((2,), class_row),  # confidently class 2
@@ -186,34 +192,34 @@ class TestOvr:
             constant_output_member((4,), rest_row),
         )
         scheme = MetaScheme(kind="ovr", num_classes=4, members=members)
-        assert scheme_predict(np.zeros((2, 8)), scheme, clf)[0] == 2
+        assert scheme_predict(np.zeros((1, 2, 8)), scheme, two_class)[0] == 2
 
     def test_member_count_is_num_classes(self):
-        clf = clf_for(2)
-        members = tuple(constant_output_member((c,), clf.codebook.target(1)) for c in (1, 2, 3))
+        two_class = WalshCodebook(2)
+        members = tuple(constant_output_member((c,), two_class.targets[0]) for c in (1, 2, 3))
         with pytest.raises(ValueError, match="4 member"):
             MetaScheme(kind="ovr", num_classes=4, members=members)
         MetaScheme(kind="ovr", num_classes=3, members=members)
 
     def test_score_margins_match_direct_arithmetic(self):
-        clf = clf_for(2)
+        two_class = WalshCodebook(2)
         rng = np.random.default_rng(8)
         outputs = [rng.uniform(0, 1, 16) for _ in range(3)]
         members = tuple(constant_output_member((c + 1,), outputs[c]) for c in range(3))
         scheme = MetaScheme(kind="ovr", num_classes=3, members=members)
-        got = scheme_predict(np.zeros((2, 8)), scheme, clf)[0]
-        t1, t2 = clf.codebook.target(1), clf.codebook.target(2)
+        got = scheme_predict(np.zeros((1, 2, 8)), scheme, two_class)[0]
+        t1, t2 = two_class.targets[0], two_class.targets[1]
         scores = [
             float(((o - t2) ** 2).sum() - ((o - t1) ** 2).sum()) for o in outputs
         ]
         assert got == int(np.argmax(scores)) + 1
 
     def test_tie_breaks_to_smallest_index(self):
-        clf = clf_for(2)
-        row = clf.codebook.target(1)
+        two_class = WalshCodebook(2)
+        row = two_class.targets[0]
         members = tuple(constant_output_member((c,), row) for c in (1, 2))
         scheme = MetaScheme(kind="ovr", num_classes=2, members=members)
-        assert scheme_predict(np.zeros((2, 8)), scheme, clf)[0] == 1
+        assert scheme_predict(np.zeros((1, 2, 8)), scheme, two_class)[0] == 1
 
     @pytest.mark.parametrize(
         "classes",
@@ -225,8 +231,8 @@ class TestOvr:
         ],
     )
     def test_members_must_cover_each_label_once(self, classes):
-        clf = clf_for(2)
-        members = tuple(constant_output_member(c, clf.codebook.target(1)) for c in classes)
+        two_class = WalshCodebook(2)
+        members = tuple(constant_output_member(c, two_class.targets[0]) for c in classes)
         with pytest.raises(ValueError, match="one label each"):
             MetaScheme(kind="ovr", num_classes=3, members=members)
 
@@ -234,7 +240,7 @@ class TestOvr:
 class TestSingle:
     @pytest.mark.parametrize("classes", [(1, 2), (1, 2, 4), (0, 1, 2)])
     def test_member_must_hold_every_class(self, classes):
-        row = clf_for(3).codebook.target(1)
+        row = WalshCodebook(3).targets[0]
         MetaScheme(kind="single", num_classes=3, members=(constant_output_member((1, 2, 3), row),))
         with pytest.raises(ValueError, match="every label in 1..3"):
             MetaScheme(kind="single", num_classes=3, members=(constant_output_member(classes, row),))
@@ -242,7 +248,7 @@ class TestSingle:
 
 class TestSchemeSerialization:
     def test_json_round_trip_preserves_predictions(self):
-        clf = clf_for(2)
+        two_class = WalshCodebook(2)
         rng = np.random.default_rng(10)
         members = tuple(
             constant_output_member(p, rng.uniform(0, 1, 16)) for p in [(1, 2), (1, 3), (2, 3)]
@@ -252,7 +258,7 @@ class TestSchemeSerialization:
         assert restored.kind == "ovo"
         assert [m.classes for m in restored.members] == [(1, 2), (1, 3), (2, 3)]
         x = rng.normal(size=(5, 2, 8))
-        assert np.array_equal(scheme_predict(x, scheme, clf), scheme_predict(x, restored, clf))
+        assert np.array_equal(scheme_predict(x, scheme, two_class), scheme_predict(x, restored, two_class))
 
 
     @staticmethod
@@ -331,19 +337,19 @@ class TestSchemeDocuments:
 
 class TestSchemePredict:
     def test_matches_per_sample_functions(self):
-        clf = clf_for(2)
+        two_class = WalshCodebook(2)
         rng = np.random.default_rng(11)
         pairs = [(1, 2), (1, 3), (2, 3)]
         members = tuple(constant_output_member(p, rng.uniform(0, 1, 16)) for p in pairs)
         ovo = MetaScheme(kind="ovo", num_classes=3, members=members)
         x = rng.normal(size=(4, 2, 8))
-        batch = scheme_predict(x, ovo, clf)
-        assert [scheme_predict(x[i], ovo, clf)[0] for i in range(4)] == batch.tolist()
+        batch = scheme_predict(x, ovo, two_class)
+        assert [scheme_predict(x[i : i + 1], ovo, two_class)[0] for i in range(4)] == batch.tolist()
 
         ovr_members = tuple(constant_output_member((c,), rng.uniform(0, 1, 16)) for c in (1, 2, 3))
         ovr = MetaScheme(kind="ovr", num_classes=3, members=ovr_members)
-        batch = scheme_predict(x, ovr, clf)
-        assert [scheme_predict(x[i], ovr, clf)[0] for i in range(4)] == batch.tolist()
+        batch = scheme_predict(x, ovr, two_class)
+        assert [scheme_predict(x[i : i + 1], ovr, two_class)[0] for i in range(4)] == batch.tolist()
 
 
 @pytest.fixture()
@@ -376,12 +382,12 @@ def random_scheme(kind: str, num_classes: int, seed: int) -> MetaScheme:
     return MetaScheme(kind=kind, num_classes=num_classes, members=members)
 
 
-def sequential_predict(x: np.ndarray, scheme: MetaScheme, clf: MdnClassifier) -> np.ndarray:
+def sequential_predict(x: np.ndarray, scheme: MetaScheme, codebook: WalshCodebook) -> np.ndarray:
     """The decision rules applied member by member on one thread."""
     outputs = [forward(m.spec, m.params, x, mode="eval") for m in scheme.members]
     if scheme.kind == "single":
-        return mdn_classify(outputs[0], clf)
-    distances = [mdn_distances(out, clf) for out in outputs]
+        return mdn_classify(outputs[0], codebook)
+    distances = [mdn_distances(out, codebook) for out in outputs]
     if scheme.kind == "ovo":
         return np.array([
             tally_ovo_votes([(m.classes, d[i]) for m, d in zip(scheme.members, distances)],
@@ -398,10 +404,10 @@ class TestConcurrentMembers:
     @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
     def test_threaded_predict_matches_sequential_reference(self, kind, pools):
         scheme = random_scheme(kind, num_classes=4, seed=30)
-        clf = clf_for(4 if kind == "single" else 2)
+        codebook = WalshCodebook(4 if kind == "single" else 2)
         x = np.random.default_rng(31).normal(size=(150, 2, 64))
-        predicted = scheme_predict(x, scheme, clf)
-        expected = sequential_predict(x, scheme, clf)
+        predicted = scheme_predict(x, scheme, codebook)
+        expected = sequential_predict(x, scheme, codebook)
         assert np.array_equal(predicted, expected)
         assert len(np.unique(expected)) > 1
         assert pools == ([] if kind == "single" else [4])
@@ -437,7 +443,8 @@ class TestConcurrentMembers:
         monkeypatch.setattr(mdn_module, "ThreadPoolExecutor", no_pool)
         scheme = random_scheme("ovo", num_classes=3, seed=40)
         x = np.random.default_rng(41).normal(size=(6, 2, 64))
-        assert np.array_equal(scheme_predict(x, scheme, clf_for(2)), sequential_predict(x, scheme, clf_for(2)))
+        two_class = WalshCodebook(2)
+        assert np.array_equal(scheme_predict(x, scheme, two_class), sequential_predict(x, scheme, two_class))
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

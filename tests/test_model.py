@@ -64,6 +64,14 @@ class TestSingleScheme:
         assert clf.features(X).shape == (len(y), 16)
         assert clf.decision_distances(X).shape == (len(y), 2)
 
+    def test_estimator_accepts_a_single_epoch(self):
+        X, y = separable_arrays()
+        clf = WalshCnnClassifier(seed=1, **{**FAST, "max_iterations": 2}).fit(X, y)
+        assert np.array_equal(clf.predict(X[3]), clf.predict(X[3:4]))
+        assert np.array_equal(clf.features(X[3]), clf.features(X[3:4]))
+        assert np.array_equal(clf.decision_distances(X[3]), clf.decision_distances(X[3:4]))
+        assert clf.decision_distances(X[3]).shape == (1, 2)
+
     def test_explicit_validation_set(self):
         X, y = separable_arrays()
         clf = WalshCnnClassifier(seed=0, **FAST)
@@ -125,8 +133,30 @@ class TestDecompositions:
         for codebook in (clf.scheme_.codebook, reloaded.codebook):
             assert codebook.num_classes == (3 if scheme == "single" else 2)
             for trained in seen:
-                assert np.array_equal(codebook.matrix, trained.matrix)
-                assert codebook.class_rows == trained.class_rows
+                assert codebook == trained
+                assert np.array_equal(codebook.targets, trained.targets)
+
+    @pytest.mark.parametrize("scheme", ["ovo", "ovr"])
+    def test_missing_class_rejected_before_any_training(self, scheme, monkeypatch):
+        calls = []
+
+        def recording_train(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "train", recording_train)
+        X, y = separable_arrays(num_classes=3, per_class=8)
+        keep = y != 2
+        with pytest.raises(ValueError, match=r"class\(es\) \[2\] have none"):
+            WalshCnnClassifier(scheme=scheme, seed=1, **FAST).fit(X[keep], y[keep])
+        assert calls == []
+
+    def test_single_scheme_still_fits_with_a_missing_class(self):
+        X, y = separable_arrays(num_classes=3, per_class=8)
+        keep = y != 2
+        clf = WalshCnnClassifier(seed=1, **{**FAST, "max_iterations": 2}).fit(X[keep], y[keep])
+        assert clf.scheme_.num_classes == 3
+        assert set(np.unique(clf.predict(X))) <= {1, 2, 3}
 
     def test_unknown_scheme(self):
         X, y = separable_arrays(per_class=4)
@@ -151,7 +181,7 @@ class TestConcurrentMembers:
         problems = [(1, 2), (1, 3), (2, 3)] if scheme == "ovo" else [(1,), (2,), (3,)]
         assert [m.classes for m in clf.scheme_.members] == problems
         assert len(clf.train_reports_) == len(problems)
-        codebook = WalshCodebook.for_classes(2, 16)
+        codebook = WalshCodebook(2, 16)
 
         def binary(labels, classes):
             keep = np.isin(labels, classes) if len(classes) == 2 else np.ones(len(labels), bool)

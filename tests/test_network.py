@@ -112,15 +112,15 @@ class TestForward:
     def test_table7_s1_produces_code_vector(self):
         spec = parse_structure(TABLE7_S1, input_channels=2, input_length=251, output_dim=16)
         params = init_params(spec, seed=0)
-        out = forward(spec, params, np.random.default_rng(1).normal(size=(2, 251)))
-        assert out.shape == (16,)
+        out = forward(spec, params, np.random.default_rng(1).normal(size=(1, 2, 251)))
+        assert out.shape == (1, 16)
         assert np.all(out >= 0)
 
     def test_zero_input_zero_biases_zero_output(self):
         spec = parse_structure(TABLE7_S1, output_dim=16)
         params = init_params(spec, seed=0)
-        out = forward(spec, params, np.zeros((2, 251)))
-        assert np.array_equal(out, np.zeros(16))
+        out = forward(spec, params, np.zeros((1, 2, 251)))
+        assert np.array_equal(out, np.zeros((1, 16)))
 
     def test_outputs_always_nonnegative(self):
         spec = parse_structure("3,5,8 / 8,16,16", input_length=32, output_dim=16)
@@ -134,7 +134,7 @@ class TestForward:
         spec = parse_structure("2,7,8 / 8,300,16", output_dim=16)
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError, match="layer 2"):
-            forward(spec, params, np.zeros((2, 64)))
+            forward(spec, params, np.zeros((1, 2, 64)))
 
     def test_eval_mode_deterministic(self):
         spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16, dropout_p=0.5)
@@ -240,7 +240,7 @@ class TestMaskFreeEval:
         params = trained_looking_params(spec, seed=4)
         x = np.random.default_rng(5).normal(size=(6, 3, 32))
         expected = masked_eval_forward(spec, params, x)
-        expected_single = masked_eval_forward(spec, params, x[0])
+        expected_single = masked_eval_forward(spec, params, x[:1])
 
         def training_only(*args, **kwargs):
             raise AssertionError("an eval forward built a training mask")
@@ -248,28 +248,44 @@ class TestMaskFreeEval:
         for name in ("relu_forward", "maxpool_forward", "dropout_forward"):
             monkeypatch.setattr(network_module.layers, name, training_only)
         assert np.array_equal(forward(spec, params, x), expected)
-        assert np.array_equal(forward(spec, params, x[0]), expected_single)
+        assert np.array_equal(forward(spec, params, x[:1]), expected_single)
 
 
 class TestMseLoss:
     def test_equal_is_zero(self):
-        v = np.arange(8.0)
+        v = np.arange(8.0).reshape(2, 4)
         assert mse_loss(v, v) == 0.0
 
     def test_half_ones_target(self):
-        target = np.array([1.0] * 8 + [0.0] * 8)
-        assert mse_loss(np.zeros(16), target) == pytest.approx(0.5)
+        target = np.array([[1.0] * 8 + [0.0] * 8])
+        assert mse_loss(np.zeros((1, 16)), target) == pytest.approx(0.5)
 
     def test_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(6)
-        a = rng.normal(size=16)
-        b = rng.normal(size=16)
-        direct = sum((x - y) ** 2 for x, y in zip(a, b)) / 16
+        a = rng.normal(size=(3, 16))
+        b = rng.normal(size=(3, 16))
+        direct = sum((x - y) ** 2 for x, y in zip(a.ravel(), b.ravel())) / (3 * 16)
         assert abs(mse_loss(a, b) - direct) <= 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            mse_loss(np.zeros(4), np.zeros(5))
+            mse_loss(np.zeros((1, 4)), np.zeros((1, 5)))
+
+
+class TestBatchesOnly:
+    """A single epoch is a batch of one; its bare 2-D (or 1-D output) form is refused."""
+
+    def test_forward_rejects_a_single_epoch(self):
+        spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16)
+        params = init_params(spec, seed=0)
+        with pytest.raises(ValueError, match=r"\(batch, planes, length\) batch, got shape \(2, 32\)"):
+            forward(spec, params, np.zeros((2, 32)))
+        with pytest.raises(ValueError, match=r"\(batch, planes, length\) batch, got shape \(2, 32\)"):
+            backward(spec, params, np.zeros((2, 32)), np.zeros((1, 16)))
+
+    def test_mse_loss_rejects_a_single_output(self):
+        with pytest.raises(ValueError, match=r"\(batch, M\) outputs, got shape \(16,\)"):
+            mse_loss(np.zeros(16), np.zeros(16))
 
 
 class TestBackward:
@@ -298,7 +314,7 @@ class TestBackward:
         spec = parse_structure("2,5,8 / 8,8,16", input_length=16, output_dim=16, batch_norm=False, dropout_p=0.0)
         params = init_params(spec, seed=2)
         x = np.random.default_rng(3).normal(size=(3, 2, 16))
-        targets = np.atleast_2d(forward(spec, params, x, mode="eval"))
+        targets = forward(spec, params, x, mode="eval")
         grads, loss = backward(spec, params, x, targets, mode="eval")
         assert loss <= 1e-20
         for g in grads:
@@ -316,7 +332,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         x = np.abs(rng.normal(size=(6, 1, 4)))
         targets = rng.normal(size=(6, 1))
-        out = np.atleast_2d(forward(spec, params, x, mode="eval"))
+        out = forward(spec, params, x, mode="eval")
         assert np.all(out > 0)
         hand = float(np.mean(2.0 * (out - targets)))
         grads, _ = backward(spec, params, x, targets, mode="eval")
@@ -410,7 +426,7 @@ class TestComputeDtype:
         assert params.dtype == np.float32
         x = np.random.default_rng(1).normal(size=(5, 2, 32))  # float64 input is cast
         assert forward(spec, params, x).dtype == np.float32
-        assert forward(spec, params, x[0]).dtype == np.float32
+        assert forward(spec, params, x[:1]).dtype == np.float32
         grads, loss = backward(spec, params, x, np.ones((5, 16)), mode="train",
                                rng=np.random.default_rng(2))
         assert np.isfinite(loss)

@@ -43,7 +43,7 @@ def test_patience_one_with_constant_validation_loss_stops_at_two():
     # zero inputs pin every output at the relu dead zone: no gradients, no
     # improvement after the first pass, so patience=1 fires at iteration 2
     spec = small_spec(batch_norm=False)
-    codebook = WalshCodebook.for_classes(2, 16)
+    codebook = WalshCodebook(2, 16)
     X = np.zeros((8, 2, 32))
     y = np.array([1, 2] * 4)
     cfg = TrainConfig(max_iterations=50, patience=1, batch_size=4, seed=0)
@@ -58,7 +58,7 @@ def test_patience_one_with_constant_validation_loss_stops_at_two():
 def test_max_iterations_stop_reason():
     train_data, val_data = small_problem()
     cfg = TrainConfig(max_iterations=3, patience=10, batch_size=8, seed=1)
-    _, report = train(small_spec(), train_data, val_data, WalshCodebook.for_classes(2, 16), cfg)
+    _, report = train(small_spec(), train_data, val_data, WalshCodebook(2, 16), cfg)
     assert report.stopped_at == 3
     assert report.stop_reason == "max_iterations"
     assert len(report.validation_accuracy) == 3
@@ -67,7 +67,7 @@ def test_max_iterations_stop_reason():
 def test_bit_identical_given_same_seed():
     train_data, val_data = small_problem()
     cfg = TrainConfig(max_iterations=4, patience=10, batch_size=8, seed=7)
-    codebook = WalshCodebook.for_classes(2, 16)
+    codebook = WalshCodebook(2, 16)
     params_a, report_a = train(small_spec(dropout=0.3), train_data, val_data, codebook, cfg)
     params_b, report_b = train(small_spec(dropout=0.3), train_data, val_data, codebook, cfg)
     assert report_a.to_dict() == report_b.to_dict()
@@ -84,7 +84,7 @@ def test_bit_identical_given_same_seed():
 def test_learns_separable_problem():
     train_data, val_data = small_problem(n_per_class=16)
     cfg = TrainConfig(learning_rate=3e-3, max_iterations=40, patience=40, batch_size=16, seed=3)
-    params, report = train(small_spec(), train_data, val_data, WalshCodebook.for_classes(2, 16), cfg)
+    params, report = train(small_spec(), train_data, val_data, WalshCodebook(2, 16), cfg)
     assert max(report.validation_accuracy) >= 0.9
     assert report.best_validation_loss < report.validation_loss[0]
 
@@ -92,7 +92,7 @@ def test_learns_separable_problem():
 def test_divergence_fields_populated():
     train_data, val_data = small_problem()
     cfg = TrainConfig(max_iterations=5, patience=5, batch_size=8, seed=2)
-    _, report = train(small_spec(), train_data, val_data, WalshCodebook.for_classes(2, 16), cfg)
+    _, report = train(small_spec(), train_data, val_data, WalshCodebook(2, 16), cfg)
     assert report.initial_divergence is not None and report.initial_divergence >= 0
     assert report.final_divergence is not None
 
@@ -102,19 +102,30 @@ def test_divergent_loss_raises_with_iteration():
     train_data, val_data = small_problem()
     cfg = TrainConfig(learning_rate=1e150, max_iterations=10, patience=10, batch_size=8, seed=0)
     with pytest.raises(TrainingDivergedError, match="iteration"):
-        train(small_spec(batch_norm=False), train_data, val_data, WalshCodebook.for_classes(2, 16), cfg)
+        train(small_spec(batch_norm=False), train_data, val_data, WalshCodebook(2, 16), cfg)
 
 
 def test_output_dim_must_match_code_size():
     train_data, val_data = small_problem()
     with pytest.raises(ValueError, match="code size"):
-        train(small_spec(), train_data, val_data, WalshCodebook.for_classes(2, 32), TrainConfig())
+        train(small_spec(), train_data, val_data, WalshCodebook(2, 32), TrainConfig())
+
+
+@pytest.mark.parametrize("bad_label", [0, 3])
+@pytest.mark.parametrize("where", ["train", "validation"])
+def test_label_without_a_code_row_rejected(bad_label, where):
+    # a two-class codebook has rows for labels 1 and 2 only
+    (X, y), (X_val, y_val) = small_problem()
+    y, y_val = y.copy(), y_val.copy()
+    (y if where == "train" else y_val)[1] = bad_label
+    with pytest.raises(ValueError, match=f"label {bad_label} has no assigned code row"):
+        train(small_spec(), (X, y), (X_val, y_val), WalshCodebook(2, 16), TrainConfig(max_iterations=1))
 
 
 def test_best_loss_bookkeeping_is_running_minimum():
     train_data, val_data = small_problem(n_per_class=10)
     cfg = TrainConfig(learning_rate=3e-3, max_iterations=15, patience=15, batch_size=8, seed=4)
-    _, report = train(small_spec(), train_data, val_data, WalshCodebook.for_classes(2, 16), cfg)
+    _, report = train(small_spec(), train_data, val_data, WalshCodebook(2, 16), cfg)
     assert report.best_validation_loss == min(report.validation_loss)
     assert report.validation_loss[report.best_iteration - 1] == report.best_validation_loss
 
@@ -122,12 +133,12 @@ def test_best_loss_bookkeeping_is_running_minimum():
 def test_returns_best_iteration_parameters():
     train_data, val_data = small_problem(n_per_class=12)
     cfg = TrainConfig(learning_rate=3e-3, max_iterations=25, patience=25, batch_size=8, seed=5)
-    codebook = WalshCodebook.for_classes(2, 16)
+    codebook = WalshCodebook(2, 16)
     params, report = train(small_spec(), train_data, val_data, codebook, cfg)
     from mibci.network import forward, mse_loss
 
-    targets = np.stack([codebook.target(int(l)) for l in val_data[1]])
-    loss = mse_loss(np.atleast_2d(forward(small_spec(), params, val_data[0], mode="eval")), targets)
+    targets = codebook.targets[val_data[1] - 1]
+    loss = mse_loss(forward(small_spec(), params, val_data[0], mode="eval"), targets)
     assert loss == pytest.approx(report.best_validation_loss, rel=1e-9)
 
 
@@ -162,7 +173,7 @@ def test_training_computes_in_float32(monkeypatch):
 
     train_data, val_data = small_problem()
     cfg = TrainConfig(max_iterations=3, patience=3, batch_size=4, seed=2)
-    codebook = WalshCodebook.for_classes(2, 16)
+    codebook = WalshCodebook(2, 16)
     params, report = train(small_spec(dropout=0.3), train_data, val_data, codebook, cfg)
 
     assert report.stopped_at == 3
@@ -187,8 +198,6 @@ def test_training_computes_in_float32(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0)
-    with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
 
