@@ -68,7 +68,7 @@ from .network import (
     parse_structure,
     render_structure,
 )
-from .stats import TTestResult, paired_ttest, regularized_incomplete_beta, student_t_two_tailed_p
+from .stats import TTestResult, paired_ttest, student_t_two_tailed_p
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import TrainConfig, TrainingDivergedError, TrainReport, train
 from .walsh import WalshCodebook, build_walsh, hamming
@@ -97,7 +97,7 @@ __all__ = [
     # metrics and statistics
     "ConfusionMatrix", "ClasswiseReport", "confusion", "classwise_metrics",
     "kappa_balanced", "divergence",
-    "TTestResult", "paired_ttest", "regularized_incomplete_beta", "student_t_two_tailed_p",
+    "TTestResult", "paired_ttest", "student_t_two_tailed_p",
     # experiments
     "ExperimentPlan", "ExperimentReport", "RunResult", "MatrixReport", "LeakageError",
     "run_experiment", "run_matrix", "compare_augmentation",

@@ -1,9 +1,10 @@
 """Butterworth band-pass filter bank applied with zero phase.
 
 Filters are designed as cascaded second-order sections and applied
-forward-backward so epochs keep their timing; the signal is reflect-padded
-by ``3 * order`` samples per side before the two passes and trimmed after,
-which tames edge transients on short epochs.
+forward-backward with ``scipy.signal.sosfiltfilt`` so epochs keep their
+timing; the signal is reflect-padded by ``3 * order`` samples per side
+before the two passes and trimmed after, which tames edge transients on
+short epochs.
 """
 
 from __future__ import annotations
@@ -81,32 +82,19 @@ def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: 
     return signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=sampling_rate, output="sos")
 
 
-def _sosfilt_settled(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One cascade pass with steady-state initial conditions at the first sample."""
-    zi = signal.sosfilt_zi(sos)
-    x0 = x[..., 0]
-    zi_full = zi.reshape(zi.shape[0], *(1,) * x0.ndim, 2) * x0[None, ..., None]
-    y, _ = signal.sosfilt(sos, x, axis=-1, zi=zi_full)
-    return y
-
-
 def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = 4) -> np.ndarray:
     """Filter along the last axis forward and backward (zero phase).
 
-    Reflect-pads by ``3 * order`` samples each side (clipped for very short
-    signals), runs the cascade in both directions with steady-state initial
-    conditions, then trims the padding. The initial conditions make the
+    ``scipy.signal.sosfiltfilt`` with even (reflect) padding of ``3 * order``
+    samples each side, clipped for very short signals, and steady-state
+    initial conditions in both directions. The initial conditions make the
     response to a constant input exactly its (near-zero) steady state, so no
-    step transient leaks into short epochs.
+    step transient leaks into short epochs. scipy's default odd padding of
+    ``3 * n_taps`` samples gives different output.
     """
     data = np.asarray(data, dtype=np.float64)
-    n = data.shape[-1]
-    pad = min(3 * order, n - 1)
-    widths = [(0, 0)] * (data.ndim - 1) + [(pad, pad)]
-    padded = np.pad(data, widths, mode="reflect")
-    y = _sosfilt_settled(sos, padded)
-    y = _sosfilt_settled(sos, y[..., ::-1])[..., ::-1]
-    return y[..., pad : pad + n] if pad else y
+    pad = min(3 * order, data.shape[-1] - 1)
+    return signal.sosfiltfilt(sos, data, axis=-1, padtype="even", padlen=pad)
 
 
 def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> np.ndarray:

@@ -193,8 +193,6 @@ def csp_fit(ctx, in_path, m, scheme, bands, order, output):
     dataset = load_epochs(in_path)
     bank = FilterBankSpec(bands=_parse_bands(bands), order=order)
     filtered = apply_filter_bank_set(dataset, bank)
-    if scheme == "auto":
-        scheme = "two_class" if dataset.num_classes == 2 else "one_vs_rest"
     model = fit_csp(filtered, m=m, scheme=scheme, bank=bank)
     path = _out_path(ctx, output)
     model.save(path)

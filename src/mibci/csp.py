@@ -1,13 +1,13 @@
 """Common spatial patterns fitted on filter-bank output.
 
 Two-class fitting follows the classical recipe: per-epoch spatial
-covariances are trace-normalized, averaged per class into C1 and C2, the
-composite C1 + C2 is whitened, and the whitened C1 is eigendecomposed. The
-rows of the full filter matrix are sorted by descending eigenvalue and the
-m top plus m bottom filters form the projection, so the first output
-channels maximize class-1 variance while the last maximize class-2
-variance. Multi-class models compose one two-class fit per class against
-the pooled rest and stack the projections.
+covariances are trace-normalized and averaged per class into C1 and C2, and
+the filters are the generalized eigenvectors of C1 w = lambda (C1 + C2) w,
+scaled so that W (C1 + C2) W^T = I. The rows of the full filter matrix are
+sorted by descending eigenvalue and the m top plus m bottom filters form the
+projection, so the first output channels maximize class-1 variance while the
+last maximize class-2 variance. Multi-class models compose one two-class fit
+per class against the pooled rest and stack the projections.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import linalg
 
 from .bandpass import DEFAULT_BANDS, FilterBankSpec, _filter_bank, apply_filter_bank_set
 from .base import EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
@@ -34,7 +35,7 @@ class CspModel:
 
     ``projection`` has ``2m`` rows for a two-class fit and ``2m * C`` rows for
     a one-vs-rest fit, with ``input_channels`` columns (channels x bands of
-    the filtered input). ``eigenvalues`` holds the whitened eigenvalue
+    the filtered input). ``eigenvalues`` holds the generalized eigenvalue
     spectrum of each binary subproblem and ``full_filters`` the corresponding
     unselected filter matrices; both are diagnostics and are not serialized.
     ``fitted_on`` is the fingerprint of the exact training set seen by fit.
@@ -51,6 +52,12 @@ class CspModel:
     full_filters: tuple[np.ndarray, ...] = field(repr=False, default=())
 
     def __post_init__(self) -> None:
+        if self.scheme not in ("two_class", "one_vs_rest"):
+            raise ValueError(f"unknown scheme {self.scheme!r} (expected 'two_class' or 'one_vs_rest')")
+        if self.m < 1:
+            raise ValueError(f"m={self.m} must be >= 1")
+        if self.scheme == "two_class" and self.num_classes != 2:
+            raise ValueError(f"a two_class model needs exactly two classes, got {self.num_classes}")
         proj = np.asarray(self.projection, dtype=np.float64)
         expected = 2 * self.m if self.scheme == "two_class" else 2 * self.m * self.num_classes
         if proj.shape != (expected, self.input_channels):
@@ -97,11 +104,10 @@ class CspModel:
             for name in ("m", "scheme", "bands", "filter_order", "num_classes", "input_channels",
                          "projection", "fingerprint")
         )
-        rows = 2 * m * (1 if scheme == "two_class" else num_classes)
         return cls(
             m=m,
             scheme=scheme,
-            projection=np.array(projection, dtype=np.float64).reshape(rows, input_channels),
+            projection=np.array(projection, dtype=np.float64).reshape(-1, input_channels),
             bank=FilterBankSpec(bands=tuple(tuple(b) for b in bands), order=order),
             num_classes=num_classes,
             input_channels=input_channels,
@@ -125,31 +131,9 @@ def _normalized_covariances(X: np.ndarray) -> np.ndarray:
     return covs / traces[:, None, None]
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
-
-
-def _whiten(composite: np.ndarray) -> np.ndarray:
-    """Whitening transform W with W composite W^T = I, ridge-regularized if needed."""
-    dim = composite.shape[0]
-    evals, evecs = np.linalg.eigh(_symmetrize(composite))
-    if evals[-1] <= 0:
-        raise np.linalg.LinAlgError("composite covariance is not positive semidefinite")
-    if evals[0] <= evals[-1] * 1e-12:
-        warnings.warn(
-            "singular composite covariance; applying ridge regularization",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        ridge = _RIDGE_EPS * np.trace(composite) / dim
-        evals, evecs = np.linalg.eigh(_symmetrize(composite + ridge * np.eye(dim)))
-        if evals[0] <= evals[-1] * 1e-12:
-            raise np.linalg.LinAlgError("composite covariance singular even after ridge")
-    return (evecs / np.sqrt(evals)).T
-
-
 def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Filters separating two average covariances.
+    """Filters separating two average covariances: the generalized
+    eigenvectors of c1 w = lambda (c1 + c2) w.
 
     Returns (selected 2m rows, eigenvalues sorted descending, full filter
     matrix). Eigenvalue ties break toward the lower original index and each
@@ -159,12 +143,21 @@ def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     dim = c1.shape[0]
     if not 1 <= m <= dim // 2:
         raise ValueError(f"m={m} out of range for {dim} input channels (need 2m <= {dim})")
-    white = _whiten(c1 + c2)
-    s1 = _symmetrize(white @ c1 @ white.T)
-    evals, evecs = np.linalg.eigh(s1)
+    composite = c1 + c2
+    spectrum = np.linalg.eigvalsh(composite)
+    if spectrum[-1] <= 0:
+        raise np.linalg.LinAlgError("composite covariance is not positive semidefinite")
+    if spectrum[0] <= spectrum[-1] * 1e-12:
+        warnings.warn(
+            "singular composite covariance; applying ridge regularization",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        composite = composite + _RIDGE_EPS * np.trace(composite) / dim * np.eye(dim)
+    evals, evecs = linalg.eigh(c1, composite)
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
-    full = evecs[:, order].T @ white
+    full = evecs[:, order].T
     signs = np.sign(full[np.arange(dim), np.argmax(np.abs(full), axis=1)])
     signs[signs == 0] = 1.0
     full = full * signs[:, None]
@@ -172,7 +165,7 @@ def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     return selected, evals, full
 
 
-def fit_csp(train: EpochSet, m: int, scheme: str = "two_class", bank: FilterBankSpec | None = None) -> CspModel:
+def fit_csp(train: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec | None = None) -> CspModel:
     """Fit spatial filters on (already band-filtered) training epochs only.
 
     Parameters
@@ -181,9 +174,11 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "two_class", bank: FilterBank
         Filter-bank output epochs; every class needs at least two epochs.
     m : int
         Filters kept per side; the projection has 2m rows per binary problem.
-    scheme : {'two_class', 'one_vs_rest'}
+    scheme : {'auto', 'two_class', 'one_vs_rest'}
         Two-class CSP requires exactly two classes; one-vs-rest fits one
-        binary problem per class against the pooled rest.
+        binary problem per class against the pooled rest. ``'auto'`` picks
+        two-class for two classes and one-vs-rest otherwise; the model
+        records the resolved scheme.
     bank : FilterBankSpec, optional
         Recorded on the model so apply-time pipelines can reproduce the
         filtering stage; defaults to the standard five-band bank.
@@ -202,32 +197,23 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "two_class", bank: FilterBank
     dim = X.shape[1]
     covs = _normalized_covariances(X)
     class_means = [covs[y == c].mean(axis=0) for c in range(1, train.num_classes + 1)]
+    if scheme == "auto":
+        scheme = "two_class" if train.num_classes == 2 else "one_vs_rest"
 
     if scheme == "two_class":
         if train.num_classes != 2:
             raise ValueError("two_class CSP needs exactly two classes")
-        projection, evals, full = _csp_pair(class_means[0], class_means[1], m)
-        eigenvalues = (evals,)
-        full_filters = (full,)
+        pairs = [(class_means[0], class_means[1])]
     elif scheme == "one_vs_rest":
-        rows, eigenvalues_l, full_l = [], [], []
-        for c in range(1, train.num_classes + 1):
-            own = class_means[c - 1]
-            rest = covs[y != c].mean(axis=0)
-            sel, evals, full = _csp_pair(own, rest, m)
-            rows.append(sel)
-            eigenvalues_l.append(evals)
-            full_l.append(full)
-        projection = np.vstack(rows)
-        eigenvalues = tuple(eigenvalues_l)
-        full_filters = tuple(full_l)
+        pairs = [(class_means[c - 1], covs[y != c].mean(axis=0)) for c in range(1, train.num_classes + 1)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    selected, eigenvalues, full_filters = zip(*(_csp_pair(own, rest, m) for own, rest in pairs))
 
     return CspModel(
         m=m,
         scheme=scheme,
-        projection=projection,
+        projection=np.vstack(selected),
         bank=bank if bank is not None else FilterBankSpec(),
         num_classes=train.num_classes,
         input_channels=dim,
@@ -271,10 +257,7 @@ class CspTransformer(EstimatorMixin):
         dataset = EpochSet(X, y, self.sampling_rate)
         bank = FilterBankSpec(bands=self.bands, order=self.order)
         filtered = apply_filter_bank_set(dataset, bank)
-        scheme = self.scheme
-        if scheme == "auto":
-            scheme = "two_class" if dataset.num_classes == 2 else "one_vs_rest"
-        self.model_ = fit_csp(filtered, m=self.m, scheme=scheme, bank=bank)
+        self.model_ = fit_csp(filtered, m=self.m, scheme=self.scheme, bank=bank)
         return self
 
     def transform(self, X) -> np.ndarray:

@@ -246,8 +246,7 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         train_set = apply_filter_bank_set(train_set, bank)
         val_set = apply_filter_bank_set(val_set, bank)
         test_set = apply_filter_bank_set(test_set, bank)
-        scheme = "two_class" if dataset.num_classes == 2 else "one_vs_rest"
-        model = fit_csp(train_set, m=plan.m, scheme=scheme, bank=bank)
+        model = fit_csp(train_set, m=plan.m, bank=bank)
         if model.fitted_on != train_set.fingerprint:
             raise LeakageError(f"run {run}: CSP was fitted on epochs outside the training partition")
         train_set = apply_csp_set(train_set, model)

@@ -148,7 +148,8 @@ def _load_binary(path: Path) -> EpochSet:
     if off != len(blob):
         raise EpochFormatError(f"{path}: {len(blob) - off} trailing bytes at byte {off}")
     data.setflags(write=False)
-    return EpochSet(data, labels, rate, num_classes, subject_ids)
+    return _require_all_classes(EpochSet(data, labels, rate, num_classes, subject_ids), path,
+                                " under the header class count at byte 12")
 
 
 def _save_csv(dataset: EpochSet, path: Path) -> None:
@@ -226,4 +227,13 @@ def _load_csv(path: Path, sampling_rate: float) -> EpochSet:
         )
     data = np.array(rows).reshape(len(meta), channels[0], n_samples)
     data.setflags(write=False)
-    return EpochSet(data, labels, sampling_rate, max(2, max(labels)), subject_ids)
+    return _require_all_classes(EpochSet(data, labels, sampling_rate, max(2, max(labels)), subject_ids),
+                                path)
+
+
+def _require_all_classes(dataset: EpochSet, path: Path, where: str = "") -> EpochSet:
+    """``dataset`` itself; a class without epochs is malformed, as :func:`save_epochs` never writes one."""
+    try:
+        return dataset.require_all_classes()
+    except ValueError as exc:
+        raise EpochFormatError(f"{path}: {exc}{where}") from None

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scipy import signal
+
 from mibci.bandpass import (
     DEFAULT_BANDS,
     FilterBankSpec,
@@ -10,7 +12,6 @@ from mibci.bandpass import (
     design_bandpass,
     zero_phase_bandpass,
 )
-
 from mibci.epochs import EpochSet
 
 from helpers import make_set
@@ -25,6 +26,21 @@ def two_pass_gain(sos, freq, fs=FS, seconds=8.0, order=4):
     y = zero_phase_bandpass(x, sos, order)
     mid = slice(len(t) // 4, 3 * len(t) // 4)
     return float(np.abs(y[0, mid]).max())
+
+
+def reference_zero_phase(data, sos, order):
+    """Reflect padding of 3*order samples, two settled sosfilt passes, then the trim."""
+    n = data.shape[-1]
+    pad = min(3 * order, n - 1)
+    padded = np.pad(data, [(0, 0)] * (data.ndim - 1) + [(pad, pad)], mode="reflect")
+    zi = signal.sosfilt_zi(sos)
+
+    def settled(x):
+        zi_full = zi.reshape(zi.shape[0], *(1,) * (x.ndim - 1), 2) * x[None, ..., :1]
+        return signal.sosfilt(sos, x, axis=-1, zi=zi_full)[0]
+
+    y = settled(settled(padded)[..., ::-1])[..., ::-1]
+    return y[..., pad : pad + n]
 
 
 class TestDesign:
@@ -75,6 +91,16 @@ def filter_one(data):
     (out,) = apply_filter_bank_set(EpochSet(np.asarray(data)[np.newaxis], [1], FS, num_classes=2),
                                    FilterBankSpec()).data
     return out
+
+
+class TestZeroPhase:
+    @pytest.mark.parametrize("n", [1, 2, 13, 500])
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    def test_bit_identical_to_the_padded_two_pass_reference(self, n, order):
+        x = np.random.default_rng(n).normal(size=(3, 2, n))
+        for lo, hi in DEFAULT_BANDS:
+            sos = design_bandpass(lo, hi, FS, order)
+            assert np.array_equal(zero_phase_bandpass(x, sos, order), reference_zero_phase(x, sos, order))
 
 
 class TestApplyFilterBank:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import mibci.io as io_module
 import mibci.mdn as mdn_module
 from mibci.cli import main
 from mibci.experiment import ExperimentPlan
-from mibci.io import load_epochs, save_epochs
+from mibci.io import EpochFormatError, load_epochs, save_epochs
 from mibci.mdn import MetaScheme, SchemeMember
 from mibci.network import init_params, parse_structure
 
@@ -114,6 +115,32 @@ class TestCspCommands:
         assert code == 1
         assert f"error: csp document: missing field {field!r}" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"scheme": "bogus", "projection": np.eye(4).ravel().tolist()}, "unknown scheme 'bogus'"),
+            ({"m": 0, "projection": []}, "m=0 must be >= 1"),
+            ({"num_classes": 3}, "a two_class model needs exactly two classes, got 3"),
+        ],
+    )
+    def test_apply_rejects_an_inconsistent_model(self, synth_file, tmp_path, capsys, edit, message):
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-fit", "--in", str(synth_file), "--m", "1",
+             "--bands", "8-12,18-24"],
+            capsys,
+        )
+        assert code == 0, err
+        model = tmp_path / "csp.json"
+        doc = json.loads(model.read_text())
+        assert (doc["scheme"], doc["num_classes"], doc["input_channels"]) == ("two_class", 2, 4)
+        model.write_text(json.dumps({**doc, **edit}))
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-apply", "--in", str(synth_file), "--model", str(model)], capsys
+        )
+        assert code == 1
+        assert f"error: {message}" in err
+        assert not (tmp_path / "transformed.epb").exists()
+
 
 class TestTrainEval:
     def test_train_then_eval(self, synth_file, tmp_path, capsys):
@@ -175,7 +202,7 @@ class TestTrainEval:
         assert code == 0, err
         assert sum(map(sum, json.loads((tmp_path / "eval.json").read_text())["confusion"])) == 24
 
-    @pytest.mark.parametrize("kind", ["ovo", "ovr"])
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
     def test_train_rejects_a_file_missing_a_class(self, kind, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr("mibci.model.train", lambda *args: calls.append(args))
@@ -185,16 +212,17 @@ class TestTrainEval:
         assert code == 0, err
         data = load_epochs(tmp_path / "synthetic.epb")
         gapped = tmp_path / "gapped.epb"
-        # save_epochs refuses a set with an empty class; the format itself allows one
+        # save_epochs refuses a set with an empty class, and so does the loader
         io_module._save_binary(data.subset(np.flatnonzero(data.labels != 2)), gapped)
-        assert load_epochs(gapped).class_counts().tolist() == [8, 0, 8]
+        with pytest.raises(EpochFormatError, match=re.escape("classes with no epochs: [2]")):
+            load_epochs(gapped)
         code, _, err = run(
             ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(gapped), "--scheme", kind,
              *FAST_TRAIN],
             capsys,
         )
         assert code == 1
-        assert "class(es) [2] have none" in err
+        assert "classes with no epochs: [2]" in err
         assert calls == []
         assert not (tmp_path / "model.json").exists()
 

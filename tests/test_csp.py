@@ -59,7 +59,7 @@ class TestFitTwoClass:
         ]
         assert csp_ratio >= max(channel_ratios)
 
-    def test_whitening_identity(self):
+    def test_filters_map_the_composite_to_identity(self):
         dataset, x1, x2 = planted_dataset()
         model = fit_csp(dataset, m=2)
         c1, c2 = class_mean_covs(x1, x2)
@@ -125,6 +125,15 @@ class TestFitTwoClass:
 
 
 class TestOneVsRest:
+    @pytest.mark.parametrize("classes, scheme", [(2, "two_class"), (3, "one_vs_rest")])
+    def test_auto_scheme_follows_the_class_count(self, classes, scheme):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(10 * classes, 6, 60))
+        dataset = EpochSet(X, np.repeat(np.arange(1, classes + 1), 10), sampling_rate=100.0)
+        model = fit_csp(dataset, m=2)
+        assert model.scheme == scheme
+        assert np.array_equal(model.projection, fit_csp(dataset, m=2, scheme=scheme).projection)
+
     def test_row_count_is_2m_per_class(self):
         rng = np.random.default_rng(2)
         X = np.stack([rng.normal(size=(6, 60)) for _ in range(30)])

@@ -179,9 +179,9 @@ class TestRunExperiment:
     def test_csp_leak_is_caught(self, tiny_dataset, monkeypatch):
         real_fit = experiment_module.fit_csp
 
-        def leaky_fit(train, m, scheme, bank):
+        def leaky_fit(train, **kwargs):
             polluted = train.subset([*range(len(train)), 0])
-            return real_fit(polluted, m=m, scheme=scheme, bank=bank)
+            return real_fit(polluted, **kwargs)
 
         monkeypatch.setattr(experiment_module, "fit_csp", leaky_fit)
         with pytest.raises(LeakageError, match="run 0: CSP was fitted on epochs outside the training partition"):

@@ -1,5 +1,6 @@
 """EPB1 and CSV round trips plus malformed-file diagnostics."""
 
+import re
 import struct
 import tempfile
 import time
@@ -119,11 +120,11 @@ class TestMalformedBinary:
             load_epochs(path)
 
     @staticmethod
-    def _four_epoch_bytes(num_classes: int) -> bytes:
-        """Four one-channel, two-sample epochs (labels 1, 2, 1, 2) in 92 bytes."""
+    def _four_epoch_bytes(num_classes: int, labels=(1, 2, 1, 2)) -> bytes:
+        """Four one-channel, two-sample epochs in 92 bytes."""
         blob = b"EPB1" + struct.pack("<IIIId", 1, 2, num_classes, 4, 100.0)
-        for k in range(4):
-            blob += struct.pack("<II", 1 + k % 2, 0) + struct.pack("<2f", 0.5, -0.5)
+        for label in labels:
+            blob += struct.pack("<II", label, 0) + struct.pack("<2f", 0.5, -0.5)
         assert len(blob) == 92
         return blob
 
@@ -140,10 +141,17 @@ class TestMalformedBinary:
 
     def test_class_count_equal_to_epoch_count_loads(self, tmp_path):
         path = tmp_path / "classes.epb"
-        path.write_bytes(self._four_epoch_bytes(4))
+        path.write_bytes(self._four_epoch_bytes(4, labels=(1, 2, 3, 4)))
         loaded = load_epochs(path)
         assert loaded.num_classes == 4
-        assert loaded.labels.tolist() == [1, 2, 1, 2]
+        assert loaded.labels.tolist() == [1, 2, 3, 4]
+
+    def test_declared_class_without_epochs_rejected(self, tmp_path):
+        path = tmp_path / "classes.epb"
+        path.write_bytes(self._four_epoch_bytes(3))
+        message = "classes with no epochs: [3] under the header class count at byte 12"
+        with pytest.raises(EpochFormatError, match=re.escape(message)):
+            load_epochs(path)
 
     def test_shape_mismatch_truncated_record(self, tmp_path):
         # header declares 3x4 but the last epoch record is a row short
@@ -246,6 +254,14 @@ class TestMalformedCsv:
         path = tmp_path / "bad.csv"
         path.write_text("subject,label,channel,s0\nA,1,0,1.0\nA,1,2,1.0\n")
         with pytest.raises(EpochFormatError, match="sequence"):
+            load_epochs(path, format="csv")
+
+    @pytest.mark.parametrize("labels, missing", [("1,3", "[2]"), ("2,2", "[1]"), ("1,1", "[2]")])
+    def test_class_without_epochs_rejected(self, tmp_path, labels, missing):
+        first, second = labels.split(",")
+        path = tmp_path / "gap.csv"
+        path.write_text(f"subject,label,channel,s0\nA,{first},0,1.0\nB,{second},0,1.0\n")
+        with pytest.raises(EpochFormatError, match=re.escape(f"classes with no epochs: {missing}")):
             load_epochs(path, format="csv")
 
     def test_shape_mismatch_across_epochs(self, tmp_path):

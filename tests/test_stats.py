@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mibci.stats import (
-    TTestResult,
-    paired_ttest,
-    regularized_incomplete_beta,
-    student_t_two_tailed_p,
-)
+from mibci.stats import TTestResult, paired_ttest, student_t_two_tailed_p
 
 from helpers import student_t_tail_quadrature
 
@@ -83,32 +80,6 @@ class TestPairedTTest:
             paired_ttest([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
-class TestIncompleteBeta:
-    def test_bounds(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-
-    def test_uniform_case_is_identity(self):
-        for x in np.linspace(0, 1, 11):
-            assert regularized_incomplete_beta(1.0, 1.0, float(x)) == pytest.approx(x, abs=1e-14)
-
-    def test_reflection_identity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a = float(rng.uniform(0.3, 20))
-            b = float(rng.uniform(0.3, 20))
-            x = float(rng.uniform(0, 1))
-            lhs = regularized_incomplete_beta(a, b, x)
-            rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 1.0, 1.5)
-
-
 class TestStudentTTail:
     def test_symmetric_center(self):
         assert student_t_two_tailed_p(0.0, 10) == 1.0
@@ -126,6 +97,19 @@ class TestStudentTTail:
 
     def test_infinite_statistic(self):
         assert student_t_two_tailed_p(float("inf"), 3) == 0.0
+
+    @given(
+        t=st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+        df=st.integers(min_value=1, max_value=10_000),
+    )
+    def test_symmetric_in_t_and_a_probability(self, t, df):
+        p = student_t_two_tailed_p(t, df)
+        assert p == student_t_two_tailed_p(-t, df)
+        assert 0.0 <= p <= 1.0
+
+    def test_df_below_one_rejected(self):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            student_t_two_tailed_p(1.0, 0)
 
 
 def test_result_to_dict():
