@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
+from .base import BLOCK_EPOCHS
 from .epochs import EpochSet
 
 __all__ = [
@@ -101,14 +102,20 @@ def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> n
     """Expand ``(n, E, T)`` epochs to read-only ``(n, E*B, T)`` band-filtered signals.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
-    the sample count is unchanged.
+    the sample count is unchanged. Each epoch is filtered on its own, so the
+    bank runs over blocks of :data:`base.BLOCK_EPOCHS` epochs written
+    straight into the output, and its temporaries stay one block in size.
     """
     spec.validate_rate(sampling_rate)
     n, e, t = X.shape
+    sections = [design_bandpass(lo, hi, sampling_rate, spec.order) for lo, hi in spec.bands]
     out = np.empty((n, e * spec.n_bands, t))
-    for b, (lo, hi) in enumerate(spec.bands):
-        sos = design_bandpass(lo, hi, sampling_rate, spec.order)
-        out[:, b * e : (b + 1) * e] = zero_phase_bandpass(X, sos, spec.order)
+    for start in range(0, n, BLOCK_EPOCHS):
+        block = X[start : start + BLOCK_EPOCHS]
+        for b, sos in enumerate(sections):
+            out[start : start + BLOCK_EPOCHS, b * e : (b + 1) * e] = zero_phase_bandpass(
+                block, sos, spec.order
+            )
     out.setflags(write=False)
     return out
 

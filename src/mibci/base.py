@@ -8,6 +8,12 @@ import numpy as np
 
 __all__ = ["EstimatorMixin", "NotFittedError", "as_epoch_array", "as_labels"]
 
+# Epochs per block of the stages that work on each epoch alone: the eval
+# forward and the filter bank. It bounds their temporaries by one block,
+# not by the partition: for the paper-scale net, a block's conv windows are
+# 32 x 126 x 40 x 7 float32, about 4.5 MB.
+BLOCK_EPOCHS = 32
+
 
 class NotFittedError(ValueError):
     """Raised when transform/predict is called before fit."""

@@ -128,7 +128,8 @@ def _normalized_covariances(X: np.ndarray) -> np.ndarray:
     traces = np.trace(covs, axis1=1, axis2=2)
     if (traces <= 0).any():
         raise ValueError("an epoch with zero total power has no spatial covariance")
-    return covs / traces[:, None, None]
+    covs /= traces[:, None, None]
+    return covs
 
 
 def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -242,16 +242,16 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         )
 
     if plan.transform == "TS":
+        # one partition at a time, so that only one filter-bank output
+        # (E*B channels) is alive at once
         bank = FilterBankSpec(bands=plan.bands, order=plan.filter_order)
         train_set = apply_filter_bank_set(train_set, bank)
-        val_set = apply_filter_bank_set(val_set, bank)
-        test_set = apply_filter_bank_set(test_set, bank)
         model = fit_csp(train_set, m=plan.m, bank=bank)
         if model.fitted_on != train_set.fingerprint:
             raise LeakageError(f"run {run}: CSP was fitted on epochs outside the training partition")
         train_set = apply_csp_set(train_set, model)
-        val_set = apply_csp_set(val_set, model)
-        test_set = apply_csp_set(test_set, model)
+        val_set = apply_csp_set(apply_filter_bank_set(val_set, bank), model)
+        test_set = apply_csp_set(apply_filter_bank_set(test_set, bank), model)
 
     if plan.augment == "A":
         allowed_fps = train_set.epoch_fingerprints()

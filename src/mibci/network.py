@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
-from .base import _require
+from .base import BLOCK_EPOCHS, _require
 
 __all__ = [
     "ConvBlockSpec",
@@ -385,15 +385,7 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
     return NetworkParams(blocks=blocks, init_seed=seed)
 
 
-# Epochs per eval-mode forward block. Every layer works per epoch in eval
-# mode, so blocking changes no value beyond the rounding of the BLAS kernel
-# picked for a block's shape; it bounds the conv window copies (for the
-# paper-scale net, 128 x 126 x 40 x 7 float64 is about 36 MB per block, half
-# that in float32).
-EVAL_BLOCK_EPOCHS = 128
-
-
-def _as_batch(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+def _as_batch(x: np.ndarray, dtype: np.dtype | None) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
     if x.ndim != 3:
         raise ValueError(f"expected a (batch, planes, length) batch, got shape {x.shape}")
@@ -465,19 +457,22 @@ def forward(
     flatten to ``(batch, output_dim)`` output vectors.
 
     Eval mode is a pure deterministic function of (params, input) and runs
-    in blocks of at most :data:`EVAL_BLOCK_EPOCHS` epochs, so its
-    intermediates stay small however large the batch, and builds none of the
-    masks only :func:`backward` reads. Passing a list as ``caches`` records
-    every stage for :func:`backward` in one whole-batch pass.
+    in blocks of at most :data:`base.BLOCK_EPOCHS` epochs, each cast to the
+    params dtype on its own, so its intermediates stay small however large
+    the batch, and builds none of the masks only :func:`backward` reads.
+    Every layer works per epoch in eval mode, so blocking changes no value
+    beyond the rounding of the BLAS kernel picked for a block's shape.
+    Passing a list as ``caches`` records every stage for :func:`backward`
+    in one whole-batch pass.
     """
-    x = _as_batch(x, params.dtype)
     if mode != "eval" or caches is not None:
-        return _forward_stack(spec, params, x, mode, rng, caches)
+        return _forward_stack(spec, params, _as_batch(x, params.dtype), mode, rng, caches)
+    x = _as_batch(x, None)
     n = x.shape[0]
     out = np.empty((n, spec.output_dim), dtype=params.dtype)
-    for start in range(0, n, EVAL_BLOCK_EPOCHS):
-        stop = start + EVAL_BLOCK_EPOCHS
-        out[start:stop] = _forward_stack(spec, params, x[start:stop], mode, rng, None)
+    for start in range(0, n, BLOCK_EPOCHS):
+        block = np.asarray(x[start : start + BLOCK_EPOCHS], dtype=params.dtype)
+        out[start : start + BLOCK_EPOCHS] = _forward_stack(spec, params, block, mode, rng, None)
     return out
 
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from mibci.epochs import EpochSet, SplitSpec, derive_seed, split_dataset
-from mibci.network import EVAL_BLOCK_EPOCHS, forward, mse_loss
+from mibci.base import BLOCK_EPOCHS
+from mibci.network import forward, mse_loss
 
 
 def naive_dft_magnitude(x: np.ndarray) -> np.ndarray:
@@ -62,12 +63,12 @@ def numeric_gradients(spec, params, x, targets, h: float = 1e-5, mode: str = "ev
 
 def masked_eval_forward(spec, params, x, mode: str = "eval"):
     """Eval forward through the training stack, which builds the ReLU,
-    dropout and pool masks, in blocks of EVAL_BLOCK_EPOCHS as ``forward``
+    dropout and pool masks, in blocks of BLOCK_EPOCHS as ``forward``
     runs them."""
     x = np.asarray(x, dtype=params.dtype)
     return np.concatenate([
-        forward(spec, params, x[start : start + EVAL_BLOCK_EPOCHS], mode=mode, caches=[])
-        for start in range(0, len(x), EVAL_BLOCK_EPOCHS)
+        forward(spec, params, x[start : start + BLOCK_EPOCHS], mode=mode, caches=[])
+        for start in range(0, len(x), BLOCK_EPOCHS)
     ])
 
 

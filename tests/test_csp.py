@@ -1,5 +1,7 @@
 """Spatial-filter fitting against planted-covariance oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ class TestCovariances:
         assert np.allclose(np.trace(covs, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)
         expected = np.stack([x @ x.T / np.trace(x @ x.T) for x in X])
         assert np.max(np.abs(covs - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_normalizes_in_place(self):
+        """The covariances are divided by their traces in place: the only
+        large allocation is the one (n, C, C) result."""
+        X = np.random.default_rng(5).normal(size=(200, 110, 20))
+        result_bytes = 200 * 110 * 110 * 8
+        tracemalloc.start()
+        try:
+            covs = _normalized_covariances(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert covs.nbytes == result_bytes
+        assert peak <= 1.1 * result_bytes
 
     def test_zero_power_epoch_rejected(self):
         X = np.random.default_rng(4).normal(size=(3, 2, 10))

@@ -187,6 +187,31 @@ class TestRunExperiment:
         with pytest.raises(LeakageError, match="run 0: CSP was fitted on epochs outside the training partition"):
             run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
 
+    def test_ts_runs_one_partition_through_the_bank_at_a_time(self, tiny_dataset, monkeypatch):
+        """Each partition is filtered and projected before the next one is
+        filtered, so only one filter-bank output is alive at a time."""
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(dataset, *args, **kwargs):
+                calls.append((name, len(dataset)))
+                return fn(dataset, *args, **kwargs)
+            return wrapper
+
+        for name in ("apply_filter_bank_set", "fit_csp", "apply_csp_set"):
+            monkeypatch.setattr(experiment_module, name, recording(name, getattr(experiment_module, name)))
+        report = run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
+        sizes = report.runs[0].split_sizes
+        assert calls == [
+            ("apply_filter_bank_set", sizes["train"]),
+            ("fit_csp", sizes["train"]),
+            ("apply_csp_set", sizes["train"]),
+            ("apply_filter_bank_set", sizes["validation"]),
+            ("apply_csp_set", sizes["validation"]),
+            ("apply_filter_bank_set", sizes["test"]),
+            ("apply_csp_set", sizes["test"]),
+        ]
+
     @pytest.mark.parametrize("partition", ["test", "validation"])
     @pytest.mark.parametrize("transform", ["NTS", "TS"])
     def test_held_out_epoch_in_training_aborts(self, tiny_dataset, partition, transform):

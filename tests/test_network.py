@@ -1,13 +1,14 @@
 """Structure parsing, weight counting, forward contracts, and backward oracles."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mibci.network as network_module
+from mibci.base import BLOCK_EPOCHS
 from mibci.network import (
-    EVAL_BLOCK_EPOCHS,
     BlockParams,
     ConvBlockSpec,
     NetworkParams,
@@ -158,12 +159,15 @@ def trained_looking_params(spec: NetworkSpec, seed: int) -> NetworkParams:
 
 
 class TestBlockedEval:
-    """Eval mode runs in blocks of EVAL_BLOCK_EPOCHS; a ``caches`` list runs
-    the same stack over the whole batch at once, which is the reference.
+    """Eval mode runs in blocks of BLOCK_EPOCHS, each cast to the params dtype
+    on its own; a ``caches`` list runs the same stack over the whole batch at
+    once, which is the reference.
 
-    BLAS may pick a different kernel for a short tail block than for the
-    whole batch, so a batch that spans blocks agrees to rounding only:
-    at most 1.1e-16 (e2e) and 1.0e-15 (paper) measured on OpenBLAS 0.3.31.
+    BLAS may pick a different kernel for a short tail block, or for a single
+    epoch, than for a full block, so a batch that spans blocks agrees with
+    the whole-batch and per-epoch passes to rounding only: at most 7.8e-16
+    and 1.1e-15 in float64 measured on OpenBLAS 0.3.31 (a few float32 ulps
+    in float32). Each block alone is the bit-exact reference.
     """
 
     @pytest.mark.parametrize(
@@ -171,25 +175,44 @@ class TestBlockedEval:
         [(E2E_STRUCTURE, 4, 250), (TABLE7_S1, 2, 251)],
         ids=["e2e", "paper"],
     )
-    @pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100, 127, 128, 129, 300])
     def test_matches_whole_batch(self, structure, channels, length, n):
-        assert EVAL_BLOCK_EPOCHS == 128
+        assert BLOCK_EPOCHS == 32
         spec = parse_structure(structure, input_channels=channels, input_length=length, output_dim=16)
         params = trained_looking_params(spec, seed=n)
         x = np.random.default_rng(n).normal(size=(n, channels, length))
         whole = forward(spec, params, x, mode="eval", caches=[])
         blocked = forward(spec, params, x, mode="eval")
         assert blocked.shape == (n, 16)
-        if n <= EVAL_BLOCK_EPOCHS:
+        if n <= BLOCK_EPOCHS:
             assert np.array_equal(blocked, whole)
         else:
             assert np.max(np.abs(blocked - whole)) <= 1e-12
         assert np.array_equal(forward(spec, params, x, mode="eval"), blocked)
 
+    @pytest.mark.parametrize(
+        "structure, channels, length",
+        [(E2E_STRUCTURE, 4, 250), (TABLE7_S1, 2, 251)],
+        ids=["e2e", "paper"],
+    )
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_per_block_and_per_epoch_passes(self, structure, channels, length, n, dtype):
+        spec = parse_structure(structure, input_channels=channels, input_length=length, output_dim=16)
+        params = trained_looking_params(spec, seed=n).astype(dtype)
+        x = np.random.default_rng(n).normal(size=(n, channels, length))
+        blocked = forward(spec, params, x)
+        assert blocked.dtype == dtype
+        assert np.array_equal(blocked, masked_eval_forward(spec, params, x))
+        assert np.array_equal(forward(spec, params, x.astype(dtype)), blocked)
+        per_epoch = np.concatenate([forward(spec, params, x[i : i + 1]) for i in range(n)])
+        tolerance = 1e-12 if dtype == np.float64 else 1e-5
+        assert np.max(np.abs(blocked - per_epoch)) <= tolerance
+
     def test_blocks_split_at_the_block_size(self, monkeypatch):
         spec = parse_structure("3,5,8 / 8,16,16", input_length=32, output_dim=16)
         params = trained_looking_params(spec, seed=2)
-        x = np.random.default_rng(3).normal(size=(2 * EVAL_BLOCK_EPOCHS + 5, 3, 32))
+        x = np.random.default_rng(3).normal(size=(2 * BLOCK_EPOCHS + 5, 3, 32))
         batches = []
         conv = network_module.layers.conv1d_forward
 
@@ -199,11 +222,27 @@ class TestBlockedEval:
 
         monkeypatch.setattr(network_module.layers, "conv1d_forward", recording_conv)
         out = forward(spec, params, x)
-        assert batches == [128, 128, 128, 128, 5, 5]
+        assert batches == [32, 32, 32, 32, 5, 5]
         monkeypatch.undo()
-        for start in (0, EVAL_BLOCK_EPOCHS, 2 * EVAL_BLOCK_EPOCHS):
-            block = x[start : start + EVAL_BLOCK_EPOCHS]
+        for start in (0, BLOCK_EPOCHS, 2 * BLOCK_EPOCHS):
+            block = x[start : start + BLOCK_EPOCHS]
             assert np.array_equal(out[start : start + len(block)], forward(spec, params, block))
+
+    def test_working_set_is_one_block(self):
+        """A paper-scale float32 forward over 1000 float64 epochs allocates
+        at most 16 MB (8 MB measured); 128-epoch blocks after a whole-input
+        cast took 33 MB."""
+        spec = parse_structure(TABLE7_S1, input_channels=2, input_length=251, output_dim=16)
+        params = trained_looking_params(spec, seed=1).astype(np.float32)
+        x = np.random.default_rng(1).normal(size=(1000, 2, 251))
+        tracemalloc.start()
+        try:
+            out = forward(spec, params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1000, 16)
+        assert peak <= 16e6
 
 
 class TestMaskFreeEval:
@@ -215,7 +254,7 @@ class TestMaskFreeEval:
         [(E2E_STRUCTURE, 4, 250), (TABLE7_S1, 2, 251)],
         ids=["e2e", "paper"],
     )
-    @pytest.mark.parametrize("n", [1, 127, 128, 129])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 127, 128, 129])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("values", ["normal", "ternary"])
     def test_matches_the_masked_stack_bit_for_bit(self, structure, channels, length, n, dtype, values):
