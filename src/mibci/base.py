@@ -59,17 +59,29 @@ def as_epoch_array(X, dtype=np.float64) -> np.ndarray:
         raise ValueError("epoch data contains non-finite values")
     return X
 
+
+def _integer_labels(y) -> np.ndarray:
+    """``y`` as an int64 array; a value that is not a whole number raises ``ValueError``."""
+    y = np.asarray(y)
+    if not np.issubdtype(y.dtype, np.integer):
+        y = np.asarray(y, dtype=np.float64)
+        if not (np.isfinite(y).all() and np.array_equal(np.rint(y), y)):
+            raise ValueError("labels must be integers")
+    return y.astype(np.int64)
+
+
+def _require_aligned(X, y, partition: str) -> None:
+    """Raise ``ValueError`` naming both counts unless X and y have one label per epoch."""
+    if len(X) != len(y):
+        raise ValueError(f"{partition} data has {len(X)} epochs but {len(y)} labels")
+
+
 def as_labels(y, num_classes: int | None = None) -> np.ndarray:
     """Validate 1-based integer class labels."""
     y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        rounded = np.rint(np.asarray(y, dtype=np.float64)).astype(np.int64)
-        if not np.array_equal(rounded, y):
-            raise ValueError("labels must be integers")
-        y = rounded
-    y = y.astype(np.int64)
+    y = _integer_labels(y)
     if y.size and y.min() < 1:
         raise ValueError("labels are 1-based; found label < 1")
     if num_classes is not None and y.size and y.max() > num_classes:

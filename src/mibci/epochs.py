@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .base import _integer_labels
+
 __all__ = [
     "EpochSet",
     "SplitSpec",
@@ -71,7 +73,7 @@ class EpochSet:
         if not np.isfinite(data).all():
             raise ValueError("epoch data contains non-finite values")
         n = len(data)
-        labels = np.asarray(self.labels).astype(np.int64)
+        labels = _integer_labels(self.labels)
         if labels.shape != (n,):
             raise ValueError(f"need one label per epoch: {labels.shape} labels for {n} epochs")
         num_classes = int(labels.max() if self.num_classes is None else self.num_classes)

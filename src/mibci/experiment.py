@@ -99,7 +99,6 @@ class ExperimentPlan:
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc["bands"] = [list(b) for b in self.bands]
-        doc["augment_config"] = asdict(self.augment_config)
         return doc
 
     @classmethod
@@ -152,16 +151,7 @@ class ExperimentReport:
         return [r.accuracy for r in self.runs if r.error is None]
 
     def to_dict(self) -> dict:
-        return {
-            "plan": self.plan,
-            "runs": [r.to_dict() for r in self.runs],
-            "mean_accuracy": self.mean_accuracy,
-            "sd_accuracy": self.sd_accuracy,
-            "mean_kappa": self.mean_kappa,
-            "sd_kappa": self.sd_kappa,
-            "n_failed": self.n_failed,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -26,6 +26,7 @@ from .walsh import WalshCodebook
 __all__ = [
     "SchemeMember",
     "MetaScheme",
+    "decomposition",
     "mdn_distances",
     "mdn_classify",
     "tally_ovo_votes",
@@ -56,6 +57,27 @@ def mdn_classify(outputs: np.ndarray, codebook: WalshCodebook) -> np.ndarray:
     return mdn_distances(outputs, codebook).argmin(axis=1) + 1
 
 
+_MEMBER_RULES = {"single": "every label", "ovo": "each pair of distinct labels", "ovr": "one label each"}
+
+
+def decomposition(kind: str, num_classes: int) -> tuple[list[tuple[int, ...]], int]:
+    """The member class subsets of a scheme kind over labels 1..C, and the
+    number of code rows every member regresses onto.
+
+    A single network is one member holding every label, on C rows; OVO
+    members hold each pair of distinct labels and OVR members one label
+    each, all on two rows. Any other kind raises ``ValueError``.
+    """
+    labels = tuple(range(1, num_classes + 1))
+    if kind == "single":
+        return [labels], num_classes
+    if kind == "ovo":
+        return list(itertools.combinations(labels, 2)), 2
+    if kind == "ovr":
+        return [(label,) for label in labels], 2
+    raise ValueError(f"unknown scheme kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class SchemeMember:
     """One member network and the original class labels it separates.
@@ -73,9 +95,9 @@ class SchemeMember:
 class MetaScheme:
     """A bundle of member networks realizing a multi-class decision.
 
-    Over labels 1..C, OVO members hold each pair of distinct labels once,
-    OVR members one label each, and the single member every label; any
-    other assignment raises ``ValueError``.
+    Over labels 1..C the members hold the class subsets that
+    :func:`decomposition` lists for ``kind``, each once; any other
+    assignment raises ``ValueError``.
     """
 
     kind: str
@@ -84,27 +106,18 @@ class MetaScheme:
 
     def __post_init__(self) -> None:
         c = self.num_classes
-        labels = tuple(range(1, c + 1))
-        if self.kind == "ovo":
-            want, rule = list(itertools.combinations(labels, 2)), "each pair of distinct labels"
-        elif self.kind == "ovr":
-            want, rule = [(label,) for label in labels], "one label each"
-        elif self.kind == "single":
-            want, rule = [labels], "every label"
-        else:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
+        want, _ = decomposition(self.kind, c)
         got = sorted(tuple(sorted(m.classes)) for m in self.members)
         if got != want:
             raise ValueError(
                 f"{self.kind} over {c} classes needs {len(want)} member networks holding "
-                f"{rule} in 1..{c}, got {[tuple(m.classes) for m in self.members]}"
+                f"{_MEMBER_RULES[self.kind]} in 1..{c}, got {[tuple(m.classes) for m in self.members]}"
             )
 
     @property
     def codebook(self) -> WalshCodebook:
-        """The code rows the members regress onto: every class's row for a
-        single network, the shared two-class rows for OVO/OVR members."""
-        rows = self.num_classes if self.kind == "single" else 2
+        """The code rows the members regress onto (see :func:`decomposition`)."""
+        _, rows = decomposition(self.kind, self.num_classes)
         return WalshCodebook(rows, self.members[0].spec.output_dim)
 
     def to_doc(self) -> dict:
@@ -207,12 +220,11 @@ def scheme_predict(data: np.ndarray, scheme: MetaScheme, codebook: WalshCodebook
     C-class rows for a single network, the shared two-class rows for OVO/OVR
     members.
     """
-    if scheme.kind == "single":
-        return mdn_classify(_member_output(scheme.members[0], data), codebook)
-
     distances = _map_members(
         lambda member: mdn_distances(_member_output(member, data), codebook), scheme.members
     )
+    if scheme.kind == "single":
+        return distances[0].argmin(axis=1) + 1
     member_distances = [(member.classes, d) for member, d in zip(scheme.members, distances)]
     n = len(data)
     if scheme.kind == "ovo":

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EstimatorMixin, NotFittedError, as_epoch_array, as_labels
+from .base import EstimatorMixin, NotFittedError, _require_aligned, as_epoch_array, as_labels
 from .epochs import derive_seed
-from .mdn import MetaScheme, SchemeMember, _map_members, mdn_distances, scheme_predict
+from .mdn import MetaScheme, SchemeMember, _map_members, decomposition, mdn_distances, scheme_predict
 from .network import NetworkSpec, forward, parse_structure
 from .training import TrainConfig, train
 from .walsh import WalshCodebook
@@ -38,6 +38,21 @@ def default_structure(channels: int, length: int, output_dim: int = 16, planes: 
         length = -(-length // 2)
     triples.append(f"{in_p},{length},{output_dim}")
     return " / ".join(triples)
+
+
+def _member_problem(X: np.ndarray, y: np.ndarray, classes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The epochs a member separating ``classes`` trains on, relabelled so
+    that ``classes[k]`` is k+1; a one-class (OVR) member labels every other
+    epoch 2, the rest. ``X`` itself comes back when every epoch is kept."""
+    relabelled = np.zeros_like(y)
+    for k, c in enumerate(classes):
+        relabelled[y == c] = k + 1
+    if len(classes) == 1:
+        relabelled[relabelled == 0] = 2
+    keep = relabelled > 0
+    if keep.all():
+        return X, relabelled
+    return X[keep], relabelled[keep]
 
 
 def _stratified_validation_split(y: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +140,7 @@ class WalshCnnClassifier(EstimatorMixin):
         """Train on epochs X with labels y; carve validation data if not given."""
         X = as_epoch_array(X)
         y = as_labels(y)
+        _require_aligned(X, y, "training")
         if X_val is None:
             tr, va = _stratified_validation_split(y, self.validation_fraction, derive_seed(self.seed, "val-split"))
             if len(va) == 0:
@@ -133,77 +149,40 @@ class WalshCnnClassifier(EstimatorMixin):
         else:
             X_val = as_epoch_array(X_val)
             y_val = as_labels(y_val)
+            _require_aligned(X_val, y_val, "validation")
 
         self.classes_ = [int(c) for c in np.unique(np.concatenate([y, y_val]))]
         num_classes = max(self.classes_)
         self.num_classes_ = num_classes
         spec = self._parse(X.shape[1], X.shape[2])
         self.spec_ = spec
-        self.train_reports_ = []
-
-        if self.scheme == "single":
-            codebook = WalshCodebook(num_classes, self.code_size)
-            params, report = train(spec, (X, y), (X_val, y_val), codebook, self._train_config(self.seed))
-            self.scheme_ = MetaScheme(
-                kind="single",
-                num_classes=num_classes,
-                members=(SchemeMember(classes=tuple(range(1, num_classes + 1)), spec=spec, params=params),),
-            )
-            self.train_reports_.append(report)
-            return self
-
-        codebook = WalshCodebook(2, self.code_size)
-        if self.scheme == "ovo":
-            problems = [
-                (a, b)
-                for i, a in enumerate(self.classes_)
-                for b in self.classes_[i + 1 :]
-            ]
-        elif self.scheme == "ovr":
-            problems = [(c,) for c in self.classes_]
-        else:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        problems, rows = decomposition(self.scheme, num_classes)
         missing = sorted(set(range(1, num_classes + 1)) - set(self.classes_))
-        if missing:
+        if missing and self.scheme != "single":
             raise ValueError(
                 f"{self.scheme} over classes 1..{num_classes} needs epochs of every class; "
                 f"class(es) {missing} have none"
             )
+        codebook = WalshCodebook(rows, self.code_size)
 
         def fit_member(k: int):
-            classes = problems[k]
-            y_bin = self._binarize(y, classes)
-            yv_bin = self._binarize(y_val, classes)
-            keep = y_bin > 0
-            keep_val = yv_bin > 0
+            seed = self.seed if self.scheme == "single" else derive_seed(self.seed, "member", k)
             return train(
                 spec,
-                (X[keep], y_bin[keep]),
-                (X_val[keep_val], yv_bin[keep_val]),
+                _member_problem(X, y, problems[k]),
+                _member_problem(X_val, y_val, problems[k]),
                 codebook,
-                self._train_config(derive_seed(self.seed, "member", k)),
+                self._train_config(seed),
             )
 
         fitted = _map_members(fit_member, range(len(problems)))
-        members = [
+        self.train_reports_ = [report for _, report in fitted]
+        members = tuple(
             SchemeMember(classes=classes, spec=spec, params=params)
             for classes, (params, _) in zip(problems, fitted)
-        ]
-        self.train_reports_.extend(report for _, report in fitted)
-        self.scheme_ = MetaScheme(kind=self.scheme, num_classes=num_classes, members=tuple(members))
+        )
+        self.scheme_ = MetaScheme(kind=self.scheme, num_classes=num_classes, members=members)
         return self
-
-    @staticmethod
-    def _binarize(y: np.ndarray, classes: tuple[int, ...]) -> np.ndarray:
-        """Map original labels onto binary labels 1/2; 0 marks excluded epochs."""
-        out = np.zeros_like(y)
-        if len(classes) == 2:
-            out[y == classes[0]] = 1
-            out[y == classes[1]] = 2
-        else:
-            out[y == classes[0]] = 1
-            out[y != classes[0]] = 2
-        return out
 
     def _require_fitted(self) -> None:
         if not hasattr(self, "scheme_"):

@@ -478,9 +478,10 @@ def forward(
 
 def mse_loss(output: np.ndarray, target: np.ndarray) -> float:
     """Mean squared error (1/M) sum (output_j - target_j)^2 of ``(batch, M)``
-    outputs against their targets, meaned over the batch."""
-    output = np.asarray(output, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    outputs against their targets, meaned over the batch, in the dtype that
+    numpy promotes the two to."""
+    output = np.asarray(output)
+    target = np.asarray(target)
     if output.ndim != 2:
         raise ValueError(f"expected (batch, M) outputs, got shape {output.shape}")
     if output.shape != target.shape:
@@ -511,10 +512,9 @@ def backward(
         )
     caches: list = []
     out = forward(spec, params, x, mode=mode, rng=rng, caches=caches)
+    loss = mse_loss(out, targets)
     batch, m = out.shape
-    diff = out - targets
-    loss = float(np.mean(np.sum(diff * diff, axis=1) / m))
-    dflat = 2.0 * diff / (m * batch)
+    dflat = 2.0 * (out - targets) / (m * batch)
 
     final_block = spec.blocks[-1]
     final_len = spec.output_dim // final_block.out_planes

@@ -7,7 +7,7 @@ from ``scipy.special.stdtr``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -33,7 +33,7 @@ class TTestResult:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "df": self.df, "p": self.p, "degenerate": self.degenerate}
+        return asdict(self)
 
 
 def student_t_two_tailed_p(t: float, df: int) -> float:

@@ -10,10 +10,11 @@ pass are returned, never the last ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .base import _require_aligned
 from .mdn import mdn_classify
 from .metrics import divergence
 from .network import NetworkParams, NetworkSpec, backward, forward, init_params, mse_loss
@@ -72,17 +73,7 @@ class TrainReport:
     final_divergence: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "validation_loss": self.validation_loss,
-            "validation_accuracy": self.validation_accuracy,
-            "stopped_at": self.stopped_at,
-            "stop_reason": self.stop_reason,
-            "best_iteration": self.best_iteration,
-            "best_validation_loss": self.best_validation_loss,
-            "initial_divergence": self.initial_divergence,
-            "final_divergence": self.final_divergence,
-        }
+        return asdict(self)
 
 
 class _Adam:
@@ -141,8 +132,8 @@ def train(
     spec : NetworkSpec
         Its flattened output size must equal the codebook size.
     train_data, val_data : (X, y) pair
-        Non-empty training and validation data with labels in
-        1..``codebook.num_classes``.
+        Non-empty training and validation data, one label per epoch, with
+        labels in 1..``codebook.num_classes``.
     codebook : WalshCodebook
         Fixed targets; never updated by training.
     cfg : TrainConfig
@@ -157,11 +148,15 @@ def train(
 
     Raises
     ------
+    ValueError
+        If a partition's epoch and label counts differ, before any step.
     TrainingDivergedError
         If the training or validation loss becomes non-finite.
     """
     X_train, y_train = _as_arrays(train_data)
     X_val, y_val = _as_arrays(val_data)
+    _require_aligned(X_train, y_train, "training")
+    _require_aligned(X_val, y_val, "validation")
     if len(X_train) == 0 or len(X_val) == 0:
         raise ValueError("training and validation sets must be non-empty")
     if spec.output_dim != codebook.size:

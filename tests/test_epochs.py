@@ -70,6 +70,11 @@ class TestEpochSet:
         with pytest.raises(ValueError, match="outside"):
             EpochSet(np.zeros((2, 2, 4)), [3, 1], 250.0, num_classes=2)
 
+    def test_whole_float_labels_become_ints(self):
+        dataset = EpochSet(np.zeros((3, 1, 2)), [1.0, 2.0, 2.0], 100.0)
+        assert dataset.labels.dtype == np.int64
+        assert dataset.labels.tolist() == [1, 2, 2]
+
     def test_require_all_classes(self):
         partial = EpochSet(np.zeros((1, 2, 4)), [1], 250.0, num_classes=2)
         with pytest.raises(ValueError, match="no epochs"):
@@ -202,6 +207,8 @@ class TestArrayLayout:
             (np.zeros((2, 1, 3)), [1], 100.0, "one label per epoch"),
             (np.zeros((2, 1, 3)), [0, 2], 100.0, "outside"),
             (np.zeros((2, 1, 3)), [1, 2], 0.0, "sampling_rate"),
+            (np.zeros((4, 1, 3)), [1.5, 2.0, 1.0, 2.9], 100.0, "labels must be integers"),
+            (np.zeros((2, 1, 3)), [np.nan, 1.0], 100.0, "labels must be integers"),
         ],
     )
     def test_constructor_validates_arrays(self, data, labels, rate, match):

@@ -15,6 +15,7 @@ import mibci.mdn as mdn_module
 from mibci.mdn import (
     MetaScheme,
     SchemeMember,
+    decomposition,
     mdn_classify,
     mdn_distances,
     scheme_predict,
@@ -244,6 +245,25 @@ class TestSingle:
         MetaScheme(kind="single", num_classes=3, members=(constant_output_member((1, 2, 3), row),))
         with pytest.raises(ValueError, match="every label in 1..3"):
             MetaScheme(kind="single", num_classes=3, members=(constant_output_member(classes, row),))
+
+
+class TestDecomposition:
+    def test_members_and_code_rows_per_kind(self):
+        assert decomposition("single", 3) == ([(1, 2, 3)], 3)
+        assert decomposition("ovo", 4) == ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], 2)
+        assert decomposition("ovr", 3) == ([(1,), (2,), (3,)], 2)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown scheme kind 'ecoc'"):
+            decomposition("ecoc", 3)
+        row = WalshCodebook(2).targets[0]
+        with pytest.raises(ValueError, match="unknown scheme kind 'ecoc'"):
+            MetaScheme(kind="ecoc", num_classes=2, members=(constant_output_member((1, 2), row),))
+
+    @pytest.mark.parametrize("kind", ["single", "ovo", "ovr"])
+    def test_scheme_codebook_rows_follow_the_decomposition(self, kind):
+        scheme = random_scheme(kind, num_classes=4, seed=3)
+        assert scheme.codebook == WalshCodebook(decomposition(kind, 4)[1], 16)
 
 
 class TestSchemeSerialization:

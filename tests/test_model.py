@@ -7,6 +7,7 @@ import pytest
 
 import mibci.mdn as mdn_module
 import mibci.model as model_module
+import mibci.training as training_module
 from mibci.base import NotFittedError
 from mibci.epochs import derive_seed
 from mibci.mdn import MetaScheme
@@ -163,27 +164,55 @@ class TestDecompositions:
         with pytest.raises(ValueError, match="scheme"):
             WalshCnnClassifier(scheme="ovx", **FAST).fit(X, y)
 
+    @pytest.mark.parametrize("scheme", ["single", "ovo"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("longer", "training data has 24 epochs but 26 labels"),
+            ("shorter", "training data has 24 epochs but 22 labels"),
+            ("validation", "validation data has 9 epochs but 8 labels"),
+        ],
+    )
+    def test_misaligned_labels_rejected_before_any_step(self, scheme, case, message, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("backward ran on misaligned data")
+
+        monkeypatch.setattr(training_module, "backward", no_step)
+        X, y = separable_arrays(num_classes=3, per_class=8)
+        X_val, y_val = separable_arrays(num_classes=3, per_class=3, seed=1)
+        clf = WalshCnnClassifier(scheme=scheme, seed=1, **FAST)
+        with pytest.raises(ValueError, match=message):
+            if case == "longer":
+                clf.fit(X, np.concatenate([y, [1, 2]]))
+            elif case == "shorter":
+                clf.fit(X, y[:-2])
+            else:
+                clf.fit(X, y, X_val, y_val[:-1])
+
 
 class TestConcurrentMembers:
-    """OVO/OVR members train on a thread pool; the result must not depend on it."""
+    """Every scheme's members train through one member map, a thread pool
+    when there are several; the result must not depend on it."""
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
         monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 4)
 
-    @pytest.mark.parametrize("scheme", ["ovo", "ovr"])
+    @pytest.mark.parametrize("scheme", ["single", "ovo", "ovr"])
     def test_fit_matches_per_member_train(self, scheme):
         X, y = separable_arrays(num_classes=3, per_class=8)
         X_val, y_val = separable_arrays(num_classes=3, per_class=3, seed=1)
         settings = {**FAST, "dropout_p": 0.3, "max_iterations": 4, "patience": 4}
         clf = WalshCnnClassifier(scheme=scheme, seed=2, **settings).fit(X, y, X_val, y_val)
 
-        problems = [(1, 2), (1, 3), (2, 3)] if scheme == "ovo" else [(1,), (2,), (3,)]
+        problems = {"single": [(1, 2, 3)], "ovo": [(1, 2), (1, 3), (2, 3)], "ovr": [(1,), (2,), (3,)]}[scheme]
         assert [m.classes for m in clf.scheme_.members] == problems
         assert len(clf.train_reports_) == len(problems)
-        codebook = WalshCodebook(2, 16)
+        codebook = WalshCodebook(3 if scheme == "single" else 2, 16)
 
         def binary(labels, classes):
+            if len(classes) == 3:
+                return np.ones(len(labels), bool), labels
             keep = np.isin(labels, classes) if len(classes) == 2 else np.ones(len(labels), bool)
             return keep, np.where(labels == classes[0], 1, 2)[keep]
 
@@ -192,7 +221,7 @@ class TestConcurrentMembers:
             keep_val, yv_bin = binary(y_val, classes)
             cfg = TrainConfig(
                 learning_rate=settings["learning_rate"], batch_size=settings["batch_size"],
-                max_iterations=4, patience=4, seed=derive_seed(2, "member", k),
+                max_iterations=4, patience=4, seed=2 if scheme == "single" else derive_seed(2, "member", k),
             )
             params, report = train(clf.spec_, (X[keep], y_bin), (X_val[keep_val], yv_bin), codebook, cfg)
             assert clf.train_reports_[k].to_dict() == report.to_dict()
@@ -216,6 +245,19 @@ class TestConcurrentMembers:
         with pytest.raises(TrainingDivergedError, match="non-finite loss"):
             clf.fit(X, y)
         assert not hasattr(clf, "scheme_")
+
+    @pytest.mark.parametrize("scheme, members", [("single", 1), ("ovo", 3), ("ovr", 3)])
+    def test_each_fit_maps_its_members_once(self, scheme, members, monkeypatch):
+        calls = []
+
+        def recording_map(fn, items):
+            calls.append(len(items))
+            return mdn_module._map_members(fn, items)
+
+        monkeypatch.setattr(model_module, "_map_members", recording_map)
+        X, y = separable_arrays(num_classes=3, per_class=8)
+        WalshCnnClassifier(scheme=scheme, seed=1, **{**FAST, "max_iterations": 2}).fit(X, y)
+        assert calls == [members]
 
     def test_single_scheme_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -310,6 +310,16 @@ class TestMseLoss:
         with pytest.raises(ValueError, match="mismatch"):
             mse_loss(np.zeros((1, 4)), np.zeros((1, 5)))
 
+    def test_computes_in_the_input_dtype(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 16)).astype(np.float32)
+        b = rng.normal(size=(4, 16)).astype(np.float32)
+        diff = a - b
+        assert diff.dtype == np.float32
+        assert mse_loss(a, b) == float(np.mean(np.sum(diff * diff, axis=1) / 16))
+        # a float64 side promotes the whole computation to float64
+        assert mse_loss(a, b.astype(np.float64)) == mse_loss(a.astype(np.float64), b.astype(np.float64))
+
 
 class TestBatchesOnly:
     """A single epoch is a batch of one; its bare 2-D (or 1-D output) form is refused."""
@@ -348,6 +358,15 @@ class TestBackward:
         analytic, _ = backward(spec, params, x, targets, mode="eval")
         numeric = numeric_gradients(spec, params, x, targets, mode="eval")
         assert max_relative_gradient_error(analytic, numeric) <= 1e-4
+
+    def test_loss_is_the_mse_loss_of_its_forward(self):
+        spec = parse_structure("2,5,8 / 8,8,16", input_length=16, output_dim=16, dropout_p=0.0)
+        params = init_params(spec, seed=2).astype(np.float32)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 2, 16))
+        targets = rng.normal(size=(3, 16))
+        _, loss = backward(spec, params, x, targets, mode="eval")
+        assert loss == mse_loss(forward(spec, params, x, mode="eval"), targets.astype(np.float32))
 
     def test_zero_gradient_at_exact_fit(self):
         spec = parse_structure("2,5,8 / 8,8,16", input_length=16, output_dim=16, batch_norm=False, dropout_p=0.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mibci.training as training_module
 from mibci.network import parse_structure
 from mibci.synthetic import SyntheticSpec, generate_synthetic
 from mibci.training import TrainConfig, TrainingDivergedError, TrainReport, train
@@ -207,3 +208,24 @@ def test_report_to_dict_round_trips_series():
     doc = report.to_dict()
     assert doc["train_loss"] == [1.0]
     assert doc["validation_accuracy"] == [0.5]
+
+
+@pytest.mark.parametrize(
+    "partition, cut, message",
+    [
+        ("train", slice(None, -2), "training data has 12 epochs but 10 labels"),
+        ("val", slice(None, -1), "validation data has 4 epochs but 3 labels"),
+    ],
+)
+def test_misaligned_labels_rejected_before_any_step(monkeypatch, partition, cut, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("backward ran on misaligned data")
+
+    monkeypatch.setattr(training_module, "backward", no_step)
+    (X, y), (X_val, y_val) = small_problem()
+    if partition == "train":
+        y = y[cut]
+    else:
+        y_val = y_val[cut]
+    with pytest.raises(ValueError, match=message):
+        train(small_spec(), (X, y), (X_val, y_val), WalshCodebook(2, 16), TrainConfig(max_iterations=1))
