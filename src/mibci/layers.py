@@ -46,6 +46,18 @@ def _zero_padded(x: np.ndarray, left: int, right: int) -> np.ndarray:
     return xp
 
 
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """Every length-``k`` window of ``x``'s last axis as a read-only
+    ``(planes, k, batch, windows)`` view. The conv layers multiply the very
+    matrices that ``np.einsum(..., optimize=True)`` plans for their
+    contractions, so they give its bits without planning on every call."""
+    batch, planes, length = x.shape
+    s_batch, s_plane, s_time = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (planes, k, batch, length - k + 1), (s_plane, s_time, s_batch, s_time), writeable=False
+    )
+
+
 def conv1d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -71,8 +83,9 @@ def conv1d_forward(
         xp = x
     else:
         raise ValueError(f"unknown padding {padding!r}")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    y = np.einsum("bplk,opk->bol", windows, weight, optimize=True)
+    windows = _windows(xp, k)
+    y = weight.reshape(out_planes, in_planes * k) @ windows.reshape(in_planes * k, -1)
+    y = y.reshape(out_planes, x.shape[0], -1).transpose(1, 0, 2)
     y += bias[None, :, None]
     return y, (windows, padding, weight)
 
@@ -88,16 +101,20 @@ def conv1d_backward(
     input is data, so nothing consumes its gradient).
     """
     windows, padding, weight = cache
-    k = weight.shape[2]
-    dw = np.einsum("bol,bplk->opk", dy, windows, optimize=True)
+    out_planes, in_planes, k = weight.shape
+    batch = dy.shape[0]
+    # the window matrix is a temporary of the dw product alone: holding it
+    # through the dx product raises a training step's peak by about 40%
+    dw = windows.reshape(in_planes * k, -1) @ dy.transpose(0, 2, 1).reshape(-1, out_planes)
+    dw = dw.reshape(in_planes, k, out_planes).transpose(2, 0, 1)
     db = dy.sum(axis=(0, 2))
     if not need_dx:
         return None, dw, db
     left, right = _pad_widths(k) if padding == "same" else (0, 0)
     dyp = _zero_padded(dy, k - 1 - left, k - 1 - right)
-    dy_windows = np.lib.stride_tricks.sliding_window_view(dyp, k, axis=2)
-    dx = np.einsum("bolk,opk->bpl", dy_windows, weight[:, :, ::-1], optimize=True)
-    return dx, dw, db
+    flipped = weight[:, :, ::-1].transpose(1, 0, 2).reshape(in_planes, out_planes * k)
+    dx = flipped @ _windows(dyp, k).reshape(out_planes * k, -1)
+    return dx.reshape(in_planes, batch, -1).transpose(1, 0, 2), dw, db
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -119,8 +136,8 @@ def maxpool(x: np.ndarray) -> np.ndarray:
 
     Each window's output is ``np.maximum`` of its two samples, and an odd
     trailing sample is kept as its own window; NaN propagates. On its own it
-    can differ from :func:`maxpool_forward` on a (-0, +0) tie, which may keep
-    the other zero. Followed by :func:`relu`, which turns every zero into
+    differs from :func:`maxpool_forward` on a (-0, +0) tie, where it keeps
+    the second zero. Followed by :func:`relu`, which turns every zero into
     +0, it equals :func:`relu_forward` then :func:`maxpool_forward` bit for
     bit, so an eval pass can pool first and build no masks.
     """
@@ -138,12 +155,21 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     ``ceil(length / 2)``. The cache holds a boolean mask that is true where
     a window's first sample is its maximum; ties and a NaN first sample go
     to the first sample, exactly as ``argmax`` picks.
+
+    The kept values are ``np.maximum(right, left)``: on a tie numpy's
+    ``maximum`` returns its second operand, so a (-0, +0) window keeps its
+    first zero, and it returns whichever side is NaN. Only a window of two
+    NaNs needs the mask, to keep the first one's bits.
     """
     half = x.shape[2] // 2
     left = x[:, :, 0 : 2 * half : 2]
     right = x[:, :, 1 : 2 * half : 2]
-    first = (left >= right) | np.isnan(left)
-    pooled = np.where(first, left, right)
+    first = np.greater_equal(left, right)
+    nan_left = np.isnan(left)
+    first |= nan_left
+    pooled = np.maximum(right, left)
+    if nan_left.any():
+        np.copyto(pooled, left, where=nan_left)
     if x.shape[2] % 2:
         pooled = np.concatenate([pooled, x[:, :, -1:]], axis=2)
     return pooled, (x.shape, first)

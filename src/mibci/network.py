@@ -2,10 +2,12 @@
 
 A network is an ordered stack of blocks, each running
 conv -> batchnorm -> ReLU -> dropout -> maxpool (batchnorm, dropout, and
-pooling optional per block). Structure strings use the table syntax
-``in,k,out / in,k,out / ...`` where every block is same-padded and pooled
-except the last, which is valid-padded with its kernel spanning the whole
-remaining length so the flattened output has exactly ``output_dim`` values.
+pooling optional per block); a block without dropout pools before its ReLU,
+which gives the same outputs and gradients bit for bit. Structure strings
+use the table syntax ``in,k,out / in,k,out / ...`` where every block is
+same-padded and pooled except the last, which is valid-padded with its
+kernel spanning the whole remaining length so the flattened output has
+exactly ``output_dim`` values.
 The final activation is a ReLU, so outputs are nonnegative and can be
 regressed onto 0/1 code vectors.
 
@@ -427,13 +429,16 @@ def _forward_stack(
                 x = layers.maxpool(x)
             x = layers.relu(x)
             continue
+        # without dropout between them the ReLU commutes with the pool, bit
+        # for bit and in its routed gradient, so it runs on half the samples
+        pool_cache = drop_cache = None
+        if block.pool_after and not block.dropout_p:
+            x, pool_cache = layers.maxpool_forward(x)
         x, relu_cache = layers.relu_forward(x)
-        drop_cache = None
         if block.dropout_p:
             x, drop_cache = layers.dropout_forward(x, block.dropout_p, mode, rng)
-        pool_cache = None
-        if block.pool_after:
-            x, pool_cache = layers.maxpool_forward(x)
+            if block.pool_after:
+                x, pool_cache = layers.maxpool_forward(x)
         if caches is not None:
             caches.append((conv_cache, bn_cache, relu_cache, drop_cache, pool_cache))
     out = x.reshape(x.shape[0], -1)
@@ -523,10 +528,13 @@ def backward(
     grads: list[dict] = [{} for _ in spec.blocks]
     for i in range(len(spec.blocks) - 1, -1, -1):
         conv_cache, bn_cache, relu_cache, drop_cache, pool_cache = caches[i]
-        if pool_cache is not None:
+        pool_first = not spec.blocks[i].dropout_p
+        if pool_cache is not None and not pool_first:
             dx = layers.maxpool_backward(dx, pool_cache)
         dx = layers.dropout_backward(dx, drop_cache)
         dx = layers.relu_backward(dx, relu_cache)
+        if pool_cache is not None and pool_first:
+            dx = layers.maxpool_backward(dx, pool_cache)
         if bn_cache is not None:
             dx, dgamma, dbeta = layers.batchnorm_backward(dx, bn_cache)
             grads[i]["gamma"] = dgamma

@@ -378,3 +378,62 @@ def test_batchnorm_matches_reference(batch, planes, length, seed):
     xhat, inv_std, _, _ = cache
     scale = np.abs(dy * (gamma * inv_std)[None, :, None]).max()
     assert_close_to_scale(dx, reference_batchnorm_dx(dy, xhat, inv_std, gamma), scale)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=any_pool_array, seed=st.integers(0, 2**32 - 1))
+def test_pool_then_relu_equals_relu_then_pool_with_gradients_bit_for_bit(x, seed):
+    """What a dropout-free block relies on to pool before its ReLU in
+    training: the same outputs and the same routed input gradients, signed
+    zeros and NaN bits included."""
+    relu_first, relu_mask = layers.relu_forward(x)
+    expected, pool_cache = layers.maxpool_forward(relu_first)
+    pooled, pool_first_cache = layers.maxpool_forward(x)
+    actual, pooled_mask = layers.relu_forward(pooled)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.array_equal(_bits(actual), _bits(expected))
+    rng = np.random.default_rng(seed)
+    dy = rng.normal(size=actual.shape).astype(x.dtype)
+    dy[rng.random(dy.shape) < 0.2] = -0.0
+    dy[rng.random(dy.shape) < 0.2] = 0.0
+    dx_expected = layers.relu_backward(layers.maxpool_backward(dy, pool_cache), relu_mask)
+    dx = layers.maxpool_backward(layers.relu_backward(dy, pooled_mask), pool_first_cache)
+    assert dx.dtype == dx_expected.dtype
+    assert np.array_equal(_bits(dx), _bits(dx_expected))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [2, 3, 16, 17, 64, 250, 251])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_numpy_maximum_returns_its_second_operand_on_a_tie_and_any_nan(dtype, length, contiguous):
+    """``maxpool_forward`` takes ``np.maximum(right, left)`` as the kept
+    value: a (-0, +0) or (+0, -0) tie must give ``left`` and a NaN on either
+    side must give NaN, both in numpy's vector loop and in its scalar tail, on
+    the strided pool views and on contiguous arrays. A numpy release that
+    changes this rule fails here, by name, instead of flipping bits in
+    training."""
+    windows = np.array([-0.0, 0.0, 0.0, -0.0, np.nan, 1.0, 1.0, np.nan, np.nan, np.nan, 2.0, 2.0],
+                       dtype=dtype)
+    pairs = np.resize(windows, (3, 2, 2 * length))  # (left, right) windows along the last axis
+    if contiguous:
+        left, right = pairs[:, :, 0::2].copy(), pairs[:, :, 1::2].copy()
+    else:
+        left, right = pairs[:, :, 0::2], pairs[:, :, 1::2]
+    kept = np.maximum(right, left)
+    either_nan = np.isnan(left) | np.isnan(right)
+    assert np.isnan(kept[either_nan]).all()
+    assert np.array_equal(_bits(kept[~either_nan]), _bits(left[~either_nan]))
+
+
+def test_maxpool_keeps_the_first_of_two_nans_bit_for_bit():
+    for dtype, uint in ((np.float32, np.uint32), (np.float64, np.uint64)):
+        first = np.array([np.nan], dtype=dtype)
+        second = -first  # a NaN with the sign bit set
+        x = np.tile(np.concatenate([first, second, second, first]), 20).reshape(1, 1, 80)
+        pooled, cache = layers.maxpool_forward(x)
+        assert np.array_equal(pooled.view(uint)[0, 0], x.view(uint)[0, 0, 0::2])
+        assert cache[1].all()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mibci.network as network_module
+from mibci import layers
 from mibci.base import BLOCK_EPOCHS
 from mibci.network import (
     BlockParams,
@@ -474,6 +475,160 @@ class TestBackwardMatchesPaddedReference:
         x = np.random.default_rng(0).normal(size=(4, 4, 250))
         backward(spec, init_params(spec, seed=0), x, np.zeros((4, 16)), mode="train")
         assert seen == [True, True, True, True, False]  # last entry is block 1
+
+
+def _conv_layer_cases():
+    """Every conv layer of the e2e net at the ``nts_a_fixture`` batch and of
+    the paper net at the training batch, plus a valid conv longer than one
+    output: (batch, in_planes, kernel, out_planes, padding, length)."""
+    cases = []
+    for structure, channels, length, batch in ((E2E_STRUCTURE, 4, 250, 64), (TABLE7_S1, 2, 251, 32)):
+        spec = parse_structure(structure, input_channels=channels, input_length=length, output_dim=16)
+        for b in spec.blocks:
+            cases.append((batch, b.in_planes, b.kernel_size, b.out_planes, b.padding, length))
+            length = b.out_length(length)
+    cases.append((64, 12, 5, 12, "valid", 63))
+    return cases
+
+
+class TestConvMatchesEinsumReference:
+    """The conv layers multiply the matrices that ``np.einsum(...,
+    optimize=True)`` plans for the same contractions, so they match the einsum
+    reference bit for bit in both dtypes, whatever the input's layout."""
+
+    @pytest.mark.parametrize("batch, in_planes, k, out_planes, padding, length", _conv_layer_cases())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_bit_identical(self, batch, in_planes, k, out_planes, padding, length, dtype, layout):
+        rng = np.random.default_rng(length * k + in_planes)
+        if layout == "contiguous":
+            x = rng.normal(size=(batch, in_planes, length)).astype(dtype)
+        else:  # the strides of a conv output that skips batchnorm
+            x = rng.normal(size=(in_planes, batch, length)).astype(dtype).transpose(1, 0, 2)
+        weight = rng.normal(size=(out_planes, in_planes, k)).astype(dtype)
+        bias = rng.normal(size=out_planes).astype(dtype)
+        y, cache = layers.conv1d_forward(x, weight, bias, padding)
+        ref_y, ref_cache = _padded_reference_conv_forward(x, weight, bias, padding)
+        assert y.dtype == dtype and y.shape == ref_y.shape
+        assert np.array_equal(y, ref_y)
+        assert cache[1:] == (padding, weight)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        ref = _padded_reference_conv_backward(dy, ref_cache)
+        for need_dx in (True, False):
+            dx, dw, db = layers.conv1d_backward(dy, cache, need_dx=need_dx)
+            assert dw.dtype == db.dtype == dtype
+            assert np.array_equal(dw, ref[1]) and np.array_equal(db, ref[2])
+            if need_dx:
+                assert dx.dtype == dtype and dx.shape == x.shape
+                assert np.array_equal(dx, ref[0])
+            else:
+                assert dx is None
+
+
+def _stage_order(monkeypatch, spec, mode):
+    """The layer functions one backward call runs, in call order."""
+    calls = []
+    for name in ("relu_forward", "relu_backward", "dropout_forward", "dropout_backward",
+                 "maxpool_forward", "maxpool_backward"):
+        real = getattr(network_module.layers, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(network_module.layers, name, spy)
+    x = np.random.default_rng(0).normal(size=(4, 3, 16))
+    backward(spec, init_params(spec, seed=0), x, np.zeros((4, 16)), mode=mode,
+             rng=np.random.default_rng(1))
+    monkeypatch.undo()
+    return calls
+
+
+class TestPoolBeforeRelu:
+    """A block without dropout pools before its ReLU in training, which gives
+    the outputs and gradients of ReLU then pool bit for bit; a block with
+    dropout keeps ReLU -> dropout -> pool, since dropout does not commute
+    with the pool."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_dropout_free_blocks_pool_first(self, monkeypatch, mode):
+        spec = parse_structure("3,3,4 / 4,8,16", input_length=16, output_dim=16, dropout_p=0.0)
+        assert _stage_order(monkeypatch, spec, mode) == [
+            "maxpool_forward", "relu_forward",  # block 1
+            "relu_forward",  # block 2: no pool
+            "dropout_backward", "relu_backward",
+            "dropout_backward", "relu_backward", "maxpool_backward",
+        ]
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_blocks_with_dropout_keep_relu_dropout_pool(self, monkeypatch, mode):
+        spec = parse_structure("3,3,4 / 4,8,16", input_length=16, output_dim=16, dropout_p=0.5)
+        assert _stage_order(monkeypatch, spec, mode) == [
+            "relu_forward", "dropout_forward", "maxpool_forward",  # block 1
+            "relu_forward",  # block 2: no dropout, no pool
+            "dropout_backward", "relu_backward",
+            "maxpool_backward", "dropout_backward", "relu_backward",
+        ]
+
+    @pytest.mark.parametrize(
+        "structure, channels, length",
+        [(E2E_STRUCTURE, 4, 250), (TABLE7_S1, 2, 251), ("3,3,4 / 4,3,4 / 4,4,16", 3, 13)],
+        ids=["e2e", "paper", "odd"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", ["normal", "ternary"])
+    def test_matches_relu_then_pool_bit_for_bit(self, monkeypatch, structure, channels, length, dtype, values):
+        """The reference runs the same blocks ReLU -> pool: a dropout block
+        whose dropout is the identity."""
+        rng = np.random.default_rng(length)
+        if values == "normal":
+            x = rng.normal(size=(8, channels, length))
+        else:  # many equal pool pairs, exact zeros and negative zeros
+            x = rng.integers(-1, 2, size=(8, channels, length)) * 1.0
+            x[rng.random(x.shape) < 0.3] = -0.0
+        targets = rng.integers(0, 2, size=(8, 16)).astype(float)
+
+        def run(dropout_p):
+            spec = parse_structure(structure, input_channels=channels, input_length=length,
+                                   output_dim=16, dropout_p=dropout_p)
+            params = trained_looking_params(spec, seed=3).astype(dtype)
+            if values == "ternary":
+                for p in params.blocks:
+                    p.bias[:] = 0
+            return backward(spec, params, x, targets, mode="train", rng=np.random.default_rng(5))
+
+        grads, loss = run(0.0)
+        monkeypatch.setattr(network_module.layers, "dropout_forward", lambda x, *args: (x, None))
+        ref_grads, ref_loss = run(0.5)
+        assert loss == ref_loss
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        for got, want in zip(grads, ref_grads):
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].dtype == dtype
+                assert np.array_equal(got[name].view(uint), want[name].view(uint)), name
+
+
+class TestTrainingWorkingSet:
+    def test_paper_scale_float32_step(self):
+        """One paper-scale float32 training step at batch 32 allocates at
+        most 12 MB: 11.4 MB measured before the conv dropped einsum, and 11.1
+        MB after, with numpy 2.4 on OpenBLAS 0.3.31. Keeping the window matrix
+        alive across the dx product took 15.9 MB."""
+        spec = parse_structure(TABLE7_S1, input_channels=2, input_length=251, output_dim=16,
+                               dropout_p=0.0)
+        params = trained_looking_params(spec, seed=1).astype(np.float32)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(32, 2, 251)).astype(np.float32)
+        targets = rng.integers(0, 2, size=(32, 16)).astype(np.float32)
+        backward(spec, params, x, targets, mode="train")  # warm-up
+        tracemalloc.start()
+        try:
+            backward(spec, params, x, targets, mode="train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 11.4e6
 
 
 class TestComputeDtype:
