@@ -44,7 +44,12 @@ def _parse_bands(text: str | None) -> tuple[tuple[float, float], ...]:
     bands = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        bands.append((float(lo), float(hi)))
+        try:
+            bands.append((float(lo), float(hi)))
+        except ValueError:
+            raise click.BadParameter(
+                f"band {part!r} is not of the form LOW-HIGH in Hz, e.g. 8-12", param_hint="'--bands'"
+            ) from None
     return tuple(bands)
 
 
@@ -208,6 +213,7 @@ def csp_apply(ctx, in_path, model_path, output):
     """Band-filter an EPB1 file and project it onto fitted spatial filters."""
     dataset = load_epochs(in_path)
     model = CspModel.load(model_path)
+    model.check_raw_channels(dataset.n_channels)
     transformed = apply_csp_set(apply_filter_bank_set(dataset, model.bank), model)
     path = _out_path(ctx, output)
     save_epochs(transformed, path)

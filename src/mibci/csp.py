@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg
 
 from .bandpass import DEFAULT_BANDS, FilterBankSpec, _filter_bank, apply_filter_bank_set
 from .base import EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
@@ -73,6 +72,16 @@ class CspModel:
     @property
     def n_outputs(self) -> int:
         return self.projection.shape[0]
+
+    def check_raw_channels(self, n_channels: int) -> None:
+        """Reject unfiltered epochs whose channels times the bank's bands are
+        not ``input_channels``, before a filter pass is spent on them."""
+        filtered = n_channels * self.bank.n_bands
+        if filtered != self.input_channels:
+            raise ValueError(
+                f"epochs have {n_channels} channels x {self.bank.n_bands} bands = {filtered} "
+                f"filtered channels, model expects {self.input_channels}"
+            )
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """Project ``(n, input_channels, samples)`` band-filtered epochs onto the filters."""
@@ -155,6 +164,8 @@ def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
             stacklevel=2,
         )
         composite = composite + _RIDGE_EPS * np.trace(composite) / dim * np.eye(dim)
+    from scipy import linalg
+
     evals, evecs = linalg.eigh(c1, composite)
     order = np.argsort(-evals, kind="stable")
     evals = evals[order]
@@ -265,6 +276,7 @@ class CspTransformer(EstimatorMixin):
         if not hasattr(self, "model_"):
             raise NotFittedError("CspTransformer must be fitted before transform")
         X = as_epoch_array(X)
+        self.model_.check_raw_channels(X.shape[1])
         return self.model_.project(_filter_bank(X, self.model_.bank, self.sampling_rate))
 
     def fit_transform(self, X, y) -> np.ndarray:

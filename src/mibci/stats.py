@@ -1,7 +1,7 @@
 """Paired t-test with the two-tailed Student-t p-value.
 
 The p-value is twice the lower tail of the t distribution at -|t|, taken
-from ``scipy.special.stdtr``.
+from ``scipy.special.stdtr``, imported on first use.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "TTestResult",
@@ -42,6 +41,8 @@ def student_t_two_tailed_p(t: float, df: int) -> float:
         raise ValueError("degrees of freedom must be >= 1")
     if not math.isfinite(t):
         return 0.0
+    from scipy import special
+
     return float(2.0 * special.stdtr(df, -abs(t)))
 
 

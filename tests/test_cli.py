@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import mibci.bandpass as bandpass_module
 import mibci.io as io_module
 import mibci.mdn as mdn_module
 from mibci.cli import main
@@ -95,6 +96,41 @@ class TestCspCommands:
         transformed = load_epochs(tmp_path / "transformed.epb")
         assert transformed.n_channels == 2
         assert transformed.n_samples == 32
+
+    @pytest.mark.parametrize("bands", ["8-12,16", "a-b"])
+    def test_fit_names_a_malformed_band(self, synth_file, tmp_path, capsys, bands):
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-fit", "--in", str(synth_file), "--m", "1", "--bands", bands], capsys
+        )
+        assert code == 1
+        entry = bands.split(",")[-1]
+        assert f"band {entry!r} is not of the form LOW-HIGH" in err
+        assert "could not convert" not in err
+        assert not (tmp_path / "csp.json").exists()
+
+    def test_apply_checks_channels_before_filtering(self, synth_file, tmp_path, capsys, monkeypatch):
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-fit", "--in", str(synth_file), "--m", "1",
+             "--bands", "8-12,18-24"],
+            capsys,
+        )
+        assert code == 0, err
+        wide = tmp_path / "wide"
+        code, _, err = run(["--out", str(wide), "--seed", "3", "synth", *SYNTH_ARGS, "--channels", "3"], capsys)
+        assert code == 0, err
+
+        def no_filtering(*args):
+            raise AssertionError("a mismatched input reached the filter bank")
+
+        monkeypatch.setattr(bandpass_module, "_filter_bank", no_filtering)
+        code, _, err = run(
+            ["--out", str(tmp_path), "csp-apply", "--in", str(wide / "synthetic.epb"),
+             "--model", str(tmp_path / "csp.json")],
+            capsys,
+        )
+        assert code == 1
+        assert "error: epochs have 3 channels x 2 bands = 6 filtered channels, model expects 4" in err
+        assert not (tmp_path / "transformed.epb").exists()
 
     @pytest.mark.parametrize("field", CSP_FIELDS)
     def test_apply_names_a_missing_field(self, synth_file, tmp_path, capsys, field):

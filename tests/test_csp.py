@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mibci.bandpass as bandpass_module
+import mibci.csp as csp_module
 from mibci.csp import CspModel, CspTransformer, _normalized_covariances, apply_csp_set, fit_csp
 from mibci.bandpass import FilterBankSpec, apply_filter_bank_set
 from mibci.epochs import EpochSet
@@ -242,6 +244,18 @@ class TestTransformer:
         dataset = EpochSet(X, y, sampling_rate=250.0)
         expected = apply_csp_set(apply_filter_bank_set(dataset, tr.model_.bank), tr.model_)
         assert np.array_equal(tr.transform(X), expected.to_array())
+
+    def test_channel_mismatch_rejected_before_filtering(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        tr = CspTransformer(m=1, sampling_rate=250.0).fit(rng.normal(size=(12, 3, 128)), [1] * 6 + [2] * 6)
+
+        def no_filtering(*args):
+            raise AssertionError("a mismatched input reached the filter bank")
+
+        monkeypatch.setattr(csp_module, "_filter_bank", no_filtering)
+        monkeypatch.setattr(bandpass_module, "_filter_bank", no_filtering)
+        with pytest.raises(ValueError, match="epochs have 4 channels x 5 bands = 20 filtered channels, model expects 15"):
+            tr.transform(rng.normal(size=(2, 4, 128)))
 
     def test_transform_before_fit_raises(self):
         from mibci.base import NotFittedError
