@@ -5,13 +5,11 @@ forward-backward with ``scipy.signal.sosfiltfilt`` so epochs keep their
 timing; the signal is reflect-padded by ``3 * order`` samples per side
 before the two passes and trimmed after, which tames edge transients on
 short epochs. ``scipy.signal`` is imported on first use, so a process that
-never filters never loads it, and each band's sections are designed once
-per process.
+never filters never loads it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +66,10 @@ class FilterBankSpec:
                 )
 
 
-@functools.cache
 def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: int = 4) -> np.ndarray:
     """Design a Butterworth band-pass as second-order sections.
 
-    Returns the read-only SOS coefficient array for
-    :func:`zero_phase_bandpass`, cached per argument tuple. After
+    Returns the SOS coefficient array for :func:`zero_phase_bandpass`. After
     the forward-backward application the magnitude response is the squared
     single-pass response: at least 0.9 at the band center and at most 0.1 at
     half the low edge and 1.5 times the high edge for the default order.
@@ -86,9 +82,7 @@ def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: 
         )
     from scipy import signal
 
-    sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=sampling_rate, output="sos")
-    sos.setflags(write=False)
-    return sos
+    return signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=sampling_rate, output="sos")
 
 
 def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = 4) -> np.ndarray:
@@ -105,9 +99,7 @@ def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = 4) -> np
 
     data = np.asarray(data, dtype=np.float64)
     pad = min(3 * order, data.shape[-1] - 1)
-    # scipy's compiled sosfilt takes only a writable coefficient buffer, and
-    # design_bandpass hands out read-only ones
-    return signal.sosfiltfilt(np.array(sos), data, axis=-1, padtype="even", padlen=pad)
+    return signal.sosfiltfilt(sos, data, axis=-1, padtype="even", padlen=pad)
 
 
 def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> np.ndarray:
