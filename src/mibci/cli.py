@@ -14,6 +14,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import mdn
 from ._version import __version__
@@ -53,11 +54,21 @@ def _parse_bands(text: str | None) -> tuple[tuple[float, float], ...]:
     return tuple(bands)
 
 
+def _read_object(path) -> dict:
+    """The JSON object in ``path``; malformed JSON or any other value is a
+    validation error naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise click.ClickException(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _read_config(ctx) -> dict:
     path = ctx.obj.get("config")
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _read_object(path) if path else {}
 
 
 def _out_path(ctx, name: str) -> Path:
@@ -110,14 +121,21 @@ def _seed(ctx, default: int = 0) -> int:
 def synth(ctx, classes, epochs_per_class, channels, samples, rate, noise_sd, gain, output):
     """Generate a synthetic band-power dataset as an EPB1 file."""
     cfg = _read_config(ctx)
+
+    def value(key: str, param: str):
+        # a flag given on the command line wins over the config key, as --seed does
+        if ctx.get_parameter_source(param) is ParameterSource.DEFAULT:
+            return cfg.get(key, ctx.params[param])
+        return ctx.params[param]
+
     spec = SyntheticSpec(
-        num_classes=cfg.get("num_classes", classes),
-        epochs_per_class=cfg.get("epochs_per_class", epochs_per_class),
-        channels=cfg.get("channels", channels),
-        samples=cfg.get("samples", samples),
-        sampling_rate=cfg.get("sampling_rate", rate),
-        noise_sd=cfg.get("noise_sd", noise_sd),
-        default_gain=cfg.get("default_gain", gain),
+        num_classes=value("num_classes", "classes"),
+        epochs_per_class=value("epochs_per_class", "epochs_per_class"),
+        channels=value("channels", "channels"),
+        samples=value("samples", "samples"),
+        sampling_rate=value("sampling_rate", "rate"),
+        noise_sd=value("noise_sd", "noise_sd"),
+        default_gain=value("default_gain", "gain"),
         mu_gains=np.array(cfg["mu_gains"], dtype=float) if "mu_gains" in cfg else None,
         beta_gains=np.array(cfg["beta_gains"], dtype=float) if "beta_gains" in cfg else None,
         seed=_seed(ctx, cfg.get("seed", 0)),
@@ -385,7 +403,7 @@ def count_weights_cmd(ctx, structure, classes, code_size):
 @click.pass_context
 def report(ctx, in_path):
     """Render a stored experiment/matrix report as json, text, or csv."""
-    doc = json.loads(Path(in_path).read_text(encoding="utf-8"))
+    doc = _read_object(in_path)
     fmt = ctx.obj.get("format", "json")
     if fmt == "json":
         click.echo(json.dumps(doc, indent=2))

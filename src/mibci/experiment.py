@@ -31,6 +31,8 @@ from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
 from .network import _parse_triples, render_structure
 from .stats import TTestResult, paired_ttest
+from .training import TrainConfig
+from .walsh import build_walsh
 
 __all__ = [
     "LeakageError",
@@ -94,6 +96,12 @@ class ExperimentPlan:
             raise ValueError("a TS plan requires the spatial-filter parameter m")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        # the config types own these checks, so a bad value fails here, not in every run
+        SplitSpec(test_fraction=self.test_fraction, validation_fraction=self.validation_fraction)
+        FilterBankSpec(bands=self.bands, order=self.filter_order)
+        TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
+                    max_iterations=self.max_iterations, patience=self.patience)
+        build_walsh(self.code_size)
         object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
 
     def to_dict(self) -> dict:

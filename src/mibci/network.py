@@ -278,87 +278,82 @@ class NetworkParams:
         return self.astype(self.dtype)
 
     def to_doc(self, spec: NetworkSpec) -> dict:
-        """The network document: structure, dtype and every block's arrays."""
-        doc = {
-            "structure": render_structure(spec),
+        """The network document: the structure, the hidden blocks' batchnorm
+        and dropout settings, dtype and every block's arrays. A spec that
+        :func:`parse_structure` does not rebuild from these raises ``ValueError``."""
+        hidden = spec.blocks[0]
+        structure = render_structure(spec)
+        if spec.blocks[-1].out_planes != spec.output_dim or spec != parse_structure(
+            structure, output_dim=spec.output_dim, batch_norm=hidden.batch_norm, dropout_p=hidden.dropout_p
+        ):
+            raise ValueError(f"only a spec in the structure-table layout can be written, got {spec}")
+        return {
+            "structure": structure,
             "output_dim": spec.output_dim,
+            "batch_norm": hidden.batch_norm,
+            "dropout_p": hidden.dropout_p,
             "init_seed": self.init_seed,
             "dtype": self.dtype.name,
-            "blocks": [],
+            "blocks": [
+                {f.name: a.ravel().tolist() for f in fields(p) if (a := getattr(p, f.name)) is not None}
+                for p in self.blocks
+            ],
         }
-        for block_spec, p in zip(spec.blocks, self.blocks):
-            entry = {
-                "padding": block_spec.padding,
-                "pool_after": block_spec.pool_after,
-                "batch_norm": block_spec.batch_norm,
-                "dropout_p": block_spec.dropout_p,
-                "weight": p.weight.ravel().tolist(),
-                "bias": p.bias.tolist(),
-            }
-            if p.gamma is not None:
-                entry["gamma"] = p.gamma.tolist()
-                entry["beta"] = p.beta.tolist()
-                entry["running_mean"] = p.running_mean.tolist()
-                entry["running_var"] = p.running_var.tolist()
-            doc["blocks"].append(entry)
-        return doc
 
     def to_json(self, spec: NetworkSpec) -> str:
         return json.dumps(self.to_doc(spec))
 
     @classmethod
     def from_doc(cls, doc: dict) -> tuple[NetworkSpec, "NetworkParams"]:
-        """Inverse of :meth:`to_doc`. A missing field, a ``structure`` that is
-        not a string, ``blocks`` that are not a list of objects, a ``dtype``
-        other than float32/float64, or a block count or vector length that
-        does not match the structure raises ``ValueError``; a document without
-        ``dtype`` loads as float64."""
+        """Inverse of :meth:`to_doc`: :func:`parse_structure` builds the spec.
+        A missing field, a ``structure`` that is not a string, ``blocks`` that
+        are not a list of objects, a ``dtype`` other than float32/float64, or a
+        block count or vector length that does not match the structure raises
+        ``ValueError``; a document without ``dtype`` loads as float64. A
+        document written with ``batch_norm``/``dropout_p`` on every block
+        instead of at the top loads with its first block's."""
         where = "network document"
         structure = _require(doc, "structure", where)
         if not isinstance(structure, str):
             raise ValueError(
                 f"{where}: field 'structure' must be a string, got {type(structure).__name__}"
             )
-        triples = _parse_triples(structure)
         entries = _require(doc, "blocks", where)
         if not isinstance(entries, list):
             raise ValueError(
                 f"{where}: field 'blocks' must be a list of objects, got {type(entries).__name__}"
             )
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} layer {i + 1} must be a JSON object, got {type(entry).__name__}")
         dtype = doc.get("dtype", "float64")
         if dtype not in ("float32", "float64"):
             raise ValueError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
-        if len(triples) != len(entries):
+        settings, at = doc, where
+        if "batch_norm" not in doc and entries and "batch_norm" in entries[0]:
+            settings, at = entries[0], f"{where} layer 1"
+        spec = parse_structure(
+            structure,
+            output_dim=_require(doc, "output_dim", where),
+            batch_norm=_require(settings, "batch_norm", at),
+            dropout_p=_require(settings, "dropout_p", at),
+        )
+        if len(spec.blocks) != len(entries):
             raise ValueError(
-                f"structure has {len(triples)} layers but the document has {len(entries)} blocks"
+                f"structure has {len(spec.blocks)} layers but the document has {len(entries)} blocks"
             )
-        blocks_spec = []
-        blocks_params = []
-        for i, ((in_p, k, out_p), entry) in enumerate(zip(triples, entries)):
-            at = f"{where} layer {i + 1}"
-            blocks_spec.append(
-                ConvBlockSpec(
-                    in_planes=in_p,
-                    kernel_size=k,
-                    out_planes=out_p,
-                    padding=_require(entry, "padding", at),
-                    pool_after=_require(entry, "pool_after", at),
-                    batch_norm=_require(entry, "batch_norm", at),
-                    dropout_p=_require(entry, "dropout_p", at),
-                )
-            )
+        blocks = []
+        for i, (b, entry) in enumerate(zip(spec.blocks, entries)):
             bp = BlockParams(
-                weight=_json_vector(entry, "weight", out_p * in_p * k, i, dtype).reshape(out_p, in_p, k),
-                bias=_json_vector(entry, "bias", out_p, i, dtype),
+                weight=_json_vector(entry, "weight", b.out_planes * b.in_planes * b.kernel_size, i, dtype)
+                .reshape(b.out_planes, b.in_planes, b.kernel_size),
+                bias=_json_vector(entry, "bias", b.out_planes, i, dtype),
             )
-            if entry["batch_norm"]:
-                bp.gamma = _json_vector(entry, "gamma", out_p, i, dtype)
-                bp.beta = _json_vector(entry, "beta", out_p, i, dtype)
-                bp.running_mean = _json_vector(entry, "running_mean", out_p, i, dtype)
-                bp.running_var = _json_vector(entry, "running_var", out_p, i, dtype)
-            blocks_params.append(bp)
-        spec = NetworkSpec(blocks=tuple(blocks_spec), output_dim=_require(doc, "output_dim", where))
-        return spec, cls(blocks=blocks_params, init_seed=doc.get("init_seed", 0))
+            if b.batch_norm:
+                for name in ("gamma", "beta", "running_mean", "running_var"):
+                    setattr(bp, name, _json_vector(entry, name, b.out_planes, i, dtype))
+            blocks.append(bp)
+        return spec, cls(blocks=blocks, init_seed=doc.get("init_seed", 0))
 
     @classmethod
     def from_json(cls, text: str) -> tuple[NetworkSpec, "NetworkParams"]:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,20 @@ class TestSynthSplitAugment:
         assert doc["train"]["count"] + doc["validation"]["count"] == 14
         assert load_epochs(tmp_path / "test.epb").num_classes == 2
         assert doc["validation"]["count"] == 0  # floor(0.1 * 7) per class
+
+    def test_given_flags_win_over_the_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"num_classes": 2, "epochs_per_class": 4, "channels": 3, "samples": 32}))
+        code, _, err = run(
+            ["--out", str(tmp_path), "--config", str(config), "synth", "--classes", "3",
+             "--channels", "4", "--samples", "16"],
+            capsys,
+        )
+        assert code == 0, err
+        dataset = load_epochs(tmp_path / "synthetic.epb")
+        # --channels 4 is the default value, but it was given, so it wins too
+        assert (dataset.num_classes, dataset.n_channels, dataset.n_samples) == (3, 4, 16)
+        assert len(dataset) == 12  # epochs_per_class from the config: no flag given
 
     def test_augment_grows_set(self, synth_file, tmp_path, capsys):
         code, out, _ = run(
@@ -609,3 +624,46 @@ class TestExitCodes:
 
     def test_experiment_without_config(self, capsys):
         assert run(["experiment"], capsys)[0] == 1
+
+    @pytest.mark.parametrize(
+        "text, message", [("[1]", "expected a JSON object, got list"), ("{", "Expecting property name")]
+    )
+    def test_config_that_is_not_an_object_names_the_file(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = run(["--out", str(tmp_path), "--config", str(config), "synth"], capsys)
+        assert code == 1
+        assert f"{config}: {message}" in err
+        assert not (tmp_path / "synthetic.epb").exists()
+
+    @pytest.mark.parametrize(
+        "text, message", [("[1]", "expected a JSON object, got list"), ("{", "Expecting property name")]
+    )
+    def test_report_that_is_not_an_object_names_the_file(self, tmp_path, capsys, text, message):
+        stored = tmp_path / "report.json"
+        stored.write_text(text)
+        code, _, err = run(["--format", "text", "report", "--in", str(stored)], capsys)
+        assert code == 1
+        assert f"{stored}: {message}" in err
+
+    def test_invalid_plan_value_fails_before_any_run(self, synth_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(dict(tiny_plan_doc(str(synth_file)), learning_rate=-1)))
+        code, _, err = run(["--out", str(tmp_path), "--config", str(plan_path), "experiment"], capsys)
+        assert code == 1
+        assert "error: learning_rate and batch_size must be positive" in err
+        assert not (tmp_path / "experiment.json").exists()
+
+    def test_eval_of_a_per_block_layout_document(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data" / "per_block_layout"
+        code, _, err = run(
+            ["--out", str(tmp_path), "eval", "--in", str(data / "epochs.epb"),
+             "--params", str(data / "ovo_float32.json")],
+            capsys,
+        )
+        assert code == 0, err
+        labels = load_epochs(data / "epochs.epb").labels
+        predictions = json.loads((data / "predictions.json").read_text())["ovo_float32"]
+        want = np.zeros((3, 3), dtype=int)
+        np.add.at(want, (labels - 1, np.array(predictions) - 1), 1)
+        assert json.loads((tmp_path / "eval.json").read_text())["confusion"] == want.tolist()

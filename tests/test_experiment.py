@@ -76,6 +76,21 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(augment="maybe")
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("learning_rate", -1, "learning_rate and batch_size must be positive"),
+            ("batch_size", 0, "learning_rate and batch_size must be positive"),
+            ("test_fraction", 1.5, r"test_fraction must be in \(0, 1\)"),
+            ("bands", [[30, 10]], r"invalid band \(30.0, 10.0\)"),
+            ("code_size", 3, "size must be a power of two in \\[2, 1024\\], got 3"),
+        ],
+    )
+    def test_invalid_value_fails_at_plan_load(self, name, value, message):
+        doc = dict(tiny_plan().to_dict(), **{name: value})
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_dict(doc)
+
     def test_json_round_trip(self):
         plan = tiny_plan()
         again = ExperimentPlan.from_json(__import__("json").dumps(plan.to_dict()))

@@ -5,6 +5,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mibci.mdn as mdn_module
+from mibci.io import load_epochs
 from mibci.mdn import (
     MetaScheme,
     SchemeMember,
@@ -352,6 +354,54 @@ class TestSchemeDocuments:
         doc = random_scheme("ovr", 2, seed=22).to_doc()
         doc["members"] = 3
         with pytest.raises(ValueError, match="scheme document: field 'members' must be a list, got int"):
+            MetaScheme.from_doc(doc)
+
+
+PER_BLOCK_LAYOUT = Path(__file__).parent / "data" / "per_block_layout"
+
+
+class TestPerBlockLayoutDocuments:
+    """Model documents written when every block held its own padding,
+    pooling, batchnorm and dropout keys (see data/per_block_layout)."""
+
+    @pytest.mark.parametrize(
+        "name, kind, dtype", [("ovo_float32", "ovo", np.float32), ("single_float64", "single", np.float64)]
+    )
+    def test_predicts_as_when_written(self, name, kind, dtype):
+        text = (PER_BLOCK_LAYOUT / f"{name}.json").read_text()
+        doc = json.loads(text)
+        assert all("padding" in e for m in doc["members"] for e in m["network"]["blocks"])
+        scheme = MetaScheme.from_json(text)
+        assert scheme.kind == kind
+        for member in scheme.members:
+            assert member.params.dtype == dtype
+            assert [(b.batch_norm, b.dropout_p) for b in member.spec.blocks] == [
+                (True, 0.5), (True, 0.5), (False, 0.0)]
+        x = load_epochs(PER_BLOCK_LAYOUT / "epochs.epb").to_array()
+        expected = json.loads((PER_BLOCK_LAYOUT / "predictions.json").read_text())[name]
+        assert scheme_predict(x, scheme, scheme.codebook).tolist() == expected
+
+    @pytest.mark.parametrize("name", ["ovo_float32", "single_float64"])
+    def test_rewrites_in_the_structure_layout(self, name):
+        old = MetaScheme.from_json((PER_BLOCK_LAYOUT / f"{name}.json").read_text())
+        doc = old.to_doc()
+        for member in doc["members"]:
+            for entry in member["network"]["blocks"]:
+                assert not {"padding", "pool_after", "batch_norm", "dropout_p"} & set(entry)
+        new = MetaScheme.from_doc(doc)
+        for a, b in zip(old.members, new.members, strict=True):
+            assert a.spec == b.spec
+            for pa, pb in zip(a.params.blocks, b.params.blocks, strict=True):
+                for name in ("weight", "bias", "gamma", "beta", "running_mean", "running_var"):
+                    va, vb = getattr(pa, name), getattr(pb, name)
+                    assert (va is None and vb is None) or va.tobytes() == vb.tobytes()
+
+    def test_first_block_without_batch_norm_is_named(self):
+        doc = json.loads((PER_BLOCK_LAYOUT / "ovo_float32.json").read_text())
+        del doc["members"][1]["network"]["blocks"][0]["batch_norm"]
+        with pytest.raises(
+            ValueError, match="scheme document member 2: network document: missing field 'batch_norm'"
+        ):
             MetaScheme.from_doc(doc)
 
 

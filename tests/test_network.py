@@ -740,11 +740,93 @@ class TestParamsSerialization:
         with pytest.raises(ValueError, match=f"network document: missing field '{name}'"):
             NetworkParams.from_json(json.dumps(doc))
 
-    def test_missing_block_field_named(self):
+    @pytest.mark.parametrize("name", ["batch_norm", "dropout_p"])
+    def test_missing_block_field_named(self, name):
+        # the hidden blocks' settings are held once, at the top of the document
         doc = self._bn_doc()
-        del doc["blocks"][1]["padding"]
-        with pytest.raises(ValueError, match="network document layer 2: missing field 'padding'"):
+        del doc[name]
+        with pytest.raises(ValueError, match=f"network document: missing field '{name}'"):
             NetworkParams.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+    def test_written_document_holds_no_per_block_layout_key(self, batch_norm, dropout_p):
+        spec = parse_structure("2,5,8 / 8,5,8 / 8,8,16", input_length=32, output_dim=16,
+                               batch_norm=batch_norm, dropout_p=dropout_p)
+        doc = init_params(spec, seed=0).to_doc(spec)
+        assert list(doc) == ["structure", "output_dim", "batch_norm", "dropout_p", "init_seed",
+                             "dtype", "blocks"]
+        assert (doc["batch_norm"], doc["dropout_p"]) == (batch_norm, dropout_p)
+        arrays = ["weight", "bias", "gamma", "beta", "running_mean", "running_var"]
+        hidden = arrays if batch_norm else arrays[:2]
+        assert [list(entry) for entry in doc["blocks"]] == [hidden, hidden, arrays[:2]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+    def test_round_trip_rebuilds_the_spec_and_the_bytes(self, dtype, batch_norm, dropout_p):
+        spec = parse_structure(TABLE7_S1, input_channels=2, input_length=251, output_dim=16,
+                               batch_norm=batch_norm, dropout_p=dropout_p)
+        params = trained_looking_params(spec, seed=8).astype(dtype)
+        spec2, params2 = NetworkParams.from_json(params.to_json(spec))
+        assert spec2 == spec
+        for a, b in zip(params.blocks, params2.blocks, strict=True):
+            for name in ("weight", "bias", "gamma", "beta", "running_mean", "running_var"):
+                va, vb = getattr(a, name), getattr(b, name)
+                assert (va is None) == (vb is None)
+                if va is not None:
+                    assert vb.dtype == dtype and vb.shape == va.shape
+                    assert va.tobytes() == vb.tobytes()
+
+    @pytest.mark.parametrize(
+        "blocks, output_dim",
+        [
+            # a hidden block valid-padded, or not pooled
+            ((ConvBlockSpec(2, 5, 8, padding="valid"), ConvBlockSpec(8, 12, 16, "valid", False, False, 0.0)), 16),
+            ((ConvBlockSpec(2, 5, 8, pool_after=False), ConvBlockSpec(8, 32, 16, "valid", False, False, 0.0)), 16),
+            # the last block same-padded, pooled, with batchnorm or dropout
+            ((ConvBlockSpec(2, 5, 8), ConvBlockSpec(8, 16, 16, "same", False, False, 0.0)), 256),
+            ((ConvBlockSpec(2, 5, 8), ConvBlockSpec(8, 16, 16, "valid", True, False, 0.0)), 16),
+            ((ConvBlockSpec(2, 5, 8), ConvBlockSpec(8, 16, 16, "valid", False, True, 0.0)), 16),
+            ((ConvBlockSpec(2, 5, 8), ConvBlockSpec(8, 16, 16, "valid", False, False, 0.5)), 16),
+            # hidden blocks that disagree on batchnorm or dropout
+            ((ConvBlockSpec(2, 5, 8), ConvBlockSpec(8, 5, 8, batch_norm=False),
+              ConvBlockSpec(8, 8, 16, "valid", False, False, 0.0)), 16),
+            ((ConvBlockSpec(2, 5, 8, dropout_p=0.2), ConvBlockSpec(8, 5, 8, dropout_p=0.5),
+              ConvBlockSpec(8, 8, 16, "valid", False, False, 0.0)), 16),
+            # a final length above 1, so the flatten is not the last plane count
+            ((ConvBlockSpec(2, 5, 8), ConvBlockSpec(8, 8, 4, "valid", False, False, 0.0)), 36),
+        ],
+    )
+    def test_to_doc_refuses_a_spec_outside_the_table_layout(self, blocks, output_dim):
+        spec = NetworkSpec(blocks=blocks, output_dim=output_dim)
+        with pytest.raises(ValueError, match="only a spec in the structure-table layout"):
+            init_params(spec, seed=0).to_doc(spec)
+
+    def test_per_block_document_loads_with_its_first_blocks_settings(self):
+        spec = parse_structure("2,5,8 / 8,5,8 / 8,8,16", input_length=32, output_dim=16,
+                               dropout_p=0.25)
+        params = trained_looking_params(spec, seed=4)
+        doc = params.to_doc(spec)
+        # the layout that documents held before the settings moved to the top
+        for name in ("batch_norm", "dropout_p"):
+            del doc[name]
+        for block, entry in zip(spec.blocks, doc["blocks"]):
+            entry.update(padding=block.padding, pool_after=block.pool_after,
+                         batch_norm=block.batch_norm, dropout_p=block.dropout_p)
+        spec2, params2 = NetworkParams.from_doc(doc)
+        assert spec2 == spec
+        x = np.random.default_rng(5).normal(size=(4, 2, 32))
+        assert np.array_equal(forward(spec2, params2, x), forward(spec, params, x))
+        # the structure governs every other per-block key
+        doc["blocks"][1].update(padding="valid", pool_after=False, batch_norm=False, dropout_p=0.9)
+        assert NetworkParams.from_doc(doc)[0] == spec
+        del doc["blocks"][0]["dropout_p"]
+        with pytest.raises(ValueError, match="network document layer 1: missing field 'dropout_p'"):
+            NetworkParams.from_doc(doc)
+        del doc["blocks"][0]["batch_norm"]
+        with pytest.raises(ValueError, match="network document: missing field 'batch_norm'"):
+            NetworkParams.from_doc(doc)
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object, got list"):
