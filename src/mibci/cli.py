@@ -30,7 +30,7 @@ from .experiment import (
     run_experiment,
     run_matrix,
 )
-from .io import EpochFormatError, load_epochs, save_epochs
+from .io import load_epochs, save_epochs
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
 from .network import _parse_triples, count_weights
@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (ValueError, EpochFormatError, FileNotFoundError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except (TrainingDivergedError, LeakageError) as exc:

@@ -188,6 +188,27 @@ class Split:
             raise ValueError("split partitions overlap")
 
 
+def _stratified_draw(
+    labels: np.ndarray, fractions: tuple[float, ...], rng: np.random.Generator, at_least_one: bool = False
+) -> list[np.ndarray]:
+    """Per class, in ascending label order: permute its indices with ``rng``,
+    then cut ``floor(n * f)`` of the ``n`` still uncut for each fraction
+    ``f`` in turn; ``at_least_one`` raises a cut of 0 to 1 while two or more
+    are left. Returns the sorted cuts, then the sorted rest."""
+    cuts = [[np.empty(0, dtype=np.intp)] for _ in range(len(fractions) + 1)]  # empty labels give empty cuts
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        idx = idx[rng.permutation(len(idx))]
+        for k, fraction in enumerate(fractions):
+            n = int(np.floor(len(idx) * fraction))
+            if at_least_one and n == 0 and len(idx) > 1:
+                n = 1
+            cuts[k].append(idx[:n])
+            idx = idx[n:]
+        cuts[-1].append(idx)
+    return [np.sort(np.concatenate(cut)) for cut in cuts]
+
+
 def split_dataset(dataset: EpochSet, spec: SplitSpec) -> Split:
     """Stratified train/validation/test split of an epoch set.
 
@@ -215,22 +236,11 @@ def split_dataset(dataset: EpochSet, spec: SplitSpec) -> Split:
         thin = [c + 1 for c in np.nonzero(counts < 2)[0]]
         raise ValueError(f"each class needs >= 2 epochs to split, too few in classes {thin}")
 
-    rng = np.random.default_rng(spec.seed)
-    labels = dataset.labels
-    train: list[int] = []
-    val: list[int] = []
-    test: list[int] = []
-    for c in range(1, dataset.num_classes + 1):
-        idx = np.nonzero(labels == c)[0]
-        idx = idx[rng.permutation(len(idx))]
-        n_test = int(np.floor(len(idx) * spec.test_fraction))
-        pool = idx[n_test:]
-        n_val = int(np.floor(len(pool) * spec.validation_fraction))
-        test.extend(int(i) for i in idx[:n_test])
-        val.extend(int(i) for i in pool[:n_val])
-        train.extend(int(i) for i in pool[n_val:])
+    test, val, train = _stratified_draw(
+        dataset.labels, (spec.test_fraction, spec.validation_fraction), np.random.default_rng(spec.seed)
+    )
     return Split(
-        train_indices=tuple(sorted(train)),
-        validation_indices=tuple(sorted(val)),
-        test_indices=tuple(sorted(test)),
+        train_indices=tuple(train.tolist()),
+        validation_indices=tuple(val.tolist()),
+        test_indices=tuple(test.tolist()),
     )

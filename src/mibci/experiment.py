@@ -27,9 +27,10 @@ from .bandpass import DEFAULT_BANDS, FilterBankSpec, apply_filter_bank_set
 from .csp import apply_csp_set, fit_csp
 from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
+from .mdn import decomposition
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
-from .network import _parse_triples, render_structure
+from .network import ConvBlockSpec, _parse_triples, parse_structure, render_structure
 from .stats import TTestResult, paired_ttest
 from .training import TrainConfig
 from .walsh import build_walsh
@@ -102,6 +103,11 @@ class ExperimentPlan:
         TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
                     max_iterations=self.max_iterations, patience=self.patience)
         build_walsh(self.code_size)
+        decomposition(self.scheme, 2)
+        ConvBlockSpec(in_planes=1, kernel_size=1, out_planes=1, dropout_p=self.dropout_p)
+        if self.structure is not None:
+            parse_structure(self.structure, output_dim=self.code_size,
+                            batch_norm=self.batch_norm, dropout_p=self.dropout_p)
         object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
 
     def to_dict(self) -> dict:

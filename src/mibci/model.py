@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import EstimatorMixin, NotFittedError, _require_aligned, as_epoch_array, as_labels
-from .epochs import derive_seed
+from .epochs import _stratified_draw, derive_seed
 from .mdn import MetaScheme, SchemeMember, _map_members, decomposition, mdn_distances, scheme_predict
 from .network import NetworkSpec, forward, parse_structure
 from .training import TrainConfig, train
@@ -55,20 +55,6 @@ def _member_problem(X: np.ndarray, y: np.ndarray, classes: tuple[int, ...]) -> t
     return X[keep], relabelled[keep]
 
 
-def _stratified_validation_split(y: np.ndarray, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    train_idx, val_idx = [], []
-    for c in np.unique(y):
-        idx = np.nonzero(y == c)[0]
-        idx = idx[rng.permutation(len(idx))]
-        n_val = int(np.floor(len(idx) * fraction))
-        if n_val == 0 and len(idx) > 1:
-            n_val = 1
-        val_idx.extend(idx[:n_val])
-        train_idx.extend(idx[n_val:])
-    return np.sort(np.array(train_idx, dtype=int)), np.sort(np.array(val_idx, dtype=int))
-
-
 class WalshCnnClassifier(EstimatorMixin):
     """CNN feature extractor regressed onto Walsh code rows, MDN decision.
 
@@ -81,8 +67,11 @@ class WalshCnnClassifier(EstimatorMixin):
     scheme : {'single', 'ovo', 'ovr'}
         Single multi-class network or a pairwise / per-class decomposition.
     validation_fraction : float
-        Carved per class from the training data when no explicit validation
-        set is passed to fit.
+        When fit gets no validation set, each class gives
+        ``floor(n_c * validation_fraction)`` of its epochs to validation, but
+        at least one when it has two or more. The draw is the per-class one
+        of :func:`~mibci.epochs.split_dataset`, seeded with
+        ``derive_seed(seed, "val-split")``.
     batch_norm, dropout_p
         Defaults for the hidden blocks of parsed structures.
     Remaining parameters mirror :class:`~mibci.training.TrainConfig`.
@@ -142,7 +131,8 @@ class WalshCnnClassifier(EstimatorMixin):
         y = as_labels(y)
         _require_aligned(X, y, "training")
         if X_val is None:
-            tr, va = _stratified_validation_split(y, self.validation_fraction, derive_seed(self.seed, "val-split"))
+            rng = np.random.default_rng(derive_seed(self.seed, "val-split"))
+            va, tr = _stratified_draw(y, (self.validation_fraction,), rng, at_least_one=True)
             if len(va) == 0:
                 raise ValueError("not enough data to carve a validation set; pass X_val explicitly")
             X, X_val, y, y_val = X[tr], X[va], y[tr], y[va]

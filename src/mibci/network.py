@@ -59,7 +59,7 @@ class ConvBlockSpec:
         if self.padding not in ("same", "valid"):
             raise ValueError(f"unknown padding {self.padding!r}")
         if not 0 <= self.dropout_p < 1:
-            raise ValueError("dropout_p must be in [0, 1)")
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
     def out_length(self, length: int) -> int:
         if self.padding == "valid":

@@ -654,6 +654,23 @@ class TestExitCodes:
         assert "error: learning_rate and batch_size must be positive" in err
         assert not (tmp_path / "experiment.json").exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "matrix"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dropout_p", 1.5, "dropout_p must be in [0, 1), got 1.5"),
+            ("scheme", "foo", "unknown scheme kind 'foo'"),
+            ("structure", "3,5", "layer 1 is not an in,kernel,out triple: '3,5'"),
+        ],
+    )
+    def test_plan_value_that_fails_every_run_exits_1(self, command, field, value, message, synth_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(dict(tiny_plan_doc(str(synth_file)), **{field: value})))
+        code, _, err = run(["--out", str(tmp_path), "--config", str(plan_path), command], capsys)
+        assert code == 1
+        assert f"error: {message}" in err
+        assert not list(tmp_path.glob(f"{command}.*"))
+
     def test_eval_of_a_per_block_layout_document(self, tmp_path, capsys):
         data = Path(__file__).parent / "data" / "per_block_layout"
         code, _, err = run(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mibci.augment import AugmentConfig, augment_set
-from mibci.epochs import EpochSet, SplitSpec, derive_seed, split_dataset
+from mibci.epochs import EpochSet, SplitSpec, _stratified_draw, derive_seed, split_dataset
 from mibci.io import load_epochs, save_epochs
 
 from helpers import make_set
@@ -275,6 +275,23 @@ class TestSplit:
             pool_c = n_c - test_c
             val_c = sum(1 for i in split.validation_indices if labels[i] == c)
             assert abs(val_c - pool_c * val_fraction) < 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5),
+        fraction=st.floats(min_value=0.0, max_value=0.9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_at_least_one_carve(self, counts, fraction, seed):
+        """The estimator's validation carve: disjoint and exhaustive, and
+        ``max(floor(n_c * f), 1)`` epochs of each class with two or more."""
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(1, len(counts) + 1), counts))
+        carved, rest = _stratified_draw(labels, (fraction,), np.random.default_rng(seed), at_least_one=True)
+        assert not set(carved.tolist()) & set(rest.tolist())
+        assert sorted(carved.tolist() + rest.tolist()) == list(range(len(labels)))
+        for c, n_c in enumerate(counts, start=1):
+            want = max(int(np.floor(n_c * fraction)), 1) if n_c >= 2 else 0
+            assert int((labels[carved] == c).sum()) == want
 
 
 def test_derive_seed_stable_and_typed():

@@ -84,6 +84,9 @@ class TestPlan:
             ("test_fraction", 1.5, r"test_fraction must be in \(0, 1\)"),
             ("bands", [[30, 10]], r"invalid band \(30.0, 10.0\)"),
             ("code_size", 3, "size must be a power of two in \\[2, 1024\\], got 3"),
+            ("dropout_p", 1.5, r"dropout_p must be in \[0, 1\), got 1.5"),
+            ("scheme", "foo", "unknown scheme kind 'foo'"),
+            ("structure", "3,5", "layer 1 is not an in,kernel,out triple: '3,5'"),
         ],
     )
     def test_invalid_value_fails_at_plan_load(self, name, value, message):

@@ -100,6 +100,43 @@ class TestSingleScheme:
         assert a.train_reports_[0].to_dict() == b.train_reports_[0].to_dict()
 
 
+class _Carved(Exception):
+    """Raised by a stand-in ``train`` to hand back the data fit carved."""
+
+
+class TestValidationCarve:
+    """Golden indices of fit's validation carve. Each epoch's samples hold
+    its own index, so the data a stand-in ``train`` receives names the
+    carve; the tuples were recorded from the estimator's own splitter
+    before it was merged into the shared per-class draw."""
+
+    @pytest.mark.parametrize(
+        "y, fraction, seed, validation",
+        [
+            # 3 x 8 at 0.1: floor(0.8) = 0, so one epoch per class
+            (np.repeat([1, 2, 3], 8), 0.1, 3, (6, 11, 23)),
+            # 2 x 25 at 0.1: floor(2.5) = 2 per class
+            (np.repeat([1, 2], 25), 0.1, 5, (8, 23, 39, 45)),
+            # class 2 has one epoch, which stays in training
+            (np.repeat([1, 2, 3], [7, 1, 7]), 0.2, 11, (0, 11)),
+            # single scheme over labels {1, 3}: class 2 is missing
+            (np.tile([1, 3], 9), 0.25, 13, (7, 12, 14, 17)),
+        ],
+        ids=["3x8-at-least-one", "2x25-floor", "single-epoch-class", "missing-class"],
+    )
+    def test_carve_matches_golden_indices(self, y, fraction, seed, validation, monkeypatch):
+        def capture(spec, train_data, val_data, codebook, cfg):
+            raise _Carved(train_data[0][:, 0, 0], val_data[0][:, 0, 0])
+
+        monkeypatch.setattr(model_module, "train", capture)
+        X = np.repeat(np.arange(len(y), dtype=float)[:, None, None], 16, axis=2)
+        with pytest.raises(_Carved) as carved:
+            WalshCnnClassifier(seed=seed, validation_fraction=fraction).fit(X, y)
+        train_idx, val_idx = (tuple(int(i) for i in part) for part in carved.value.args)
+        assert val_idx == validation
+        assert train_idx == tuple(sorted(set(range(len(y))) - set(validation)))
+
+
 class TestDecompositions:
     def test_ovo_member_count_and_prediction_range(self):
         X, y = separable_arrays(num_classes=3, per_class=8)
