@@ -141,7 +141,7 @@ class EpochSet:
             h = hashlib.sha256(subject_id.encode("utf-8"))
             h.update(label.tobytes())
             h.update(rate)
-            h.update(row.tobytes())
+            h.update(row)  # data is C-contiguous, so hashlib reads the row in place
             rows.append(h.hexdigest())
         return tuple(rows)
 

@@ -131,6 +131,8 @@ class WalshCnnClassifier(EstimatorMixin):
         y = as_labels(y)
         _require_aligned(X, y, "training")
         if X_val is None:
+            if not 0 <= self.validation_fraction < 1:
+                raise ValueError(f"validation_fraction must be in [0, 1), got {self.validation_fraction}")
             rng = np.random.default_rng(derive_seed(self.seed, "val-split"))
             va, tr = _stratified_draw(y, (self.validation_fraction,), rng, at_least_one=True)
             if len(va) == 0:

@@ -18,6 +18,7 @@ gradient comes back in it.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, fields
 
@@ -251,10 +252,34 @@ class BlockParams:
         return names
 
 
-def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str) -> np.ndarray:
-    values = np.array(entry.get(name, []), dtype=dtype)
+def _pack(a: np.ndarray, dtype: np.dtype) -> str:
+    """Base64 of ``a``'s little-endian ``dtype`` bytes in C order."""
+    return base64.b64encode(np.asarray(a, dtype=dtype.newbyteorder("<")).tobytes()).decode("ascii")
+
+
+def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str, packed: bool) -> np.ndarray:
+    """Field ``name`` of block ``index`` as a writable native ``(length,)``
+    array: base64 of little-endian bytes when ``packed`` (format 2), else a
+    list of decimals (format 1). Anything else raises ``ValueError``."""
+    at = f"layer {index + 1}: {name}"
+    if name not in entry:
+        raise ValueError(f"{at} needs {length} values, got none")
+    value = entry[name]
+    if packed != isinstance(value, str):
+        want = "a base64 string in a format-2" if packed else "a list of numbers in a format-1"
+        raise ValueError(f"{at} must be {want} document, got {type(value).__name__}")
+    if packed:
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ValueError(f"{at} is not valid base64: {exc}") from None
+        size = length * np.dtype(dtype).itemsize
+        if len(raw) != size:
+            raise ValueError(f"{at} needs {length} values ({size} bytes of {dtype}), got {len(raw)} bytes")
+        return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype)
+    values = np.array(value, dtype=dtype)
     if values.shape != (length,):
-        raise ValueError(f"layer {index + 1}: {name} needs {length} values, got shape {values.shape}")
+        raise ValueError(f"{at} needs {length} values, got shape {values.shape}")
     return values
 
 
@@ -278,8 +303,9 @@ class NetworkParams:
         return self.astype(self.dtype)
 
     def to_doc(self, spec: NetworkSpec) -> dict:
-        """The network document: the structure, the hidden blocks' batchnorm
-        and dropout settings, dtype and every block's arrays. A spec that
+        """The network document: ``format`` 2, the structure, the hidden
+        blocks' batchnorm and dropout settings, dtype and every block's arrays,
+        each as base64 of its little-endian ``dtype`` bytes. A spec that
         :func:`parse_structure` does not rebuild from these raises ``ValueError``."""
         hidden = spec.blocks[0]
         structure = render_structure(spec)
@@ -288,6 +314,7 @@ class NetworkParams:
         ):
             raise ValueError(f"only a spec in the structure-table layout can be written, got {spec}")
         return {
+            "format": 2,
             "structure": structure,
             "output_dim": spec.output_dim,
             "batch_norm": hidden.batch_norm,
@@ -295,7 +322,7 @@ class NetworkParams:
             "init_seed": self.init_seed,
             "dtype": self.dtype.name,
             "blocks": [
-                {f.name: a.ravel().tolist() for f in fields(p) if (a := getattr(p, f.name)) is not None}
+                {f.name: _pack(a, self.dtype) for f in fields(p) if (a := getattr(p, f.name)) is not None}
                 for p in self.blocks
             ],
         }
@@ -307,11 +334,13 @@ class NetworkParams:
     def from_doc(cls, doc: dict) -> tuple[NetworkSpec, "NetworkParams"]:
         """Inverse of :meth:`to_doc`: :func:`parse_structure` builds the spec.
         A missing field, a ``structure`` that is not a string, ``blocks`` that
-        are not a list of objects, a ``dtype`` other than float32/float64, or a
-        block count or vector length that does not match the structure raises
-        ``ValueError``; a document without ``dtype`` loads as float64. A
-        document written with ``batch_norm``/``dropout_p`` on every block
-        instead of at the top loads with its first block's."""
+        are not a list of objects, a ``format`` other than 1 or 2, a ``dtype``
+        other than float32/float64, an array not encoded as its format says,
+        or a block count or vector length that does not match the structure
+        raises ``ValueError``. A document without ``format`` is format 1,
+        whose arrays are lists of decimals; one without ``dtype`` loads as
+        float64. A document written with ``batch_norm``/``dropout_p`` on every
+        block instead of at the top loads with its first block's."""
         where = "network document"
         structure = _require(doc, "structure", where)
         if not isinstance(structure, str):
@@ -326,6 +355,10 @@ class NetworkParams:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"{where} layer {i + 1} must be a JSON object, got {type(entry).__name__}")
+        fmt = doc.get("format", 1)
+        if type(fmt) is not int or fmt not in (1, 2):
+            raise ValueError(f"{where}: field 'format' is {fmt!r}, expected 1 or 2")
+        packed = fmt == 2
         dtype = doc.get("dtype", "float64")
         if dtype not in ("float32", "float64"):
             raise ValueError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
@@ -345,13 +378,13 @@ class NetworkParams:
         blocks = []
         for i, (b, entry) in enumerate(zip(spec.blocks, entries)):
             bp = BlockParams(
-                weight=_json_vector(entry, "weight", b.out_planes * b.in_planes * b.kernel_size, i, dtype)
+                weight=_json_vector(entry, "weight", b.out_planes * b.in_planes * b.kernel_size, i, dtype, packed)
                 .reshape(b.out_planes, b.in_planes, b.kernel_size),
-                bias=_json_vector(entry, "bias", b.out_planes, i, dtype),
+                bias=_json_vector(entry, "bias", b.out_planes, i, dtype, packed),
             )
             if b.batch_norm:
                 for name in ("gamma", "beta", "running_mean", "running_var"):
-                    setattr(bp, name, _json_vector(entry, name, b.out_planes, i, dtype))
+                    setattr(bp, name, _json_vector(entry, name, b.out_planes, i, dtype, packed))
             blocks.append(bp)
         return spec, cls(blocks=blocks, init_seed=doc.get("init_seed", 0))
 

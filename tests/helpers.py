@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import math
 
 import numpy as np
@@ -80,6 +81,29 @@ def max_relative_gradient_error(analytic, numeric) -> float:
             denom = np.maximum(np.maximum(np.abs(a), np.abs(arr)), 1e-8)
             worst = max(worst, float((np.abs(a - arr) / denom).max()))
     return worst
+
+
+def packed(a: np.ndarray) -> str:
+    """A network-document array in format 2: base64 of its little-endian
+    bytes in C order."""
+    a = np.asarray(a)
+    return base64.b64encode(a.astype(a.dtype.newbyteorder("<")).tobytes()).decode("ascii")
+
+
+def unpacked(text: str, dtype) -> np.ndarray:
+    """Inverse of :func:`packed`, as a writable native array."""
+    return np.frombuffer(base64.b64decode(text), dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype)
+
+
+def as_format_1(network: dict) -> dict:
+    """A format-2 network document rewritten as format 1: no ``format``
+    field, and every array a list of decimals."""
+    network = {k: v for k, v in network.items() if k != "format"}
+    network["blocks"] = [
+        {name: unpacked(text, network["dtype"]).tolist() for name, text in entry.items()}
+        for entry in network["blocks"]
+    ]
+    return network
 
 
 def make_set(n_per_class: int, channels: int = 3, samples: int = 16, num_classes: int = 2,

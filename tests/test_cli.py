@@ -17,7 +17,7 @@ from mibci.io import EpochFormatError, load_epochs, save_epochs
 from mibci.mdn import MetaScheme, SchemeMember
 from mibci.network import init_params, parse_structure
 
-from helpers import masked_eval_forward, plant_training_copy
+from helpers import masked_eval_forward, packed, plant_training_copy
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 ALEXNET_CONV = "3,121,96 / 96,25,256 / 256,9,192 / 192,9,192 / 192,9,128"
@@ -580,6 +580,43 @@ class TestExitCodes:
         code, _, err = run(["eval", "--in", str(synth_file), "--params", str(scheme_path)], capsys)
         assert code == 1
         assert "error: scheme document member 1: missing field 'network'" in err
+
+    def test_trained_model_is_written_in_format_2(self, synth_file, tmp_path, capsys):
+        code, _, err = run(
+            ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(synth_file),
+             "--scheme", "ovo", *FAST_TRAIN],
+            capsys,
+        )
+        assert code == 0, err
+        for member in json.loads((tmp_path / "model.json").read_text())["members"]:
+            assert member["network"]["format"] == 2
+            for entry in member["network"]["blocks"]:
+                assert entry and all(isinstance(value, str) for value in entry.values())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda net, e: e.update(bias="@@@@"), "layer 2: bias is not valid base64"),
+            (lambda net, e: e.update(weight=e["weight"][:-4]),
+             r"layer 2: weight needs 2048 values \(8192 bytes of float32\), got 8190 bytes"),
+            (lambda net, e: e.update(bias=[0.0] * 16),
+             "layer 2: bias must be a base64 string in a format-2 document, got list"),
+            (lambda net, e: net.pop("format"),
+             "layer 1: weight must be a list of numbers in a format-1 document, got str"),
+            (lambda net, e: net.update(format=7), "network document: field 'format' is 7, expected 1 or 2"),
+        ],
+        ids=["not-base64", "short-bytes", "list-in-format-2", "string-in-format-1", "unknown-format"],
+    )
+    def test_malformed_packed_array_is_validation_error(self, synth_file, tmp_path, capsys, edit, message):
+        params = write_params_file(tmp_path, "ovr", 2, "2,5,8 / 8,16,16", 2, 32)
+        doc = json.loads(params.read_text())
+        network = doc["members"][1]["network"]
+        edit(network, network["blocks"][1])
+        params.write_text(json.dumps(doc))
+        code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
+        assert code == 1
+        assert re.search(f"^error: scheme document member 2: {message}", err, re.MULTILINE), err
+        assert "Traceback" not in err
 
     def test_unknown_params_dtype_names_the_field(self, synth_file, tmp_path, capsys):
         code, _, err = run(

@@ -371,6 +371,9 @@ class TestPerBlockLayoutDocuments:
         text = (PER_BLOCK_LAYOUT / f"{name}.json").read_text()
         doc = json.loads(text)
         assert all("padding" in e for m in doc["members"] for e in m["network"]["blocks"])
+        # format 1: no format field, every array a list of decimals
+        assert all("format" not in m["network"] for m in doc["members"])
+        assert all(isinstance(e["weight"], list) for m in doc["members"] for e in m["network"]["blocks"])
         scheme = MetaScheme.from_json(text)
         assert scheme.kind == kind
         for member in scheme.members:
@@ -386,9 +389,11 @@ class TestPerBlockLayoutDocuments:
         old = MetaScheme.from_json((PER_BLOCK_LAYOUT / f"{name}.json").read_text())
         doc = old.to_doc()
         for member in doc["members"]:
+            assert member["network"]["format"] == 2
             for entry in member["network"]["blocks"]:
                 assert not {"padding", "pool_after", "batch_norm", "dropout_p"} & set(entry)
-        new = MetaScheme.from_doc(doc)
+                assert all(isinstance(value, str) for value in entry.values())
+        new = MetaScheme.from_json(json.dumps(doc))
         for a, b in zip(old.members, new.members, strict=True):
             assert a.spec == b.spec
             for pa, pb in zip(a.params.blocks, b.params.blocks, strict=True):

@@ -136,6 +136,17 @@ class TestValidationCarve:
         assert val_idx == validation
         assert train_idx == tuple(sorted(set(range(len(y))) - set(validation)))
 
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5])
+    def test_fraction_outside_unit_interval_refused_before_the_carve(self, fraction, monkeypatch):
+        def capture(spec, train_data, val_data, codebook, cfg):
+            raise _Carved(train_data[0][:, 0, 0], val_data[0][:, 0, 0])
+
+        monkeypatch.setattr(model_module, "train", capture)
+        y = np.repeat([1, 2], 8)
+        X = np.repeat(np.arange(len(y), dtype=float)[:, None, None], 16, axis=2)
+        with pytest.raises(ValueError, match=rf"validation_fraction must be in \[0, 1\), got {fraction}"):
+            WalshCnnClassifier(seed=3, validation_fraction=fraction).fit(X, y)
+
 
 class TestDecompositions:
     def test_ovo_member_count_and_prediction_range(self):

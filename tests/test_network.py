@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mibci.network as network_module
 from mibci import layers
@@ -23,11 +25,28 @@ from mibci.network import (
     render_structure,
 )
 
-from helpers import masked_eval_forward, max_relative_gradient_error, numeric_gradients
+from helpers import (
+    as_format_1,
+    masked_eval_forward,
+    max_relative_gradient_error,
+    numeric_gradients,
+    packed,
+    unpacked,
+)
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 TABLE5 = "68,9,40 / 40,9,40 / 40,9,40 / 40,9,40 / 40,9,40 / 40,8,16"
 E2E_STRUCTURE = "4,5,12 / 12,5,12 / 12,5,12 / 12,5,12 / 12,16,16"
+ARRAY_FIELDS = ("weight", "bias", "gamma", "beta", "running_mean", "running_var")
+# +0, -0, +inf, -inf, a quiet NaN with a payload, a signalling NaN, a
+# negative all-ones NaN, the smallest positive and the largest negative subnormal
+SPECIAL_BITS = {
+    np.float32: [0x0, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00001, 0x7F800001, 0xFFFFFFFF,
+                 0x1, 0x807FFFFF],
+    np.float64: [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 0x1,
+                 0x800FFFFFFFFFFFFF],
+}
 
 
 class TestParseStructure:
@@ -681,6 +700,13 @@ class TestParamsSerialization:
     @pytest.mark.parametrize("name", ["weight", "bias", "gamma", "beta", "running_mean", "running_var"])
     def test_vector_length_checked(self, name):
         doc = self._bn_doc()
+        doc["blocks"][0][name] = packed(unpacked(doc["blocks"][0][name], "float64")[:-1])
+        with pytest.raises(ValueError, match=f"layer 1: {name} needs"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["weight", "bias", "gamma", "beta", "running_mean", "running_var"])
+    def test_format_1_vector_length_checked(self, name):
+        doc = as_format_1(self._bn_doc())
         doc["blocks"][0][name].pop()
         with pytest.raises(ValueError, match=f"layer 1: {name} needs"):
             NetworkParams.from_json(json.dumps(doc))
@@ -754,8 +780,8 @@ class TestParamsSerialization:
         spec = parse_structure("2,5,8 / 8,5,8 / 8,8,16", input_length=32, output_dim=16,
                                batch_norm=batch_norm, dropout_p=dropout_p)
         doc = init_params(spec, seed=0).to_doc(spec)
-        assert list(doc) == ["structure", "output_dim", "batch_norm", "dropout_p", "init_seed",
-                             "dtype", "blocks"]
+        assert list(doc) == ["format", "structure", "output_dim", "batch_norm", "dropout_p",
+                             "init_seed", "dtype", "blocks"]
         assert (doc["batch_norm"], doc["dropout_p"]) == (batch_norm, dropout_p)
         arrays = ["weight", "bias", "gamma", "beta", "running_mean", "running_var"]
         hidden = arrays if batch_norm else arrays[:2]
@@ -827,6 +853,82 @@ class TestParamsSerialization:
         del doc["blocks"][0]["batch_norm"]
         with pytest.raises(ValueError, match="network document: missing field 'batch_norm'"):
             NetworkParams.from_doc(doc)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_packed_arrays_round_trip_every_bit_pattern(self, dtype, data):
+        spec = parse_structure("1,2,2 / 2,2,2", output_dim=2)
+        params = init_params(spec, seed=0).astype(dtype)
+        width = 8 * np.dtype(dtype).itemsize
+        bits = st.one_of(st.sampled_from(SPECIAL_BITS[dtype]), st.integers(0, 2**width - 1))
+        for block in params.blocks:
+            for name in ARRAY_FIELDS:
+                if (a := getattr(block, name)) is not None:
+                    drawn = data.draw(st.lists(bits, min_size=a.size, max_size=a.size))
+                    setattr(block, name, np.array(drawn, dtype=f"uint{width}").view(dtype).reshape(a.shape))
+        doc = params.to_doc(spec)
+        assert doc["format"] == 2
+        spec2, params2 = NetworkParams.from_doc(json.loads(json.dumps(doc)))
+        assert spec2 == spec
+        for a, b in zip(params.blocks, params2.blocks, strict=True):
+            for name in ARRAY_FIELDS:
+                va, vb = getattr(a, name), getattr(b, name)
+                assert (va is None) == (vb is None)
+                if va is not None:
+                    assert vb.dtype == dtype and vb.shape == va.shape and vb.flags.writeable
+                    assert va.tobytes() == vb.tobytes()
+
+    def test_written_arrays_are_little_endian_base64(self):
+        spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16)
+        params = trained_looking_params(spec, seed=3).astype(np.float32)
+        doc = params.to_doc(spec)
+        for block, entry in zip(params.blocks, doc["blocks"], strict=True):
+            for name, text in entry.items():
+                assert text == packed(getattr(block, name).ravel())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_format_1_document_loads(self, dtype):
+        spec = parse_structure("2,5,8 / 8,16,16", input_length=32, output_dim=16)
+        params = trained_looking_params(spec, seed=9).astype(dtype)
+        doc = as_format_1(params.to_doc(spec))
+        assert "format" not in doc and isinstance(doc["blocks"][0]["weight"], list)
+        spec2, params2 = NetworkParams.from_json(json.dumps(doc))
+        assert spec2 == spec
+        for a, b in zip(params.blocks, params2.blocks, strict=True):
+            for name in ARRAY_FIELDS:
+                va, vb = getattr(a, name), getattr(b, name)
+                assert (va is None and vb is None) or va.tobytes() == vb.tobytes()
+        doc["format"] = 1
+        assert NetworkParams.from_doc(doc)[0] == spec
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc, e: e.update(bias="@@@@"), "layer 2: bias is not valid base64"),
+            (lambda doc, e: e.update(bias=e["bias"] + "="), "layer 2: bias is not valid base64"),
+            (lambda doc, e: e.update(bias="\u00e9" * 4), "layer 2: bias is not valid base64"),
+            (lambda doc, e: e.update(weight=e["weight"][:-4]),
+             r"layer 2: weight needs 2048 values \(16384 bytes of float64\), got 16383 bytes"),
+            (lambda doc, e: e.update(bias=packed(np.zeros(16, dtype=np.float32))),
+             r"layer 2: bias needs 16 values \(128 bytes of float64\), got 64 bytes"),
+            (lambda doc, e: e.update(bias=[0.0] * 16),
+             "layer 2: bias must be a base64 string in a format-2 document, got list"),
+            (lambda doc, e: doc.pop("format"),
+             "layer 1: weight must be a list of numbers in a format-1 document, got str"),
+            (lambda doc, e: doc.update(format=3), "network document: field 'format' is 3, expected 1 or 2"),
+            (lambda doc, e: doc.update(format="2"), "network document: field 'format' is '2', expected 1 or 2"),
+            (lambda doc, e: doc.update(format=True), "network document: field 'format' is True, expected 1 or 2"),
+            (lambda doc, e: doc.update(format=2.0), "network document: field 'format' is 2.0, expected 1 or 2"),
+        ],
+        ids=["not-base64", "extra-padding", "non-ascii", "short-bytes", "float32-bytes", "list-in-format-2",
+             "string-in-format-1", "format-3", "format-string", "format-bool", "format-float"],
+    )
+    def test_malformed_packed_array_named(self, edit, message):
+        doc = self._bn_doc()
+        edit(doc, doc["blocks"][1])
+        with pytest.raises(ValueError, match=message):
+            NetworkParams.from_json(json.dumps(doc))
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object, got list"):
