@@ -11,7 +11,7 @@ tenfold with class balance preserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def zero_mean(data: np.ndarray) -> np.ndarray:
 def random_scale(
     data: np.ndarray,
     rng: np.random.Generator,
-    amp_low: float = 0.2,
-    amp_high: float = 5.0,
+    amp_low: float = AugmentConfig.amp_low,
+    amp_high: float = AugmentConfig.amp_high,
 ) -> tuple[np.ndarray, float]:
     """Multiply every sample of every channel by one uniform random factor.
 
@@ -83,7 +83,7 @@ def random_scale(
 def polarity_invert(
     data: np.ndarray,
     rng: np.random.Generator,
-    flip_probability: float = 0.5,
+    flip_probability: float = AugmentConfig.flip_probability,
 ) -> tuple[np.ndarray, int]:
     """Multiply all channels by -1 with the given probability, else by +1."""
     sign = -1 if rng.uniform() < flip_probability else 1
@@ -93,7 +93,7 @@ def polarity_invert(
 def time_rotate(
     data: np.ndarray,
     rng: np.random.Generator,
-    half_range: int | None = None,
+    half_range: int | None = AugmentConfig.rotation_half_range,
 ) -> tuple[np.ndarray, int]:
     """Circularly shift every channel by one integer drawn from [-N/2, +N/2].
 
@@ -111,7 +111,7 @@ def time_rotate(
 def noise_inject(
     data: np.ndarray,
     rng: np.random.Generator,
-    noise_sd: float = 0.01,
+    noise_sd: float = AugmentConfig.noise_sd,
 ) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise to every sample of every channel."""
     if noise_sd == 0:
@@ -174,12 +174,12 @@ class EpochAugmenter(EstimatorMixin):
 
     def __init__(
         self,
-        amp_low: float = 0.2,
-        amp_high: float = 5.0,
-        flip_probability: float = 0.5,
-        rotation_half_range: int | None = None,
-        noise_sd: float = 0.01,
-        copies_per_epoch: int = 9,
+        amp_low: float = AugmentConfig.amp_low,
+        amp_high: float = AugmentConfig.amp_high,
+        flip_probability: float = AugmentConfig.flip_probability,
+        rotation_half_range: int | None = AugmentConfig.rotation_half_range,
+        noise_sd: float = AugmentConfig.noise_sd,
+        copies_per_epoch: int = AugmentConfig.copies_per_epoch,
         seed: int = 0,
         sampling_rate: float = 250.0,
     ):
@@ -193,15 +193,7 @@ class EpochAugmenter(EstimatorMixin):
         self.sampling_rate = sampling_rate
 
     def _config(self) -> AugmentConfig:
-        return AugmentConfig(
-            amp_low=self.amp_low,
-            amp_high=self.amp_high,
-            flip_probability=self.flip_probability,
-            rotation_half_range=self.rotation_half_range,
-            noise_sd=self.noise_sd,
-            copies_per_epoch=self.copies_per_epoch,
-            seed=self.seed,
-        )
+        return AugmentConfig(**{f.name: getattr(self, f.name) for f in fields(AugmentConfig)})
 
     def fit(self, X=None, y=None):
         return self

@@ -66,7 +66,7 @@ class FilterBankSpec:
                 )
 
 
-def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: int = 4) -> np.ndarray:
+def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: int = FilterBankSpec.order) -> np.ndarray:
     """Design a Butterworth band-pass as second-order sections.
 
     Returns the SOS coefficient array for :func:`zero_phase_bandpass`. After
@@ -85,7 +85,7 @@ def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: 
     return signal.butter(order, [low_hz, high_hz], btype="bandpass", fs=sampling_rate, output="sos")
 
 
-def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = 4) -> np.ndarray:
+def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = FilterBankSpec.order) -> np.ndarray:
     """Filter along the last axis forward and backward (zero phase).
 
     ``scipy.signal.sosfiltfilt`` with even (reflect) padding of ``3 * order``

@@ -89,6 +89,11 @@ def as_labels(y, num_classes: int | None = None) -> np.ndarray:
     return y
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or float (numpy's too), which a bool is not."""
+    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+
+
 def _require(doc, name: str, where: str):
     """``doc[name]``; a ``ValueError`` naming the field when it is missing."""
     if not isinstance(doc, dict):

@@ -19,7 +19,8 @@ from click.core import ParameterSource
 from . import mdn
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
-from .bandpass import DEFAULT_BANDS, FilterBankSpec, apply_filter_bank_set
+from .bandpass import FilterBankSpec, apply_filter_bank_set
+from .base import _is_number
 from .csp import CspModel, apply_csp_set, fit_csp
 from .epochs import SplitSpec, split_dataset
 from .experiment import (
@@ -33,15 +34,16 @@ from .experiment import (
 from .io import load_epochs, save_epochs
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
-from .network import _parse_triples, count_weights
+from .network import ConvBlockSpec, _parse_triples, count_weights
 from .stats import paired_ttest
 from .synthetic import SyntheticSpec, generate_synthetic
-from .training import TrainingDivergedError
+from .training import TrainConfig, TrainingDivergedError
+from .walsh import WalshCodebook
 
 
 def _parse_bands(text: str | None) -> tuple[tuple[float, float], ...]:
     if not text:
-        return DEFAULT_BANDS
+        return FilterBankSpec.bands
     bands = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
@@ -109,33 +111,24 @@ def _seed(ctx, default: int = 0) -> int:
 
 
 @cli.command()
-@click.option("--classes", type=int, default=2, show_default=True)
-@click.option("--epochs-per-class", type=int, default=100, show_default=True)
-@click.option("--channels", type=int, default=4, show_default=True)
-@click.option("--samples", type=int, default=250, show_default=True)
-@click.option("--rate", type=float, default=250.0, show_default=True)
-@click.option("--noise-sd", type=float, default=1.0, show_default=True)
-@click.option("--gain", type=float, default=2.0, show_default=True, help="Band amplitude of each class's channel block.")
+@click.option("--classes", "num_classes", type=int, default=SyntheticSpec.num_classes, show_default=True)
+@click.option("--epochs-per-class", type=int, default=SyntheticSpec.epochs_per_class, show_default=True)
+@click.option("--channels", type=int, default=SyntheticSpec.channels, show_default=True)
+@click.option("--samples", type=int, default=SyntheticSpec.samples, show_default=True)
+@click.option("--rate", "sampling_rate", type=float, default=SyntheticSpec.sampling_rate, show_default=True)
+@click.option("--noise-sd", type=float, default=SyntheticSpec.noise_sd, show_default=True)
+@click.option("--gain", "default_gain", type=float, default=SyntheticSpec.default_gain, show_default=True, help="Band amplitude of each class's channel block.")
 @click.option("--output", default="synthetic.epb", show_default=True)
 @click.pass_context
-def synth(ctx, classes, epochs_per_class, channels, samples, rate, noise_sd, gain, output):
+def synth(ctx, output, **params):
     """Generate a synthetic band-power dataset as an EPB1 file."""
     cfg = _read_config(ctx)
-
-    def value(key: str, param: str):
+    for name in params:
         # a flag given on the command line wins over the config key, as --seed does
-        if ctx.get_parameter_source(param) is ParameterSource.DEFAULT:
-            return cfg.get(key, ctx.params[param])
-        return ctx.params[param]
-
+        if name in cfg and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
+            params[name] = cfg[name]
     spec = SyntheticSpec(
-        num_classes=value("num_classes", "classes"),
-        epochs_per_class=value("epochs_per_class", "epochs_per_class"),
-        channels=value("channels", "channels"),
-        samples=value("samples", "samples"),
-        sampling_rate=value("sampling_rate", "rate"),
-        noise_sd=value("noise_sd", "noise_sd"),
-        default_gain=value("default_gain", "gain"),
+        **params,
         mu_gains=np.array(cfg["mu_gains"], dtype=float) if "mu_gains" in cfg else None,
         beta_gains=np.array(cfg["beta_gains"], dtype=float) if "beta_gains" in cfg else None,
         seed=_seed(ctx, cfg.get("seed", 0)),
@@ -148,27 +141,18 @@ def synth(ctx, classes, epochs_per_class, channels, samples, rate, noise_sd, gai
 
 @cli.command()
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--amp-low", type=float, default=0.2, show_default=True)
-@click.option("--amp-high", type=float, default=5.0, show_default=True)
-@click.option("--flip-probability", type=float, default=0.5, show_default=True)
-@click.option("--rotation-half-range", type=int, default=None)
-@click.option("--noise-sd", type=float, default=0.01, show_default=True)
-@click.option("--copies", type=int, default=9, show_default=True)
+@click.option("--amp-low", type=float, default=AugmentConfig.amp_low, show_default=True)
+@click.option("--amp-high", type=float, default=AugmentConfig.amp_high, show_default=True)
+@click.option("--flip-probability", type=float, default=AugmentConfig.flip_probability, show_default=True)
+@click.option("--rotation-half-range", type=int, default=AugmentConfig.rotation_half_range)
+@click.option("--noise-sd", type=float, default=AugmentConfig.noise_sd, show_default=True)
+@click.option("--copies", "copies_per_epoch", type=int, default=AugmentConfig.copies_per_epoch, show_default=True)
 @click.option("--output", default="augmented.epb", show_default=True)
 @click.pass_context
-def augment(ctx, in_path, amp_low, amp_high, flip_probability, rotation_half_range, noise_sd, copies, output):
+def augment(ctx, in_path, output, **params):
     """Expand a training set with augmented epoch variants."""
     dataset = load_epochs(in_path)
-    cfg = AugmentConfig(
-        amp_low=amp_low,
-        amp_high=amp_high,
-        flip_probability=flip_probability,
-        rotation_half_range=rotation_half_range,
-        noise_sd=noise_sd,
-        copies_per_epoch=copies,
-        seed=_seed(ctx),
-    )
-    grown = augment_set(dataset, cfg)
+    grown = augment_set(dataset, AugmentConfig(**params, seed=_seed(ctx)))
     path = _out_path(ctx, output)
     save_epochs(grown, path)
     click.echo(f"{len(dataset)} -> {len(grown)} epochs, wrote {path}")
@@ -176,13 +160,13 @@ def augment(ctx, in_path, amp_low, amp_high, flip_probability, rotation_half_ran
 
 @cli.command()
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--test-fraction", type=float, default=0.2, show_default=True)
-@click.option("--validation-fraction", type=float, default=0.1, show_default=True)
+@click.option("--test-fraction", type=float, default=SplitSpec.test_fraction, show_default=True)
+@click.option("--validation-fraction", type=float, default=SplitSpec.validation_fraction, show_default=True)
 @click.pass_context
-def split(ctx, in_path, test_fraction, validation_fraction):
+def split(ctx, in_path, **params):
     """Stratified train/validation/test split into three EPB1 files."""
     dataset = load_epochs(in_path)
-    spec = SplitSpec(test_fraction=test_fraction, validation_fraction=validation_fraction, seed=_seed(ctx))
+    spec = SplitSpec(**params, seed=_seed(ctx))
     parts = split_dataset(dataset, spec)
     doc = {"seed": spec.seed}
     for name, indices in (
@@ -208,7 +192,7 @@ def split(ctx, in_path, test_fraction, validation_fraction):
 @click.option("--m", type=int, required=True, help="Spatial filters kept per side.")
 @click.option("--scheme", type=click.Choice(["auto", "two_class", "one_vs_rest"]), default="auto", show_default=True)
 @click.option("--bands", default=None, help="Comma list like 6-12,12-18,...")
-@click.option("--order", type=int, default=4, show_default=True)
+@click.option("--order", type=int, default=FilterBankSpec.order, show_default=True)
 @click.option("--output", default="csp.json", show_default=True)
 @click.pass_context
 def csp_fit(ctx, in_path, m, scheme, bands, order, output):
@@ -242,30 +226,19 @@ def csp_apply(ctx, in_path, model_path, output):
 @click.option("--train", "train_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--val", "val_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--structure", default=None, help="Layer triples, e.g. '2,7,40 / 40,7,40 / 40,16,16'.")
-@click.option("--code-size", type=int, default=16, show_default=True)
+@click.option("--code-size", type=int, default=WalshCodebook.size, show_default=True)
 @click.option("--scheme", type=click.Choice(["single", "ovo", "ovr"]), default="single", show_default=True)
-@click.option("--learning-rate", type=float, default=1e-3, show_default=True)
-@click.option("--batch-size", type=int, default=32, show_default=True)
-@click.option("--max-iterations", type=int, default=500, show_default=True)
-@click.option("--patience", type=int, default=20, show_default=True)
-@click.option("--dropout", type=float, default=0.5, show_default=True)
+@click.option("--learning-rate", type=float, default=TrainConfig.learning_rate, show_default=True)
+@click.option("--batch-size", type=int, default=TrainConfig.batch_size, show_default=True)
+@click.option("--max-iterations", type=int, default=TrainConfig.max_iterations, show_default=True)
+@click.option("--patience", type=int, default=TrainConfig.patience, show_default=True)
+@click.option("--dropout", "dropout_p", type=float, default=ConvBlockSpec.dropout_p, show_default=True)
 @click.option("--no-batch-norm", is_flag=True, default=False)
 @click.pass_context
-def train(ctx, train_path, val_path, structure, code_size, scheme, learning_rate, batch_size, max_iterations, patience, dropout, no_batch_norm):
+def train(ctx, train_path, val_path, no_batch_norm, **params):
     """Train the feature extractor; writes model.json and train_report.json."""
     train_set = load_epochs(train_path)
-    clf = WalshCnnClassifier(
-        structure=structure,
-        code_size=code_size,
-        scheme=scheme,
-        learning_rate=learning_rate,
-        batch_size=batch_size,
-        max_iterations=max_iterations,
-        patience=patience,
-        batch_norm=not no_batch_norm,
-        dropout_p=dropout,
-        seed=_seed(ctx),
-    )
+    clf = WalshCnnClassifier(**params, batch_norm=not no_batch_norm, seed=_seed(ctx))
     if val_path:
         val_set = load_epochs(val_path)
         clf.fit(train_set.to_array(), train_set.labels, val_set.to_array(), val_set.labels)
@@ -366,6 +339,9 @@ def _load_series(path: str) -> list[float]:
     if isinstance(doc, dict) and "runs" in doc:
         return ExperimentReport.from_dict(doc).accuracies()
     if isinstance(doc, list):
+        for i, v in enumerate(doc):
+            if not _is_number(v):
+                raise click.ClickException(f"{path}: entry {i} is {json.dumps(v)}, not a number")
         return [float(v) for v in doc]
     raise click.ClickException(f"{path}: expected a JSON number list or an experiment report")
 
@@ -390,7 +366,7 @@ def ttest(ctx, a_path, b_path):
 @cli.command("count-weights")
 @click.option("--structure", required=True, help="Layer triples; use k = kernel area for 2-D stacks.")
 @click.option("--classes", type=int, default=0, show_default=True, help="Adds code_size x classes when > 0.")
-@click.option("--code-size", type=int, default=16, show_default=True)
+@click.option("--code-size", type=int, default=WalshCodebook.size, show_default=True)
 @click.pass_context
 def count_weights_cmd(ctx, structure, classes, code_size):
     """Multiplicative weight count of a layer stack."""

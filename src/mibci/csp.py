@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bandpass import DEFAULT_BANDS, FilterBankSpec, _filter_bank, apply_filter_bank_set
+from .bandpass import FilterBankSpec, _filter_bank, apply_filter_bank_set
 from .base import EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
 from .epochs import EpochSet
 
@@ -252,8 +252,8 @@ class CspTransformer(EstimatorMixin):
     def __init__(
         self,
         m: int = 2,
-        bands: tuple[tuple[float, float], ...] = DEFAULT_BANDS,
-        order: int = 4,
+        bands: tuple[tuple[float, float], ...] = FilterBankSpec.bands,
+        order: int = FilterBankSpec.order,
         scheme: str = "auto",
         sampling_rate: float = 250.0,
     ):

@@ -167,9 +167,9 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if not 0 < self.test_fraction < 1:
-            raise ValueError("test_fraction must be in (0, 1)")
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 0 <= self.validation_fraction < 1:
-            raise ValueError("validation_fraction must be in [0, 1)")
+            raise ValueError(f"validation_fraction must be in [0, 1), got {self.validation_fraction}")
 
 
 @dataclass(frozen=True)

@@ -16,24 +16,23 @@ from __future__ import annotations
 
 import json
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
-from .bandpass import DEFAULT_BANDS, FilterBankSpec, apply_filter_bank_set
+from .bandpass import FilterBankSpec, apply_filter_bank_set
 from .csp import apply_csp_set, fit_csp
 from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
-from .mdn import decomposition
 from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
-from .network import ConvBlockSpec, _parse_triples, parse_structure, render_structure
+from .network import ConvBlockSpec, _parse_triples, render_structure
 from .stats import TTestResult, paired_ttest
 from .training import TrainConfig
-from .walsh import build_walsh
+from .walsh import WalshCodebook
 
 __all__ = [
     "LeakageError",
@@ -54,6 +53,14 @@ class LeakageError(RuntimeError):
     """Epochs outside the training partition reached training, CSP or augmentation."""
 
 
+def _known_keys(doc: dict, cls, where: str) -> dict:
+    """``doc``; a key that is not a field of the dataclass ``cls`` raises ``ValueError``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: {cls.__name__} has no field {', '.join(map(repr, unknown))}")
+    return doc
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One cell of the transform x augmentation study design.
@@ -70,20 +77,20 @@ class ExperimentPlan:
     transform: str = "NTS"
     augment: str = "NA"
     augment_config: AugmentConfig = field(default_factory=AugmentConfig)
-    bands: tuple[tuple[float, float], ...] = DEFAULT_BANDS
-    filter_order: int = 4
+    bands: tuple[tuple[float, float], ...] = FilterBankSpec.bands
+    filter_order: int = FilterBankSpec.order
     m: int | None = None
     structure: str | None = None
-    code_size: int = 16
+    code_size: int = WalshCodebook.size
     scheme: str = "single"
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_iterations: int = 500
-    patience: int = 20
-    batch_norm: bool = True
-    dropout_p: float = 0.5
-    test_fraction: float = 0.2
-    validation_fraction: float = 0.1
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_iterations: int = TrainConfig.max_iterations
+    patience: int = TrainConfig.patience
+    batch_norm: bool = ConvBlockSpec.batch_norm
+    dropout_p: float = ConvBlockSpec.dropout_p
+    test_fraction: float = SplitSpec.test_fraction
+    validation_fraction: float = SplitSpec.validation_fraction
     max_train_epochs: int | None = None
     n_runs: int = 30
     master_seed: int = 0
@@ -98,17 +105,24 @@ class ExperimentPlan:
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         # the config types own these checks, so a bad value fails here, not in every run
-        SplitSpec(test_fraction=self.test_fraction, validation_fraction=self.validation_fraction)
-        FilterBankSpec(bands=self.bands, order=self.filter_order)
-        TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
-                    max_iterations=self.max_iterations, patience=self.patience)
-        build_walsh(self.code_size)
-        decomposition(self.scheme, 2)
-        ConvBlockSpec(in_planes=1, kernel_size=1, out_planes=1, dropout_p=self.dropout_p)
-        if self.structure is not None:
-            parse_structure(self.structure, output_dim=self.code_size,
-                            batch_norm=self.batch_norm, dropout_p=self.dropout_p)
+        self.split_spec()
+        self.filter_bank()
+        self.classifier()._validate_params()
         object.__setattr__(self, "bands", tuple(tuple(b) for b in self.bands))
+
+    def split_spec(self, seed: int = 0) -> SplitSpec:
+        return SplitSpec(test_fraction=self.test_fraction, validation_fraction=self.validation_fraction, seed=seed)
+
+    def filter_bank(self) -> FilterBankSpec:
+        return FilterBankSpec(bands=self.bands, order=self.filter_order)
+
+    def classifier(self, channels: int | None = None, seed: int = 0) -> WalshCnnClassifier:
+        """The estimator of this plan's network and training knobs; ``channels``
+        sets the structure's first in-plane count to the channels reaching it."""
+        params = {name: getattr(self, name) for name in WalshCnnClassifier._param_names() if hasattr(self, name)}
+        if self.structure is not None and channels is not None:
+            params["structure"] = _adapt_structure(self.structure, channels)
+        return WalshCnnClassifier(**params, seed=seed)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -117,9 +131,15 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentPlan":
-        doc = dict(doc)
-        if "augment_config" in doc and isinstance(doc["augment_config"], dict):
-            doc["augment_config"] = AugmentConfig(**doc["augment_config"])
+        """Inverse of :meth:`to_dict`. A key that is not a plan field, an
+        ``augment_config`` that is not a JSON object, or a key of it that is
+        not an :class:`AugmentConfig` field raises ``ValueError`` naming it."""
+        doc = dict(_known_keys(doc, cls, "plan"))
+        if "augment_config" in doc:
+            sub = doc["augment_config"]
+            if not isinstance(sub, dict):
+                raise ValueError(f"plan: 'augment_config' must be a JSON object, got {type(sub).__name__}")
+            doc["augment_config"] = AugmentConfig(**_known_keys(sub, AugmentConfig, "plan augment_config"))
         if "bands" in doc:
             doc["bands"] = tuple(tuple(b) for b in doc["bands"])
         return cls(**doc)
@@ -216,11 +236,7 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
     seed = derive_seed(plan.master_seed, run)
     result = RunResult(run=run, seed=seed)
 
-    split = split_dataset(dataset, SplitSpec(
-        test_fraction=plan.test_fraction,
-        validation_fraction=plan.validation_fraction,
-        seed=derive_seed(plan.master_seed, run, "split"),
-    ))
+    split = split_dataset(dataset, plan.split_spec(derive_seed(plan.master_seed, run, "split")))
     for name, indices, fraction in (
         ("validation", split.validation_indices, plan.validation_fraction),
         ("test", split.test_indices, plan.test_fraction),
@@ -248,7 +264,7 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
     if plan.transform == "TS":
         # one partition at a time, so that only one filter-bank output
         # (E*B channels) is alive at once
-        bank = FilterBankSpec(bands=plan.bands, order=plan.filter_order)
+        bank = plan.filter_bank()
         train_set = apply_filter_bank_set(train_set, bank)
         model = fit_csp(train_set, m=plan.m, bank=bank)
         if model.fitted_on != train_set.fingerprint:
@@ -265,21 +281,7 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         if originals.epoch_fingerprints() != allowed_fps:
             raise LeakageError(f"run {run}: augmentation consumed epochs outside the training partition")
 
-    structure = plan.structure
-    if structure is not None:
-        structure = _adapt_structure(structure, train_set.n_channels)
-    clf = WalshCnnClassifier(
-        structure=structure,
-        code_size=plan.code_size,
-        scheme=plan.scheme,
-        learning_rate=plan.learning_rate,
-        batch_size=plan.batch_size,
-        max_iterations=plan.max_iterations,
-        patience=plan.patience,
-        batch_norm=plan.batch_norm,
-        dropout_p=plan.dropout_p,
-        seed=derive_seed(plan.master_seed, run, "train"),
-    )
+    clf = plan.classifier(train_set.n_channels, derive_seed(plan.master_seed, run, "train"))
     clf.fit(train_set.to_array(), train_set.labels, val_set.to_array(), val_set.labels)
     result.structure = render_structure(clf.spec_)
 

@@ -10,19 +10,21 @@ one-versus-one or one-versus-rest member networks.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .base import EstimatorMixin, NotFittedError, _require_aligned, as_epoch_array, as_labels
-from .epochs import _stratified_draw, derive_seed
+from .epochs import SplitSpec, _stratified_draw, derive_seed
 from .mdn import MetaScheme, SchemeMember, _map_members, decomposition, mdn_distances, scheme_predict
-from .network import NetworkSpec, forward, parse_structure
+from .network import ConvBlockSpec, NetworkSpec, forward, parse_structure
 from .training import TrainConfig, train
-from .walsh import WalshCodebook
+from .walsh import WalshCodebook, build_walsh
 
 __all__ = ["WalshCnnClassifier", "default_structure"]
 
 
-def default_structure(channels: int, length: int, output_dim: int = 16, planes: int = 40, kernel: int = 9) -> str:
+def default_structure(channels: int, length: int, output_dim: int = WalshCodebook.size, planes: int = 40, kernel: int = 9) -> str:
     """A table-style structure string sized to the input.
 
     Same-padded pooled blocks halve the length until it reaches the code
@@ -80,15 +82,15 @@ class WalshCnnClassifier(EstimatorMixin):
     def __init__(
         self,
         structure: str | None = None,
-        code_size: int = 16,
+        code_size: int = WalshCodebook.size,
         scheme: str = "single",
-        learning_rate: float = 1e-3,
-        batch_size: int = 32,
-        max_iterations: int = 500,
-        patience: int = 20,
-        batch_norm: bool = True,
-        dropout_p: float = 0.5,
-        validation_fraction: float = 0.1,
+        learning_rate: float = TrainConfig.learning_rate,
+        batch_size: int = TrainConfig.batch_size,
+        max_iterations: int = TrainConfig.max_iterations,
+        patience: int = TrainConfig.patience,
+        batch_norm: bool = ConvBlockSpec.batch_norm,
+        dropout_p: float = ConvBlockSpec.dropout_p,
+        validation_fraction: float = SplitSpec.validation_fraction,
         seed: int = 0,
     ):
         self.structure = structure
@@ -104,15 +106,20 @@ class WalshCnnClassifier(EstimatorMixin):
         self.seed = seed
 
     def _train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_iterations=self.max_iterations,
-            patience=self.patience,
-            seed=seed,
-        )
+        knobs = {f.name: getattr(self, f.name) for f in fields(TrainConfig) if f.name != "seed"}
+        return TrainConfig(**knobs, seed=seed)
 
-    def _parse(self, channels: int, length: int) -> NetworkSpec:
+    def _validate_params(self) -> None:
+        """Raise ``ValueError`` for a parameter its owner's range rule refuses."""
+        self._train_config(self.seed)
+        SplitSpec(validation_fraction=self.validation_fraction)
+        build_walsh(self.code_size)
+        decomposition(self.scheme, 2)
+        ConvBlockSpec(1, 1, 1, dropout_p=self.dropout_p)
+        if self.structure is not None:
+            self._parse(None, None)
+
+    def _parse(self, channels: int | None, length: int | None) -> NetworkSpec:
         structure = self.structure
         if structure is None:
             structure = default_structure(channels, length, self.code_size)
@@ -127,12 +134,11 @@ class WalshCnnClassifier(EstimatorMixin):
 
     def fit(self, X, y, X_val=None, y_val=None):
         """Train on epochs X with labels y; carve validation data if not given."""
+        self._validate_params()
         X = as_epoch_array(X)
         y = as_labels(y)
         _require_aligned(X, y, "training")
         if X_val is None:
-            if not 0 <= self.validation_fraction < 1:
-                raise ValueError(f"validation_fraction must be in [0, 1), got {self.validation_fraction}")
             rng = np.random.default_rng(derive_seed(self.seed, "val-split"))
             va, tr = _stratified_draw(y, (self.validation_fraction,), rng, at_least_one=True)
             if len(va) == 0:

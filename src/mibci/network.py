@@ -25,7 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
-from .base import BLOCK_EPOCHS, _require
+from .base import BLOCK_EPOCHS, _is_number, _require
+from .walsh import WalshCodebook
 
 __all__ = [
     "ConvBlockSpec",
@@ -145,9 +146,9 @@ def parse_structure(
     text: str,
     input_channels: int | None = None,
     input_length: int | None = None,
-    output_dim: int = 16,
-    batch_norm: bool = True,
-    dropout_p: float = 0.5,
+    output_dim: int = WalshCodebook.size,
+    batch_norm: bool = ConvBlockSpec.batch_norm,
+    dropout_p: float = ConvBlockSpec.dropout_p,
 ) -> NetworkSpec:
     """Parse a structure-table row like ``"2,7,40 / 40,7,40 / 40,16,16"``.
 
@@ -260,7 +261,7 @@ def _pack(a: np.ndarray, dtype: np.dtype) -> str:
 def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str, packed: bool) -> np.ndarray:
     """Field ``name`` of block ``index`` as a writable native ``(length,)``
     array: base64 of little-endian bytes when ``packed`` (format 2), else a
-    list of decimals (format 1). Anything else raises ``ValueError``."""
+    list of JSON numbers (format 1). Anything else raises ``ValueError``."""
     at = f"layer {index + 1}: {name}"
     if name not in entry:
         raise ValueError(f"{at} needs {length} values, got none")
@@ -277,6 +278,9 @@ def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str, pa
         if len(raw) != size:
             raise ValueError(f"{at} needs {length} values ({size} bytes of {dtype}), got {len(raw)} bytes")
         return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype)
+    for k, v in enumerate(value):
+        if not _is_number(v):
+            raise ValueError(f"{at} entry {k} is {v!r}, not a number")
     values = np.array(value, dtype=dtype)
     if values.shape != (length,):
         raise ValueError(f"{at} needs {length} values, got shape {values.shape}")
@@ -336,11 +340,12 @@ class NetworkParams:
         A missing field, a ``structure`` that is not a string, ``blocks`` that
         are not a list of objects, a ``format`` other than 1 or 2, a ``dtype``
         other than float32/float64, an array not encoded as its format says,
-        or a block count or vector length that does not match the structure
-        raises ``ValueError``. A document without ``format`` is format 1,
-        whose arrays are lists of decimals; one without ``dtype`` loads as
-        float64. A document written with ``batch_norm``/``dropout_p`` on every
-        block instead of at the top loads with its first block's."""
+        an ``init_seed`` that is not an integer, or a block count or vector
+        length that does not match the structure raises ``ValueError``. A
+        document without ``format`` is format 1, whose arrays are lists of
+        numbers; one without ``dtype`` loads as float64. A document written
+        with ``batch_norm``/``dropout_p`` on every block instead of at the
+        top loads with its first block's."""
         where = "network document"
         structure = _require(doc, "structure", where)
         if not isinstance(structure, str):
@@ -359,6 +364,9 @@ class NetworkParams:
         if type(fmt) is not int or fmt not in (1, 2):
             raise ValueError(f"{where}: field 'format' is {fmt!r}, expected 1 or 2")
         packed = fmt == 2
+        init_seed = doc.get("init_seed", 0)
+        if isinstance(init_seed, bool) or not isinstance(init_seed, (int, np.integer)):
+            raise ValueError(f"{where}: field 'init_seed' is {init_seed!r}, expected an integer")
         dtype = doc.get("dtype", "float64")
         if dtype not in ("float32", "float64"):
             raise ValueError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
@@ -386,7 +394,7 @@ class NetworkParams:
                 for name in ("gamma", "beta", "running_mean", "running_var"):
                     setattr(bp, name, _json_vector(entry, name, b.out_planes, i, dtype, packed))
             blocks.append(bp)
-        return spec, cls(blocks=blocks, init_seed=doc.get("init_seed", 0))
+        return spec, cls(blocks=blocks, init_seed=init_seed)
 
     @classmethod
     def from_json(cls, text: str) -> tuple[NetworkSpec, "NetworkParams"]:

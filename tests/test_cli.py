@@ -11,11 +11,17 @@ import pytest
 import mibci.bandpass as bandpass_module
 import mibci.io as io_module
 import mibci.mdn as mdn_module
-from mibci.cli import main
+from mibci.augment import AugmentConfig
+from mibci.bandpass import FilterBankSpec
+from mibci.cli import cli, main
+from mibci.epochs import SplitSpec
 from mibci.experiment import ExperimentPlan
 from mibci.io import EpochFormatError, load_epochs, save_epochs
 from mibci.mdn import MetaScheme, SchemeMember
-from mibci.network import init_params, parse_structure
+from mibci.network import ConvBlockSpec, init_params, parse_structure
+from mibci.synthetic import SyntheticSpec
+from mibci.training import TrainConfig
+from mibci.walsh import WalshCodebook
 
 from helpers import masked_eval_forward, packed, plant_training_copy
 
@@ -31,6 +37,53 @@ FAST_TRAIN = [
     "--patience", "3", "--batch-size", "8", "--dropout", "0.0",
 ]
 
+# Every option of each knob command, in order, with the defaults they had
+# before each default moved onto its config type. A knob option is
+# (option, click parameter name, default, owner type, owner field); the
+# parameter name is the keyword the command passes on.
+COMMAND_OPTIONS = {
+    "synth": [
+        ("--classes", "num_classes", 2, SyntheticSpec, "num_classes"),
+        ("--epochs-per-class", "epochs_per_class", 100, SyntheticSpec, "epochs_per_class"),
+        ("--channels", "channels", 4, SyntheticSpec, "channels"),
+        ("--samples", "samples", 250, SyntheticSpec, "samples"),
+        ("--rate", "sampling_rate", 250.0, SyntheticSpec, "sampling_rate"),
+        ("--noise-sd", "noise_sd", 1.0, SyntheticSpec, "noise_sd"),
+        ("--gain", "default_gain", 2.0, SyntheticSpec, "default_gain"),
+        "--output",
+    ],
+    "augment": [
+        "--in",
+        ("--amp-low", "amp_low", 0.2, AugmentConfig, "amp_low"),
+        ("--amp-high", "amp_high", 5.0, AugmentConfig, "amp_high"),
+        ("--flip-probability", "flip_probability", 0.5, AugmentConfig, "flip_probability"),
+        ("--rotation-half-range", "rotation_half_range", None, AugmentConfig, "rotation_half_range"),
+        ("--noise-sd", "noise_sd", 0.01, AugmentConfig, "noise_sd"),
+        ("--copies", "copies_per_epoch", 9, AugmentConfig, "copies_per_epoch"),
+        "--output",
+    ],
+    "split": [
+        "--in",
+        ("--test-fraction", "test_fraction", 0.2, SplitSpec, "test_fraction"),
+        ("--validation-fraction", "validation_fraction", 0.1, SplitSpec, "validation_fraction"),
+    ],
+    "csp-fit": ["--in", "--m", "--scheme", "--bands", ("--order", "order", 4, FilterBankSpec, "order"), "--output"],
+    "train": [
+        "--train",
+        "--val",
+        "--structure",
+        ("--code-size", "code_size", 16, WalshCodebook, "size"),
+        "--scheme",
+        ("--learning-rate", "learning_rate", 1e-3, TrainConfig, "learning_rate"),
+        ("--batch-size", "batch_size", 32, TrainConfig, "batch_size"),
+        ("--max-iterations", "max_iterations", 500, TrainConfig, "max_iterations"),
+        ("--patience", "patience", 20, TrainConfig, "patience"),
+        ("--dropout", "dropout_p", 0.5, ConvBlockSpec, "dropout_p"),
+        "--no-batch-norm",
+    ],
+    "count-weights": ["--structure", "--classes", ("--code-size", "code_size", 16, WalshCodebook, "size")],
+}
+
 
 def run(args, capsys):
     code = main(args)
@@ -43,6 +96,17 @@ def synth_file(tmp_path, capsys):
     code, _, err = run(["--out", str(tmp_path), "--seed", "3", "synth", *SYNTH_ARGS], capsys)
     assert code == 0, err
     return tmp_path / "synthetic.epb"
+
+
+class TestKnobSurface:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_knob_defaults_are_their_owners_fields(self, command):
+        params = {p.opts[0]: p for p in cli.commands[command].params}
+        expected = COMMAND_OPTIONS[command]
+        assert list(params) == [o if isinstance(o, str) else o[0] for o in expected]
+        for option, name, default, owner, field in (o for o in expected if not isinstance(o, str)):
+            assert params[option].name == name
+            assert params[option].default == default == getattr(owner, field)
 
 
 class TestSynthSplitAugment:
@@ -525,6 +589,17 @@ class TestWeightsAndStats:
         assert code == 0
         assert "t(3) = 5.0000" in out
 
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "null"])
+    def test_ttest_refuses_an_entry_that_is_not_a_number(self, value, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps([0.9, value, 0.8]))
+        b.write_text(json.dumps([0.7, 0.75, 0.8]))
+        code, _, err = run(["--out", str(tmp_path), "ttest", "--a", str(a), "--b", str(b)], capsys)
+        assert code == 1
+        assert f"{a}: entry 1 is {json.dumps(value)}, not a number" in err
+        assert not (tmp_path / "ttest.json").exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
@@ -703,6 +778,26 @@ class TestExitCodes:
     def test_plan_value_that_fails_every_run_exits_1(self, command, field, value, message, synth_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(dict(tiny_plan_doc(str(synth_file)), **{field: value})))
+        code, _, err = run(["--out", str(tmp_path), "--config", str(plan_path), command], capsys)
+        assert code == 1
+        assert f"error: {message}" in err
+        assert not list(tmp_path.glob(f"{command}.*"))
+
+    @pytest.mark.parametrize("command", ["experiment", "matrix"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(augment_config=5), "plan: 'augment_config' must be a JSON object, got int"),
+            (lambda doc: doc.update(copies=1), "plan: ExperimentPlan has no field 'copies'"),
+            (lambda doc: doc["augment_config"].update(copies=1), "plan augment_config: AugmentConfig has no field 'copies'"),
+        ],
+        ids=["augment-config-int", "unknown-key", "unknown-augment-key"],
+    )
+    def test_malformed_plan_key_exits_1(self, command, edit, message, synth_file, tmp_path, capsys):
+        doc = tiny_plan_doc(str(synth_file))
+        edit(doc)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
         code, _, err = run(["--out", str(tmp_path), "--config", str(plan_path), command], capsys)
         assert code == 1
         assert f"error: {message}" in err

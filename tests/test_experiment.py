@@ -99,6 +99,21 @@ class TestPlan:
         again = ExperimentPlan.from_json(__import__("json").dumps(plan.to_dict()))
         assert again == plan
 
+    def test_augment_config_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ValueError, match="plan: 'augment_config' must be a JSON object, got int"):
+            ExperimentPlan.from_dict({"augment": "A", "augment_config": 5})
+
+    def test_unknown_plan_key_is_refused(self):
+        doc = dict(tiny_plan().to_dict(), learning_rat=0.1)
+        with pytest.raises(ValueError, match="plan: ExperimentPlan has no field 'learning_rat'"):
+            ExperimentPlan.from_dict(doc)
+
+    def test_unknown_augment_config_key_is_refused(self):
+        doc = tiny_plan().to_dict()
+        doc["augment_config"]["copies"] = 1
+        with pytest.raises(ValueError, match="plan augment_config: AugmentConfig has no field 'copies'"):
+            ExperimentPlan.from_dict(doc)
+
 
 class TestRunExperiment:
     def test_deterministic_given_master_seed(self, tiny_dataset):

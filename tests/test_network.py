@@ -930,6 +930,20 @@ class TestParamsSerialization:
         with pytest.raises(ValueError, match=message):
             NetworkParams.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["abc", True, 1.5, None], ids=["string", "bool", "float", "null"])
+    def test_init_seed_that_is_not_an_integer_rejected(self, value):
+        doc = self._bn_doc()
+        doc["init_seed"] = value
+        with pytest.raises(ValueError, match="network document: field 'init_seed' is .*, expected an integer"):
+            NetworkParams.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [None, True, "0.5"], ids=["null", "true", "string"])
+    def test_format_1_entry_that_is_not_a_number_rejected(self, value):
+        doc = as_format_1(self._bn_doc())
+        doc["blocks"][1]["bias"][3] = value
+        with pytest.raises(ValueError, match="layer 2: bias entry 3 is .*, not a number"):
+            NetworkParams.from_json(json.dumps(doc))
+
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object, got list"):
             NetworkParams.from_json("[]")
