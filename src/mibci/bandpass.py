@@ -56,6 +56,11 @@ class FilterBankSpec:
     def n_bands(self) -> int:
         return len(self.bands)
 
+    def sections(self, sampling_rate: float) -> list[np.ndarray]:
+        """One :func:`design_bandpass` SOS array per band at ``sampling_rate``."""
+        self.validate_rate(sampling_rate)
+        return [design_bandpass(lo, hi, sampling_rate, self.order) for lo, hi in self.bands]
+
     def validate_rate(self, sampling_rate: float) -> None:
         nyquist = sampling_rate / 2.0
         for lo, hi in self.bands:
@@ -102,17 +107,19 @@ def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = FilterBa
     return signal.sosfiltfilt(sos, data, axis=-1, padtype="even", padlen=pad)
 
 
-def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float) -> np.ndarray:
+def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float,
+                 sections: list[np.ndarray] | None = None) -> np.ndarray:
     """Expand ``(n, E, T)`` epochs to read-only ``(n, E*B, T)`` band-filtered signals.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
     the sample count is unchanged. Each epoch is filtered on its own, so the
     bank runs over blocks of :data:`base.BLOCK_EPOCHS` epochs written
     straight into the output, and its temporaries stay one block in size.
+    ``sections`` are ``spec.sections(sampling_rate)``, designed here when not given.
     """
-    spec.validate_rate(sampling_rate)
+    if sections is None:
+        sections = spec.sections(sampling_rate)
     n, e, t = X.shape
-    sections = [design_bandpass(lo, hi, sampling_rate, spec.order) for lo, hi in spec.bands]
     out = np.empty((n, e * spec.n_bands, t))
     for start in range(0, n, BLOCK_EPOCHS):
         block = X[start : start + BLOCK_EPOCHS]

@@ -94,6 +94,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
 
 
+def _require_integers(owner, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``owner``'s fields ``names``
+    that is not an int (numpy's too), which a bool is not."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _require(doc, name: str, where: str):
     """``doc[name]``; a ``ValueError`` naming the field when it is missing."""
     if not isinstance(doc, dict):

@@ -19,9 +19,9 @@ from click.core import ParameterSource
 from . import mdn
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
-from .bandpass import FilterBankSpec, apply_filter_bank_set
+from .bandpass import FilterBankSpec
 from .base import _is_number
-from .csp import CspModel, apply_csp_set, fit_csp
+from .csp import CspModel, _apply_raw, _fit_raw
 from .epochs import SplitSpec, split_dataset
 from .experiment import (
     ExperimentPlan,
@@ -198,9 +198,7 @@ def split(ctx, in_path, **params):
 def csp_fit(ctx, in_path, m, scheme, bands, order, output):
     """Fit the filter bank + spatial filters on a training EPB1 file."""
     dataset = load_epochs(in_path)
-    bank = FilterBankSpec(bands=_parse_bands(bands), order=order)
-    filtered = apply_filter_bank_set(dataset, bank)
-    model = fit_csp(filtered, m=m, scheme=scheme, bank=bank)
+    model = _fit_raw(dataset, m, scheme, FilterBankSpec(bands=_parse_bands(bands), order=order))
     path = _out_path(ctx, output)
     model.save(path)
     click.echo(f"fitted {model.n_outputs} spatial filters on {len(dataset)} epochs, wrote {path}")
@@ -215,8 +213,8 @@ def csp_apply(ctx, in_path, model_path, output):
     """Band-filter an EPB1 file and project it onto fitted spatial filters."""
     dataset = load_epochs(in_path)
     model = CspModel.load(model_path)
-    model.check_raw_channels(dataset.n_channels)
-    transformed = apply_csp_set(apply_filter_bank_set(dataset, model.bank), model)
+    projected = _apply_raw(model, dataset.to_array(), dataset.sampling_rate)
+    transformed = dataset.subset(range(len(dataset)), projected)
     path = _out_path(ctx, output)
     save_epochs(transformed, path)
     click.echo(f"wrote {len(transformed)} epochs with {transformed.n_channels} virtual channels to {path}")

@@ -8,6 +8,12 @@ sorted by descending eigenvalue and the m top plus m bottom filters form the
 projection, so the first output channels maximize class-1 variance while the
 last maximize class-2 variance. Multi-class models compose one two-class fit
 per class against the pooled rest and stack the projections.
+
+Raw epochs pass through one block loop (:func:`_blocks`): each block of
+:data:`base.BLOCK_EPOCHS` epochs is band-filtered, then either added into
+per-class covariance sums (the fit) or projected straight into the output
+(apply), so no covariance stack and no filtered copy of a whole set is made
+unless the caller keeps the fit's blocks to project them afterwards.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bandpass import FilterBankSpec, _filter_bank, apply_filter_bank_set
-from .base import EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
+from .bandpass import FilterBankSpec, _filter_bank
+from .base import BLOCK_EPOCHS, EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
 from .epochs import EpochSet
 
 __all__ = ["CspModel", "fit_csp", "apply_csp_set", "CspTransformer"]
@@ -37,7 +44,8 @@ class CspModel:
     the filtered input). ``eigenvalues`` holds the generalized eigenvalue
     spectrum of each binary subproblem and ``full_filters`` the corresponding
     unselected filter matrices; both are diagnostics and are not serialized.
-    ``fitted_on`` is the fingerprint of the exact training set seen by fit.
+    ``fitted_on`` is the fingerprint of the exact training set seen by fit:
+    the raw epochs when the fit filters them itself, else the filtered set.
     """
 
     m: int
@@ -177,6 +185,76 @@ def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     return selected, evals, full
 
 
+def _blocks(data: np.ndarray, rows: np.ndarray | None = None, bank: FilterBankSpec | None = None,
+            sampling_rate: float | None = None) -> Iterator[np.ndarray]:
+    """The TS front end's one block loop: ``data[rows]`` (every row when
+    ``rows`` is None), :data:`base.BLOCK_EPOCHS` rows at a time, each block
+    band-filtered through ``bank`` when one is given. Only the rows of one
+    block are read at a time, so no copy of ``data[rows]`` is made."""
+    sections = None if bank is None else bank.sections(sampling_rate)
+    n = len(data) if rows is None else len(rows)
+    for start in range(0, n, BLOCK_EPOCHS):
+        stop = start + BLOCK_EPOCHS
+        block = data[start:stop] if rows is None else data[rows[start:stop]]
+        yield block if bank is None else _filter_bank(block, bank, sampling_rate, sections)
+
+
+def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray, counts: np.ndarray,
+                 keep: list | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per class, the mean trace-normalized covariance of its epochs and of
+    all the other classes' epochs (the one-vs-rest "rest").
+
+    ``blocks`` hold the epochs in order and ``labels`` their classes. Each
+    epoch's covariance is added into its class's sum and every other
+    class's rest sum, from zero and in index order, which is the order of
+    ``covs[labels == c].mean(axis=0)``: both give the same bits, without a
+    covariance stack or a boolean-index copy. ``keep`` collects the blocks.
+    """
+    others = ~np.eye(len(counts), dtype=bool)
+    sums = rests = None
+    start = 0
+    for block in blocks:
+        if keep is not None:
+            keep.append(block)
+        covs = _normalized_covariances(block)
+        if sums is None:
+            sums = np.zeros((len(counts), *covs.shape[1:]))
+            rests = np.zeros_like(sums)
+        for cov, label in zip(covs, labels[start : start + len(covs)]):
+            sums[label - 1] += cov
+            rests[others[label - 1]] += cov
+        start += len(covs)
+    return sums / counts[:, None, None], rests / (len(labels) - counts)[:, None, None]
+
+
+def _fit(blocks: Iterable[np.ndarray], labels: np.ndarray, num_classes: int, m: int, scheme: str,
+         bank: FilterBankSpec | None, fitted_on: str, keep: list | None = None) -> CspModel:
+    """The filters of the band-filtered epochs in ``blocks``, whose classes are ``labels``."""
+    counts = np.bincount(labels - 1, minlength=num_classes)
+    if (counts < 2).any():
+        raise ValueError("every class needs >= 2 epochs to estimate covariances")
+    if scheme == "auto":
+        scheme = "two_class" if num_classes == 2 else "one_vs_rest"
+    if scheme == "two_class" and num_classes != 2:
+        raise ValueError("two_class CSP needs exactly two classes")
+    if scheme not in ("two_class", "one_vs_rest"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    means, rests = _class_means(blocks, labels, counts, keep)
+    pairs = [(means[0], means[1])] if scheme == "two_class" else list(zip(means, rests))
+    selected, eigenvalues, full_filters = zip(*(_csp_pair(own, rest, m) for own, rest in pairs))
+    return CspModel(
+        m=m,
+        scheme=scheme,
+        projection=np.vstack(selected),
+        bank=bank if bank is not None else FilterBankSpec(),
+        num_classes=num_classes,
+        input_channels=means.shape[1],
+        fitted_on=fitted_on,
+        eigenvalues=eigenvalues,
+        full_filters=full_filters,
+    )
+
+
 def fit_csp(train: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec | None = None) -> CspModel:
     """Fit spatial filters on (already band-filtered) training epochs only.
 
@@ -201,38 +279,40 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec 
         Carries the projection and the fingerprint of ``train``.
     """
     train.require_all_classes()
-    counts = train.class_counts()
-    if (counts < 2).any():
-        raise ValueError("every class needs >= 2 epochs to estimate covariances")
-    X = train.to_array()
-    y = train.labels
-    dim = X.shape[1]
-    covs = _normalized_covariances(X)
-    class_means = [covs[y == c].mean(axis=0) for c in range(1, train.num_classes + 1)]
-    if scheme == "auto":
-        scheme = "two_class" if train.num_classes == 2 else "one_vs_rest"
+    return _fit(_blocks(train.to_array()), train.labels, train.num_classes, m, scheme, bank, train.fingerprint)
 
-    if scheme == "two_class":
-        if train.num_classes != 2:
-            raise ValueError("two_class CSP needs exactly two classes")
-        pairs = [(class_means[0], class_means[1])]
-    elif scheme == "one_vs_rest":
-        pairs = [(class_means[c - 1], covs[y != c].mean(axis=0)) for c in range(1, train.num_classes + 1)]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    selected, eigenvalues, full_filters = zip(*(_csp_pair(own, rest, m) for own, rest in pairs))
 
-    return CspModel(
-        m=m,
-        scheme=scheme,
-        projection=np.vstack(selected),
-        bank=bank if bank is not None else FilterBankSpec(),
-        num_classes=train.num_classes,
-        input_channels=dim,
-        fitted_on=train.fingerprint,
-        eigenvalues=eigenvalues,
-        full_filters=full_filters,
-    )
+def _fit_raw(dataset: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec = FilterBankSpec(),
+             rows=None, keep: list | None = None) -> CspModel:
+    """Filter bank + spatial filters fitted on the raw epochs ``dataset[rows]``
+    (every epoch when ``rows`` is None), filtered one block at a time.
+
+    No filtered block outlives its covariances unless ``keep`` is given:
+    then it collects them, in order, for :func:`_project_kept`. The model's
+    ``fitted_on`` is the fingerprint of the raw epochs fitted on.
+    """
+    rows = np.arange(len(dataset)) if rows is None else np.asarray(rows, dtype=np.intp)
+    blocks = _blocks(dataset.to_array(), rows, bank, dataset.sampling_rate)
+    return _fit(blocks, dataset.labels[rows], dataset.num_classes, m, scheme, bank,
+                dataset.fingerprint_of(rows), keep)
+
+
+def _project_kept(model: CspModel, kept: list) -> np.ndarray:
+    """Project the blocks a fit kept, emptying ``kept`` as it goes, so each
+    block is freed once it is projected."""
+    projected = []
+    while kept:
+        projected.append(model.project(kept.pop(0)))
+    return np.concatenate(projected)
+
+
+def _apply_raw(model: CspModel, data: np.ndarray, sampling_rate: float,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Filter raw epochs ``data[rows]`` (every row when ``rows`` is None) one
+    block at a time and project each block as it is filtered. Channels are
+    checked before a filter pass is spent."""
+    model.check_raw_channels(data.shape[1])
+    return np.concatenate([model.project(block) for block in _blocks(data, rows, model.bank, sampling_rate)])
 
 
 def apply_csp_set(dataset: EpochSet, model: CspModel) -> EpochSet:
@@ -266,18 +346,14 @@ class CspTransformer(EstimatorMixin):
     def fit(self, X, y):
         X = as_epoch_array(X)
         y = as_labels(y)
-        dataset = EpochSet(X, y, self.sampling_rate)
         bank = FilterBankSpec(bands=self.bands, order=self.order)
-        filtered = apply_filter_bank_set(dataset, bank)
-        self.model_ = fit_csp(filtered, m=self.m, scheme=self.scheme, bank=bank)
+        self.model_ = _fit_raw(EpochSet(X, y, self.sampling_rate), self.m, self.scheme, bank)
         return self
 
     def transform(self, X) -> np.ndarray:
         if not hasattr(self, "model_"):
             raise NotFittedError("CspTransformer must be fitted before transform")
-        X = as_epoch_array(X)
-        self.model_.check_raw_channels(X.shape[1])
-        return self.model_.project(_filter_bank(X, self.model_.bank, self.sampling_rate))
+        return _apply_raw(self.model_, as_epoch_array(X), self.sampling_rate)
 
     def fit_transform(self, X, y) -> np.ndarray:
         return self.fit(X, y).transform(X)

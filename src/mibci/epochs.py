@@ -120,10 +120,12 @@ class EpochSet:
             raise ValueError(f"classes with no epochs: {shown}{more}")
         return self
 
-    def subset(self, indices: Sequence[int]) -> "EpochSet":
-        """The epochs at ``indices``, in that order; repeats are allowed."""
+    def subset(self, indices: Sequence[int], data: np.ndarray | None = None) -> "EpochSet":
+        """The epochs at ``indices``, in that order; repeats are allowed.
+        ``data``, when given, replaces their samples row for row and is taken
+        over (made read-only, not copied), so the rows are never copied."""
         idx = np.asarray(indices, dtype=np.intp)
-        data = self.data[idx]
+        data = self.data[idx] if data is None else data
         data.setflags(write=False)
         return EpochSet(data, self.labels[idx], self.sampling_rate, self.num_classes,
                         self.subject_ids[idx], self.origins[idx])
@@ -148,13 +150,19 @@ class EpochSet:
     @cached_property
     def fingerprint(self) -> str:
         """Content hash of the full set (epoch order matters)."""
+        return self.fingerprint_of(range(len(self)))
+
+    def fingerprint_of(self, indices: Sequence[int]) -> str:
+        """``self.subset(indices).fingerprint``, from this set's row hashes, without copying a row."""
         h = hashlib.sha256(np.int64(self.num_classes).tobytes())
-        for row in self._row_fingerprints:
-            h.update(bytes.fromhex(row))
+        for i in indices:
+            h.update(bytes.fromhex(self._row_fingerprints[i]))
         return h.hexdigest()
 
-    def epoch_fingerprints(self) -> set[str]:
-        return set(self._row_fingerprints)
+    def epoch_fingerprints(self, indices: Sequence[int] | None = None) -> set[str]:
+        """The row hashes of every epoch, or of the epochs at ``indices``."""
+        rows = self._row_fingerprints
+        return set(rows) if indices is None else {rows[i] for i in indices}
 
 
 @dataclass(frozen=True)

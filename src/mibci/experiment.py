@@ -23,8 +23,9 @@ import numpy as np
 
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
-from .bandpass import FilterBankSpec, apply_filter_bank_set
-from .csp import apply_csp_set, fit_csp
+from .bandpass import FilterBankSpec
+from .base import _require_integers
+from .csp import _apply_raw, _fit_raw, _project_kept
 from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
 from .metrics import classwise_metrics, confusion
@@ -102,6 +103,8 @@ class ExperimentPlan:
             raise ValueError("augment must be 'A' or 'NA'")
         if self.transform == "TS" and self.m is None:
             raise ValueError("a TS plan requires the spatial-filter parameter m")
+        optional = ("m", "max_train_epochs")
+        _require_integers(self, "n_runs", *(name for name in optional if getattr(self, name) is not None))
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         # the config types own these checks, so a bad value fails here, not in every run
@@ -192,8 +195,9 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        """Inverse of :meth:`to_dict`."""
-        runs = [RunResult(**r) for r in doc["runs"]]
+        """Inverse of :meth:`to_dict`; a run key that is not a :class:`RunResult`
+        field raises ``ValueError`` naming the run and the key."""
+        runs = [RunResult(**_known_keys(r, RunResult, f"report run {i}")) for i, r in enumerate(doc["runs"])]
         return cls(
             plan=doc["plan"],
             runs=runs,
@@ -218,11 +222,11 @@ def _load_dataset(plan: ExperimentPlan, dataset: EpochSet | None) -> EpochSet:
     return load_epochs(Path(plan.dataset), format="binary")
 
 
-def _truncate_stratified(train: EpochSet, limit: int) -> EpochSet:
-    """Keep at most ``limit`` epochs, balanced over classes, order-stable."""
-    per_class = max(1, limit // train.num_classes)
-    firsts = [np.flatnonzero(train.labels == c)[:per_class] for c in range(1, train.num_classes + 1)]
-    return train.subset(np.sort(np.concatenate(firsts))[:limit])
+def _truncate_stratified(labels: np.ndarray, num_classes: int, limit: int) -> np.ndarray:
+    """Positions of at most ``limit`` of ``labels``, balanced over classes, order-stable."""
+    per_class = max(1, limit // num_classes)
+    firsts = [np.flatnonzero(labels == c)[:per_class] for c in range(1, num_classes + 1)]
+    return np.sort(np.concatenate(firsts))[:limit]
 
 
 def _adapt_structure(structure: str, channels: int) -> str:
@@ -247,31 +251,37 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
                 f"{dataset.class_counts().tolist()} at {name}_fraction {fraction} leave no "
                 f"{name} epoch; raise the fraction or add epochs"
             )
-    train_set = dataset.subset(split.train_indices)
-    val_set = dataset.subset(split.validation_indices)
-    test_set = dataset.subset(split.test_indices)
-    if plan.max_train_epochs is not None:
-        train_set = _truncate_stratified(train_set, plan.max_train_epochs)
-    result.test_indices = list(split.test_indices)
-    leaked = train_set.epoch_fingerprints() & (
-        val_set.epoch_fingerprints() | test_set.epoch_fingerprints()
+    train_rows, val_rows, test_rows = (
+        np.asarray(rows, dtype=np.intp)
+        for rows in (split.train_indices, split.validation_indices, split.test_indices)
     )
+    if plan.max_train_epochs is not None:
+        train_rows = train_rows[
+            _truncate_stratified(dataset.labels[train_rows], dataset.num_classes, plan.max_train_epochs)
+        ]
+    result.test_indices = list(split.test_indices)
+    leaked = dataset.epoch_fingerprints(train_rows) & dataset.epoch_fingerprints([*val_rows, *test_rows])
     if leaked:
         raise LeakageError(
             f"run {run}: {len(leaked)} training epoch(s) also appear in the validation or test partition"
         )
 
     if plan.transform == "TS":
-        # one partition at a time, so that only one filter-bank output
-        # (E*B channels) is alive at once
-        bank = plan.filter_bank()
-        train_set = apply_filter_bank_set(train_set, bank)
-        model = fit_csp(train_set, m=plan.m, bank=bank)
-        if model.fitted_on != train_set.fingerprint:
+        # Each partition is read from dataset one block of rows at a time, so
+        # no raw copy of a partition is made. The training blocks stay filtered
+        # from the fit until each is projected and freed; validation and test
+        # blocks are projected as they are filtered.
+        kept: list[np.ndarray] = []
+        model = _fit_raw(dataset, plan.m, bank=plan.filter_bank(), rows=train_rows, keep=kept)
+        if model.fitted_on != dataset.fingerprint_of(train_rows):
             raise LeakageError(f"run {run}: CSP was fitted on epochs outside the training partition")
-        train_set = apply_csp_set(train_set, model)
-        val_set = apply_csp_set(apply_filter_bank_set(val_set, bank), model)
-        test_set = apply_csp_set(apply_filter_bank_set(test_set, bank), model)
+        train_set = dataset.subset(train_rows, _project_kept(model, kept))
+        val_set, test_set = (
+            dataset.subset(rows, _apply_raw(model, dataset.to_array(), dataset.sampling_rate, rows))
+            for rows in (val_rows, test_rows)
+        )
+    else:
+        train_set, val_set, test_set = (dataset.subset(rows) for rows in (train_rows, val_rows, test_rows))
 
     if plan.augment == "A":
         allowed_fps = train_set.epoch_fingerprints()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import _require_integers
 from .epochs import EpochSet
 
 __all__ = ["SyntheticSpec", "generate_synthetic"]
@@ -56,6 +57,7 @@ class SyntheticSpec:
     subject_id: str = "synthetic"
 
     def __post_init__(self) -> None:
+        _require_integers(self, "num_classes", "epochs_per_class", "channels", "samples", "seed")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.epochs_per_class < 1 or self.channels < 1 or self.samples < 1:

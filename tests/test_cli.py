@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mibci.bandpass as bandpass_module
+import mibci.csp as csp_module
 import mibci.io as io_module
 import mibci.mdn as mdn_module
 from mibci.augment import AugmentConfig
@@ -201,6 +202,7 @@ class TestCspCommands:
         def no_filtering(*args):
             raise AssertionError("a mismatched input reached the filter bank")
 
+        monkeypatch.setattr(csp_module, "_filter_bank", no_filtering)
         monkeypatch.setattr(bandpass_module, "_filter_bank", no_filtering)
         code, _, err = run(
             ["--out", str(tmp_path), "csp-apply", "--in", str(wide / "synthetic.epb"),
@@ -758,6 +760,30 @@ class TestExitCodes:
         assert code == 1
         assert f"{stored}: {message}" in err
 
+    @pytest.mark.parametrize(
+        "key, value", [("num_classes", "3"), ("samples", 32.5), ("epochs_per_class", True), ("seed", "7")]
+    )
+    def test_config_value_that_is_not_an_integer_is_named(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, _, err = run(["--out", str(tmp_path), "--config", str(config), "synth"], capsys)
+        assert code == 1
+        assert f"error: {key} must be an integer, got {value!r}" in err
+        assert not (tmp_path / "synthetic.epb").exists()
+
+    def test_report_run_key_that_is_not_a_field_is_named(self, synth_file, tmp_path, capsys):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(dict(tiny_plan_doc(str(synth_file)), n_runs=1, max_iterations=1)))
+        code, _, err = run(["--out", str(tmp_path), "--config", str(plan_path), "experiment"], capsys)
+        assert code == 0, err
+        stored = tmp_path / "experiment.json"
+        doc = json.loads(stored.read_text())
+        doc["runs"][0]["extra"] = 1
+        stored.write_text(json.dumps(doc))
+        code, _, err = run(["--format", "text", "report", "--in", str(stored)], capsys)
+        assert code == 1
+        assert "error: report run 0: RunResult has no field 'extra'" in err
+
     def test_invalid_plan_value_fails_before_any_run(self, synth_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(dict(tiny_plan_doc(str(synth_file)), learning_rate=-1)))
@@ -773,6 +799,9 @@ class TestExitCodes:
             ("dropout_p", 1.5, "dropout_p must be in [0, 1), got 1.5"),
             ("scheme", "foo", "unknown scheme kind 'foo'"),
             ("structure", "3,5", "layer 1 is not an in,kernel,out triple: '3,5'"),
+            ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+            ("n_runs", 2.0, "n_runs must be an integer, got 2.0"),
+            ("m", True, "m must be an integer, got True"),
         ],
     )
     def test_plan_value_that_fails_every_run_exits_1(self, command, field, value, message, synth_file, tmp_path, capsys):

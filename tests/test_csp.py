@@ -1,14 +1,28 @@
 """Spatial-filter fitting against planted-covariance oracles."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mibci.bandpass as bandpass_module
 import mibci.csp as csp_module
-from mibci.csp import CspModel, CspTransformer, _normalized_covariances, apply_csp_set, fit_csp
-from mibci.bandpass import FilterBankSpec, apply_filter_bank_set
+from mibci.base import BLOCK_EPOCHS
+from mibci.csp import (
+    CspModel,
+    CspTransformer,
+    _apply_raw,
+    _csp_pair,
+    _fit_raw,
+    _normalized_covariances,
+    _project_kept,
+    apply_csp_set,
+    fit_csp,
+)
+from mibci.bandpass import FilterBankSpec, _filter_bank, apply_filter_bank_set
 from mibci.epochs import EpochSet
 
 
@@ -262,3 +276,97 @@ class TestTransformer:
 
         with pytest.raises(NotFittedError):
             CspTransformer().transform(np.zeros((1, 2, 64)))
+
+
+SMALL_BANK = FilterBankSpec(bands=((8.0, 12.0), (18.0, 24.0)))
+
+
+def reference_fit(filtered, labels, num_classes, m, scheme):
+    """The whole-array formula the streamed fit replaced: one covariance
+    stack for the set and a boolean-index mean per class and per rest."""
+    covs = _normalized_covariances(filtered)
+    means = [covs[labels == c].mean(axis=0) for c in range(1, num_classes + 1)]
+    rests = [covs[labels != c].mean(axis=0) for c in range(1, num_classes + 1)]
+    pairs = [(means[0], means[1])] if scheme == "two_class" else list(zip(means, rests))
+    return np.vstack([_csp_pair(own, rest, m)[0] for own, rest in pairs]), means, rests
+
+
+@st.composite
+def labelled_epochs(draw):
+    """Raw epochs spanning one to four blocks, every class at least twice, labels in shuffled order."""
+    num_classes = draw(st.sampled_from([2, 4]))
+    scheme = draw(st.sampled_from(["two_class", "one_vs_rest"] if num_classes == 2 else ["one_vs_rest"]))
+    n = draw(st.integers(2 * num_classes, 3 * BLOCK_EPOCHS + 1))
+    extra = n - 2 * num_classes
+    rest = draw(st.lists(st.integers(1, num_classes), min_size=extra, max_size=extra))
+    labels = np.array(draw(st.permutations([*range(1, num_classes + 1)] * 2 + rest)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, draw(st.integers(1, 3)), 48)) * rng.uniform(0.1, 10.0, size=(n, 1, 1))
+    return X, labels, num_classes, scheme
+
+
+class TestStreamedFit:
+    @settings(max_examples=40, deadline=None)
+    @given(labelled_epochs())
+    def test_equals_the_whole_array_formula_bit_for_bit(self, case):
+        X, labels, num_classes, scheme = case
+        filtered = _filter_bank(X, SMALL_BANK, 100.0)
+        projection, means, rests = reference_fit(filtered, labels, num_classes, 1, scheme)
+        counts = np.bincount(labels - 1, minlength=num_classes)
+        got_means, got_rests = csp_module._class_means(csp_module._blocks(filtered), labels, counts, None)
+        assert np.array_equal(got_means, np.stack(means))
+        assert np.array_equal(got_rests, np.stack(rests))
+
+        raw = EpochSet(X, labels, 100.0, num_classes=num_classes)
+        streamed = _fit_raw(raw, 1, scheme, SMALL_BANK)
+        assert np.array_equal(streamed.projection, projection)
+        assert streamed.fitted_on == raw.fingerprint
+        on_filtered = fit_csp(raw.with_data(filtered), m=1, scheme=scheme, bank=SMALL_BANK)
+        assert np.array_equal(on_filtered.projection, projection)
+
+    def test_rows_fit_equals_the_fit_of_their_subset(self):
+        X, labels = np.random.default_rng(8).normal(size=(80, 2, 48)), np.tile([1, 2, 3], 27)[:80]
+        raw = EpochSet(X, labels, 100.0)
+        rows = np.random.default_rng(9).permutation(80)[:70]
+        model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=rows)
+        subset = raw.subset(rows)
+        assert np.array_equal(model.projection, _fit_raw(subset, 1, "auto", SMALL_BANK).projection)
+        assert model.fitted_on == subset.fingerprint
+
+    def test_kept_blocks_are_the_filtered_rows_and_project_like_the_whole(self):
+        X, labels = np.random.default_rng(10).normal(size=(75, 2, 48)), np.tile([1, 2], 38)[:75]
+        raw = EpochSet(X, labels, 100.0)
+        rows = np.arange(75)[::-1]
+        kept = []
+        model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=rows, keep=kept)
+        assert [len(b) for b in kept] == [BLOCK_EPOCHS, BLOCK_EPOCHS, 75 - 2 * BLOCK_EPOCHS]
+        whole = _filter_bank(X[rows], SMALL_BANK, 100.0)
+        assert np.array_equal(np.concatenate(kept), whole)
+        assert np.array_equal(_project_kept(model, kept), model.project(whole))
+        assert kept == []
+
+    def test_block_wise_apply_equals_projecting_the_whole_filtered_set(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(3 * BLOCK_EPOCHS + 1, 2, 48))
+        model = _fit_raw(EpochSet(X, np.tile([1, 2], len(X))[: len(X)], 100.0), 1, "auto", SMALL_BANK)
+        whole = model.project(_filter_bank(X, SMALL_BANK, 100.0))
+        assert np.array_equal(_apply_raw(model, X, 100.0), whole)
+        rows = rng.permutation(len(X))[:50]
+        expected = model.project(_filter_bank(X[rows], SMALL_BANK, 100.0))
+        assert np.array_equal(_apply_raw(model, X, 100.0, rows), expected)
+        assert np.array_equal(CspTransformer(m=1, bands=SMALL_BANK.bands, sampling_rate=100.0).fit(
+            X, np.tile([1, 2], len(X))[: len(X)]).transform(X), whole)
+
+    def test_fit_keeps_no_filtered_block_unless_asked(self, monkeypatch):
+        alive = []
+        real_bank = csp_module._filter_bank
+
+        def filtering(*args):
+            out = real_bank(*args)
+            alive.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(csp_module, "_filter_bank", filtering)
+        X = np.random.default_rng(12).normal(size=(2 * BLOCK_EPOCHS + 3, 2, 48))
+        _fit_raw(EpochSet(X, np.tile([1, 2], len(X))[: len(X)], 100.0), 1, "auto", SMALL_BANK)
+        assert len(alive) == 3 and all(ref() is None for ref in alive)

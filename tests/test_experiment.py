@@ -1,10 +1,14 @@
 """Runner data flow, the study matrix, and report plumbing."""
 
 import json
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import mibci.csp as csp_module
 import mibci.experiment as experiment_module
 from mibci.augment import AugmentConfig
 from mibci.epochs import EpochSet
@@ -115,6 +119,31 @@ class TestPlan:
             ExperimentPlan.from_dict(doc)
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "field", ["m", "n_runs", "max_train_epochs", "batch_size", "max_iterations", "patience"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_plan_refuses_a_value_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            tiny_plan(transform="TS", **{field: value})
+
+    def test_plan_document_refuses_a_float_before_any_run(self):
+        doc = dict(tiny_plan().to_dict(), max_iterations=2.5)
+        with pytest.raises(ValueError, match=re.escape("max_iterations must be an integer, got 2.5")):
+            ExperimentPlan.from_dict(doc)
+
+    def test_numpy_integers_are_integers(self):
+        plan = tiny_plan(n_runs=np.int64(1), max_train_epochs=np.int32(8), max_iterations=np.int64(2))
+        assert plan.n_runs == 1
+
+    def test_report_names_a_run_key_that_is_not_a_field(self, tiny_dataset):
+        doc = run_experiment(tiny_plan(n_runs=2, max_iterations=1), tiny_dataset).to_dict()
+        doc["runs"][1]["extra"] = 1
+        with pytest.raises(ValueError, match=re.escape("report run 1: RunResult has no field 'extra'")):
+            ExperimentReport.from_dict(doc)
+
+
 class TestRunExperiment:
     def test_deterministic_given_master_seed(self, tiny_dataset):
         plan = tiny_plan(n_runs=1)
@@ -210,40 +239,70 @@ class TestRunExperiment:
         assert ExperimentReport.from_dict(doc) == ExperimentReport.from_json(json.dumps(doc))
 
     def test_csp_leak_is_caught(self, tiny_dataset, monkeypatch):
-        real_fit = experiment_module.fit_csp
+        real_fit = experiment_module._fit_raw
 
-        def leaky_fit(train, **kwargs):
-            polluted = train.subset([*range(len(train)), 0])
-            return real_fit(polluted, **kwargs)
+        def leaky_fit(dataset, m, rows, **kwargs):
+            return real_fit(dataset, m, rows=[*rows, rows[0]], **kwargs)
 
-        monkeypatch.setattr(experiment_module, "fit_csp", leaky_fit)
+        monkeypatch.setattr(experiment_module, "_fit_raw", leaky_fit)
         with pytest.raises(LeakageError, match="run 0: CSP was fitted on epochs outside the training partition"):
             run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
 
     def test_ts_runs_one_partition_through_the_bank_at_a_time(self, tiny_dataset, monkeypatch):
-        """Each partition is filtered and projected before the next one is
-        filtered, so only one filter-bank output is alive at a time."""
-        calls = []
+        """The training blocks are filtered into the fit, then each is
+        projected and freed before the next is projected; each validation and
+        test block is projected as soon as it is filtered. So no two
+        partitions' filtered blocks are ever alive together."""
+        monkeypatch.setattr(csp_module, "BLOCK_EPOCHS", 4)
+        events, filtered = [], []
+        real_bank, real_project = csp_module._filter_bank, csp_module.CspModel.project
 
-        def recording(name, fn):
-            def wrapper(dataset, *args, **kwargs):
-                calls.append((name, len(dataset)))
-                return fn(dataset, *args, **kwargs)
-            return wrapper
+        def filtering(X, *args):
+            out = real_bank(X, *args)
+            events.append(("filter", len(X)))
+            filtered.append(weakref.ref(out))
+            return out
 
-        for name in ("apply_filter_bank_set", "fit_csp", "apply_csp_set"):
-            monkeypatch.setattr(experiment_module, name, recording(name, getattr(experiment_module, name)))
+        def projecting(self, X):
+            events.append(("project", len(X), sum(ref() is not None for ref in filtered)))
+            return real_project(self, X)
+
+        monkeypatch.setattr(csp_module, "_filter_bank", filtering)
+        monkeypatch.setattr(csp_module.CspModel, "project", projecting)
         report = run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
         sizes = report.runs[0].split_sizes
-        assert calls == [
-            ("apply_filter_bank_set", sizes["train"]),
-            ("fit_csp", sizes["train"]),
-            ("apply_csp_set", sizes["train"]),
-            ("apply_filter_bank_set", sizes["validation"]),
-            ("apply_csp_set", sizes["validation"]),
-            ("apply_filter_bank_set", sizes["test"]),
-            ("apply_csp_set", sizes["test"]),
-        ]
+
+        def blocks(n):
+            return [min(4, n - start) for start in range(0, n, 4)]
+
+        train = blocks(sizes["train"])
+        assert len(train) > 1
+        expected = [("filter", b) for b in train]
+        expected += [("project", b, len(train) - k) for k, b in enumerate(train)]
+        for name in ("validation", "test"):
+            for b in blocks(sizes[name]):
+                expected += [("filter", b), ("project", b, 1)]
+        assert events == expected
+
+    def test_ts_run_holds_one_filtered_training_partition(self):
+        """Beside the filtered training partition a TS run holds one block's
+        temporaries: no raw partition copy, no covariance stack, no rest-class
+        copy. Those took the traced peak to 2.2 times the partition."""
+        dataset = generate_synthetic(SyntheticSpec(num_classes=4, epochs_per_class=30, channels=24,
+                                                   samples=200, seed=3))
+        plan = ExperimentPlan(transform="TS", m=1, structure="8,5,8 / 8,100,16", code_size=16,
+                              max_iterations=1, batch_size=16, dropout_p=0.0, n_runs=1)
+        run_experiment(plan, dataset)  # first use loads scipy and fills its caches
+        tracemalloc.start()
+        try:
+            report = run_experiment(plan, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        run = report.runs[0]
+        assert run.error is None, run.error
+        filtered_bytes = run.split_sizes["train"] * 24 * 5 * 200 * 8
+        assert peak <= 1.75 * filtered_bytes, (peak, filtered_bytes)
 
     @pytest.mark.parametrize("partition", ["test", "validation"])
     @pytest.mark.parametrize("transform", ["NTS", "TS"])

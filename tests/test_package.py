@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,5 +108,7 @@ class TestScipyLoadsWhereItRuns:
         assert (f"{result.t:.4f}", f"{result.p:.4e}") == ("3.5770", "2.3230e-02")
         assert (tmp_path / "ttest.json").read_text() == json.dumps(result.to_dict(), indent=2)
         bank = FilterBankSpec(bands=((8.0, 12.0), (18.0, 24.0)))
-        model = fit_csp(apply_filter_bank_set(load_epochs(epb), bank), m=1, bank=bank)
-        assert (tmp_path / "csp.json").read_text() == model.to_json()
+        raw = load_epochs(epb)
+        model = fit_csp(apply_filter_bank_set(raw, bank), m=1, bank=bank)
+        # csp-fit records the fingerprint of the raw epochs it was given
+        assert (tmp_path / "csp.json").read_text() == replace(model, fitted_on=raw.fingerprint).to_json()

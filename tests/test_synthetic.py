@@ -1,5 +1,7 @@
 """The synthetic generator against the band-power oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,10 @@ def test_labels_and_shapes():
     assert sorted(set(dataset.labels)) == [1, 2, 3]
     assert dataset.to_array().shape == (6, 4, 32)
     assert all(origin == "synthetic" for origin in dataset.origins)
+
+
+@pytest.mark.parametrize("field", ["num_classes", "epochs_per_class", "channels", "samples", "seed"])
+@pytest.mark.parametrize("value", ["3", 3.0, True])
+def test_integer_fields_refuse_other_types(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        SyntheticSpec(**{field: value})

@@ -1,5 +1,7 @@
 """The training loop: stopping rules, determinism, and learning sanity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,10 @@ def test_misaligned_labels_rejected_before_any_step(monkeypatch, partition, cut,
         y_val = y_val[cut]
     with pytest.raises(ValueError, match=message):
         train(small_spec(), (X, y), (X_val, y_val), WalshCodebook(2, 16), TrainConfig(max_iterations=1))
+
+
+@pytest.mark.parametrize("field", ["batch_size", "max_iterations", "patience"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_integer_knobs_refuse_other_types(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        TrainConfig(**{field: value})
