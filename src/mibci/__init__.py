@@ -26,7 +26,7 @@ from .bandpass import (
     design_bandpass,
     zero_phase_bandpass,
 )
-from .base import EstimatorMixin, NotFittedError
+from .base import DocumentError, EstimatorMixin, NotFittedError
 from .csp import CspModel, CspTransformer, apply_csp_set, fit_csp
 from .epochs import EpochSet, Split, SplitSpec, derive_seed, split_dataset
 from .experiment import (
@@ -102,5 +102,5 @@ __all__ = [
     "ExperimentPlan", "ExperimentReport", "RunResult", "MatrixReport", "LeakageError",
     "run_experiment", "run_matrix", "compare_augmentation",
     # plumbing
-    "EstimatorMixin", "NotFittedError",
+    "DocumentError", "EstimatorMixin", "NotFittedError",
 ]

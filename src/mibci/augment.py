@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import EstimatorMixin, as_epoch_array, as_labels
+from .base import EstimatorMixin, _check_fields, as_epoch_array, as_labels
 from .epochs import EpochSet
 
 __all__ = [
@@ -49,6 +49,7 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0 < self.amp_low <= self.amp_high:
             raise ValueError("need 0 < amp_low <= amp_high")
         if not 0 <= self.flip_probability <= 1:
@@ -181,7 +182,6 @@ class EpochAugmenter(EstimatorMixin):
         noise_sd: float = AugmentConfig.noise_sd,
         copies_per_epoch: int = AugmentConfig.copies_per_epoch,
         seed: int = 0,
-        sampling_rate: float = 250.0,
     ):
         self.amp_low = amp_low
         self.amp_high = amp_high
@@ -190,7 +190,6 @@ class EpochAugmenter(EstimatorMixin):
         self.noise_sd = noise_sd
         self.copies_per_epoch = copies_per_epoch
         self.seed = seed
-        self.sampling_rate = sampling_rate
 
     def _config(self) -> AugmentConfig:
         return AugmentConfig(**{f.name: getattr(self, f.name) for f in fields(AugmentConfig)})
@@ -201,5 +200,6 @@ class EpochAugmenter(EstimatorMixin):
     def fit_resample(self, X, y) -> tuple[np.ndarray, np.ndarray]:
         X = as_epoch_array(X)
         y = as_labels(y)
-        grown = augment_set(EpochSet(X, y, self.sampling_rate), self._config())
+        # augmentation reads no sampling rate, and only the arrays come back
+        grown = augment_set(EpochSet(X, y, sampling_rate=1.0), self._config())
         return grown.to_array(), grown.labels

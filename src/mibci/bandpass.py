@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BLOCK_EPOCHS
+from .base import BLOCK_EPOCHS, DocumentError, _check_fields, _is_kind
 from .epochs import EpochSet
 
 __all__ = [
@@ -42,6 +42,11 @@ class FilterBankSpec:
     order: int = 4
 
     def __post_init__(self) -> None:
+        _check_fields(self)
+        if not (_is_kind(self.bands, list) and all(
+            _is_kind(b, list) and len(b) == 2 and all(_is_kind(v, float) for v in b) for b in self.bands
+        )):
+            raise DocumentError(f"bands must be a list of (low, high) pairs of numbers, got {self.bands!r}")
         bands = tuple((float(lo), float(hi)) for lo, hi in self.bands)
         if not bands:
             raise ValueError("filter bank needs at least one band")

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import inspect
+import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-__all__ = ["EstimatorMixin", "NotFittedError", "as_epoch_array", "as_labels"]
+__all__ = ["DocumentError", "EstimatorMixin", "NotFittedError", "as_epoch_array", "as_labels"]
 
 # Epochs per block of the stages that work on each epoch alone: the eval
 # forward and the filter bank. It bounds their temporaries by one block,
@@ -89,24 +91,95 @@ def as_labels(y, num_classes: int | None = None) -> np.ndarray:
     return y
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is an int or float (numpy's too), which a bool is not."""
-    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+class DocumentError(ValueError):
+    """A document or config field that is missing, unknown, or not of its kind."""
 
 
-def _require_integers(owner, *names: str) -> None:
-    """Raise ``ValueError`` naming the first of ``owner``'s fields ``names``
-    that is not an int (numpy's too), which a bool is not."""
-    for name in names:
-        value = getattr(owner, name)
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+# The one kind rule: each kind's types and its name in messages. An integer
+# is an int or numpy integer and a number any int or float (numpy's too);
+# neither is a bool. A list may be a tuple, and None stands for JSON null.
+_KINDS = {
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a number"),
+    bool: (bool, "a boolean"),
+    str: (str, "a string"),
+    list: ((list, tuple), "a list"),
+    dict: (dict, "a JSON object"),
+    None: (type(None), "null"),
+}
 
 
-def _require(doc, name: str, where: str):
-    """``doc[name]``; a ``ValueError`` naming the field when it is missing."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    if name not in doc:
-        raise ValueError(f"{where}: missing field {name!r}")
+def _is_kind(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``, one of :data:`_KINDS` or a tuple of them."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    return any(isinstance(value, _KINDS[k][0]) and (k is bool or not isinstance(value, bool)) for k in kinds)
+
+
+def _kind_error(value, kind) -> str:
+    """``kind`` in words (the first of a tuple) and what ``value`` is instead."""
+    got = "null" if value is None else type(value).__name__
+    return f"must be {_KINDS[kind[0] if isinstance(kind, tuple) else kind][1]}, got {got}"
+
+
+def _object(doc, where: str) -> dict:
+    """``doc``; a ``DocumentError`` unless it is a JSON object."""
+    if not _is_kind(doc, dict):
+        raise DocumentError(f"{where} {_kind_error(doc, dict)}")
+    return doc
+
+
+_REQUIRED = object()
+
+
+def _field(doc, name: str, kind, where: str, default=_REQUIRED):
+    """``doc[name]``, or ``default`` when the field is absent and a default is
+    given. A ``doc`` that is not a JSON object, a missing required field, or a
+    value not of ``kind`` (see :func:`_is_kind`) raises ``DocumentError``
+    naming ``where`` and the field."""
+    if name not in _object(doc, where):
+        if default is _REQUIRED:
+            raise DocumentError(f"{where}: missing field {name!r}")
+        return default
+    if not _is_kind(doc[name], kind):
+        raise DocumentError(f"{where}: field {name!r} {_kind_error(doc[name], kind)}")
     return doc[name]
+
+
+def _items(values, kind, where: str) -> list:
+    """``values``, a list each of whose entries is of ``kind``; else a
+    ``DocumentError`` naming ``where`` and the first entry that is not."""
+    if not _is_kind(values, list):
+        raise DocumentError(f"{where} {_kind_error(values, list)}")
+    for k, value in enumerate(values):
+        if not _is_kind(value, kind):
+            raise DocumentError(f"{where}: entry {k} is {json.dumps(value, default=repr)}, not {_KINDS[kind][1]}")
+    return values
+
+
+def _known_keys(doc, cls, where: str) -> dict:
+    """``doc``, a JSON object that holds every field of the dataclass ``cls``
+    without a default and no key that is not a field; else a ``DocumentError``
+    naming the key."""
+    unknown = sorted(set(_object(doc, where)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DocumentError(f"{where}: {cls.__name__} has no field {', '.join(map(repr, unknown))}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            _field(doc, f.name, tuple(_KINDS), where)  # present, of any kind
+    return doc
+
+
+_ANNOTATED_KINDS = {k.__name__: k for k in _KINDS if k is not None}
+
+
+def _check_fields(owner) -> None:
+    """Raise ``DocumentError`` naming the first field of the dataclass
+    ``owner`` annotated with a kind (``int``, ``float``, ``bool``, ``str``,
+    ``dict``, or one of them ``| None``) whose value is not of it. Fields of
+    any other annotation are not checked. The annotations are read as
+    strings, so the owner's module postpones their evaluation."""
+    for f in fields(owner):
+        kind = _ANNOTATED_KINDS.get(f.type.removesuffix(" | None"))
+        value = getattr(owner, f.name)
+        if kind is not None and not _is_kind(value, (kind, None) if f.type.endswith(" | None") else kind):
+            raise DocumentError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")

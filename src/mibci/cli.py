@@ -13,14 +13,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import mdn
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
 from .bandpass import FilterBankSpec
-from .base import _is_number
+from .base import _field, _is_kind, _items
 from .csp import CspModel, _apply_raw, _fit_raw
 from .epochs import SplitSpec, split_dataset
 from .experiment import (
@@ -63,7 +62,7 @@ def _read_object(path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
+    if not _is_kind(doc, dict):
         raise click.ClickException(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
 
@@ -122,17 +121,16 @@ def _seed(ctx, default: int = 0) -> int:
 @click.pass_context
 def synth(ctx, output, **params):
     """Generate a synthetic band-power dataset as an EPB1 file."""
-    cfg = _read_config(ctx)
+    cfg, where = _read_config(ctx), ctx.obj.get("config")
     for name in params:
         # a flag given on the command line wins over the config key, as --seed does
         if name in cfg and ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
             params[name] = cfg[name]
-    spec = SyntheticSpec(
-        **params,
-        mu_gains=np.array(cfg["mu_gains"], dtype=float) if "mu_gains" in cfg else None,
-        beta_gains=np.array(cfg["beta_gains"], dtype=float) if "beta_gains" in cfg else None,
-        seed=_seed(ctx, cfg.get("seed", 0)),
-    )
+    for name in ("mu_gains", "beta_gains"):
+        rows = _field(cfg, name, list, where, default=None)
+        if rows is not None:
+            params[name] = [_items(row, float, f"{where}: {name} row {i}") for i, row in enumerate(rows)]
+    spec = SyntheticSpec(**params, seed=_seed(ctx, cfg.get("seed", 0)))
     dataset = generate_synthetic(spec)
     path = _out_path(ctx, output)
     save_epochs(dataset, path)
@@ -334,13 +332,10 @@ def matrix(ctx, dataset, n_runs):
 
 def _load_series(path: str) -> list[float]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, dict) and "runs" in doc:
+    if _is_kind(doc, dict) and "runs" in doc:
         return ExperimentReport.from_dict(doc).accuracies()
-    if isinstance(doc, list):
-        for i, v in enumerate(doc):
-            if not _is_number(v):
-                raise click.ClickException(f"{path}: entry {i} is {json.dumps(v)}, not a number")
-        return [float(v) for v in doc]
+    if _is_kind(doc, list):
+        return [float(v) for v in _items(doc, float, path)]
     raise click.ClickException(f"{path}: expected a JSON number list or an experiment report")
 
 
@@ -385,7 +380,7 @@ def report(ctx, in_path):
     if "runs" in doc:
         cells = {"experiment": ExperimentReport.from_dict(doc)}
     else:
-        cells = {name: ExperimentReport.from_dict(cell) for name, cell in doc.items()}
+        cells = {name: ExperimentReport.from_dict(_field(doc, name, dict, "matrix report")) for name in doc}
     if fmt == "csv":
         click.echo("cell,run,accuracy,kappa,error")
         for name, rep in cells.items():
@@ -416,7 +411,7 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except (TrainingDivergedError, LeakageError) as exc:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bandpass import FilterBankSpec, _filter_bank
-from .base import BLOCK_EPOCHS, EstimatorMixin, NotFittedError, _require, as_epoch_array, as_labels
+from .base import BLOCK_EPOCHS, EstimatorMixin, NotFittedError, _field, _items, as_epoch_array, as_labels
 from .epochs import EpochSet
 
 __all__ = ["CspModel", "fit_csp", "apply_csp_set", "CspTransformer"]
@@ -114,21 +114,19 @@ class CspModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CspModel":
-        """Inverse of :meth:`to_json`; a missing field raises ``ValueError`` naming it."""
-        doc = json.loads(text)
-        m, scheme, bands, order, num_classes, input_channels, projection, fingerprint = (
-            _require(doc, name, "csp document")
-            for name in ("m", "scheme", "bands", "filter_order", "num_classes", "input_channels",
-                         "projection", "fingerprint")
-        )
+        """Inverse of :meth:`to_json`; a missing field or one of the wrong kind
+        raises ``DocumentError`` naming it."""
+        doc, where = json.loads(text), "csp document"
+        input_channels = _field(doc, "input_channels", int, where)
+        projection = _items(_field(doc, "projection", list, where), float, f"{where}: projection")
         return cls(
-            m=m,
-            scheme=scheme,
+            m=_field(doc, "m", int, where),
+            scheme=_field(doc, "scheme", str, where),
             projection=np.array(projection, dtype=np.float64).reshape(-1, input_channels),
-            bank=FilterBankSpec(bands=tuple(tuple(b) for b in bands), order=order),
-            num_classes=num_classes,
+            bank=FilterBankSpec(bands=_field(doc, "bands", list, where), order=_field(doc, "filter_order", int, where)),
+            num_classes=_field(doc, "num_classes", int, where),
             input_channels=input_channels,
-            fitted_on=fingerprint,
+            fitted_on=_field(doc, "fingerprint", str, where),
         )
 
     def save(self, path: str | Path) -> None:

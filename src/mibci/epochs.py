@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import _integer_labels
+from .base import _check_fields, _integer_labels
 
 __all__ = [
     "EpochSet",
@@ -174,6 +174,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not 0 <= self.validation_fraction < 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import traceback
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .augment import AugmentConfig, augment_set
 from .bandpass import FilterBankSpec
-from .base import _require_integers
+from .base import DocumentError, _check_fields, _field, _known_keys
 from .csp import _apply_raw, _fit_raw, _project_kept
 from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
@@ -54,14 +54,6 @@ class LeakageError(RuntimeError):
     """Epochs outside the training partition reached training, CSP or augmentation."""
 
 
-def _known_keys(doc: dict, cls, where: str) -> dict:
-    """``doc``; a key that is not a field of the dataclass ``cls`` raises ``ValueError``."""
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"{where}: {cls.__name__} has no field {', '.join(map(repr, unknown))}")
-    return doc
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One cell of the transform x augmentation study design.
@@ -73,7 +65,7 @@ class ExperimentPlan:
     the split, before augmentation) for reduced-data comparisons.
     """
 
-    dataset: str | None = None
+    dataset: str | Path | None = None
     subject_id: str = ""
     transform: str = "NTS"
     augment: str = "NA"
@@ -97,14 +89,15 @@ class ExperimentPlan:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.transform not in ("NTS", "TS"):
             raise ValueError("transform must be 'NTS' or 'TS'")
         if self.augment not in ("A", "NA"):
             raise ValueError("augment must be 'A' or 'NA'")
         if self.transform == "TS" and self.m is None:
             raise ValueError("a TS plan requires the spatial-filter parameter m")
-        optional = ("m", "max_train_epochs")
-        _require_integers(self, "n_runs", *(name for name in optional if getattr(self, name) is not None))
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         # the config types own these checks, so a bad value fails here, not in every run
@@ -134,17 +127,16 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentPlan":
-        """Inverse of :meth:`to_dict`. A key that is not a plan field, an
-        ``augment_config`` that is not a JSON object, or a key of it that is
-        not an :class:`AugmentConfig` field raises ``ValueError`` naming it."""
+        """Inverse of :meth:`to_dict`. A key that is not a plan field, a
+        ``dataset`` that is not a string, an ``augment_config`` that is not a
+        JSON object, or a key of it that is not an :class:`AugmentConfig`
+        field raises ``DocumentError`` naming it; the config types check the
+        other fields."""
         doc = dict(_known_keys(doc, cls, "plan"))
+        _field(doc, "dataset", (str, None), "plan", default=None)
         if "augment_config" in doc:
-            sub = doc["augment_config"]
-            if not isinstance(sub, dict):
-                raise ValueError(f"plan: 'augment_config' must be a JSON object, got {type(sub).__name__}")
-            doc["augment_config"] = AugmentConfig(**_known_keys(sub, AugmentConfig, "plan augment_config"))
-        if "bands" in doc:
-            doc["bands"] = tuple(tuple(b) for b in doc["bands"])
+            sub = _known_keys(_field(doc, "augment_config", dict, "plan"), AugmentConfig, "plan augment_config")
+            doc["augment_config"] = AugmentConfig(**sub)
         return cls(**doc)
 
     @classmethod
@@ -167,6 +159,9 @@ class RunResult:
     structure: str | None = None
     error: str | None = None
 
+    def __post_init__(self) -> None:
+        _check_fields(self)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -184,6 +179,14 @@ class ExperimentReport:
     n_failed: int
     provenance: dict
 
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        for run in self.runs:
+            if run.error is None and None in (run.accuracy, run.kappa):
+                raise DocumentError(f"run {run.run} has no error, so its accuracy and kappa must be numbers")
+        if (self.mean_accuracy is None) != (self.mean_kappa is None):
+            raise DocumentError("mean_accuracy and mean_kappa must both be numbers or both be null")
+
     def accuracies(self) -> list[float]:
         return [r.accuracy for r in self.runs if r.error is None]
 
@@ -195,19 +198,12 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        """Inverse of :meth:`to_dict`; a run key that is not a :class:`RunResult`
-        field raises ``ValueError`` naming the run and the key."""
-        runs = [RunResult(**_known_keys(r, RunResult, f"report run {i}")) for i, r in enumerate(doc["runs"])]
-        return cls(
-            plan=doc["plan"],
-            runs=runs,
-            mean_accuracy=doc["mean_accuracy"],
-            sd_accuracy=doc["sd_accuracy"],
-            mean_kappa=doc["mean_kappa"],
-            sd_kappa=doc["sd_kappa"],
-            n_failed=doc["n_failed"],
-            provenance=doc["provenance"],
-        )
+        """Inverse of :meth:`to_dict`; a missing field, a key that is not a
+        field, or a field of the wrong kind, in the report or in a run,
+        raises ``DocumentError`` naming it."""
+        runs = _field(doc, "runs", list, "report")
+        runs = [RunResult(**_known_keys(r, RunResult, f"report run {i}")) for i, r in enumerate(runs)]
+        return cls(**{**_known_keys(doc, cls, "report"), "runs": runs})
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import _require
+from .base import _field, _items
 from .network import NetworkParams, NetworkSpec, forward
 from .walsh import WalshCodebook
 
@@ -136,27 +136,23 @@ class MetaScheme:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MetaScheme":
-        """Inverse of :meth:`to_doc`; a missing field raises ``ValueError``
-        naming it."""
+        """Inverse of :meth:`to_doc`; a missing field or one of the wrong
+        kind raises ``DocumentError`` naming it."""
         where = "scheme document"
-        entries = _require(doc, "members", where)
-        if not isinstance(entries, list):
-            raise ValueError(
-                f"{where}: field 'members' must be a list, got {type(entries).__name__}"
-            )
         members = []
-        for i, entry in enumerate(entries):
+        for i, entry in enumerate(_field(doc, "members", list, where)):
             at = f"{where} member {i + 1}"
-            network = _require(entry, "network", at)
+            network = _field(entry, "network", dict, at)
             try:
                 spec, params = NetworkParams.from_doc(network)
-            except ValueError as exc:
-                raise ValueError(f"{at}: {exc}") from None
-            classes = tuple(_require(entry, "classes", at))
+            except ValueError as exc:  # a DocumentError stays one
+                exc.args = (f"{at}: {exc}",)
+                raise
+            classes = tuple(_items(_field(entry, "classes", list, at), int, f"{at}: classes"))
             members.append(SchemeMember(classes=classes, spec=spec, params=params))
         return cls(
-            kind=_require(doc, "kind", where),
-            num_classes=_require(doc, "num_classes", where),
+            kind=_field(doc, "kind", str, where),
+            num_classes=_field(doc, "num_classes", int, where),
             members=tuple(members),
         )
 

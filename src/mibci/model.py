@@ -24,19 +24,18 @@ from .walsh import WalshCodebook, build_walsh
 __all__ = ["WalshCnnClassifier", "default_structure"]
 
 
-def default_structure(channels: int, length: int, output_dim: int = WalshCodebook.size, planes: int = 40, kernel: int = 9) -> str:
+def default_structure(channels: int, length: int, output_dim: int = WalshCodebook.size) -> str:
     """A table-style structure string sized to the input.
 
-    Same-padded pooled blocks halve the length until it reaches the code
-    size, then one valid block spans the rest so the flatten equals
-    ``output_dim``.
+    Same-padded pooled blocks of 40 planes with 9-sample kernels halve the
+    length until it reaches the code size, then one valid block spans the
+    rest so the flatten equals ``output_dim``.
     """
     triples = []
     in_p = channels
     while length > output_dim:
-        k = min(kernel, length)
-        triples.append(f"{in_p},{k},{planes}")
-        in_p = planes
+        triples.append(f"{in_p},{min(9, length)},40")
+        in_p = 40
         length = -(-length // 2)
     triples.append(f"{in_p},{length},{output_dim}")
     return " / ".join(triples)

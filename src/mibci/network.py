@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
-from .base import BLOCK_EPOCHS, _is_number, _require
+from .base import BLOCK_EPOCHS, DocumentError, _field, _items, _object
 from .walsh import WalshCodebook
 
 __all__ = [
@@ -261,29 +261,21 @@ def _pack(a: np.ndarray, dtype: np.dtype) -> str:
 def _json_vector(entry: dict, name: str, length: int, index: int, dtype: str, packed: bool) -> np.ndarray:
     """Field ``name`` of block ``index`` as a writable native ``(length,)``
     array: base64 of little-endian bytes when ``packed`` (format 2), else a
-    list of JSON numbers (format 1). Anything else raises ``ValueError``."""
+    list of JSON numbers (format 1). Anything else raises ``DocumentError``."""
+    value = _field(entry, name, str if packed else list, f"network document layer {index + 1}")
     at = f"layer {index + 1}: {name}"
-    if name not in entry:
-        raise ValueError(f"{at} needs {length} values, got none")
-    value = entry[name]
-    if packed != isinstance(value, str):
-        want = "a base64 string in a format-2" if packed else "a list of numbers in a format-1"
-        raise ValueError(f"{at} must be {want} document, got {type(value).__name__}")
     if packed:
         try:
             raw = base64.b64decode(value, validate=True)
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
-            raise ValueError(f"{at} is not valid base64: {exc}") from None
+            raise DocumentError(f"{at} is not valid base64: {exc}") from None
         size = length * np.dtype(dtype).itemsize
         if len(raw) != size:
-            raise ValueError(f"{at} needs {length} values ({size} bytes of {dtype}), got {len(raw)} bytes")
+            raise DocumentError(f"{at} needs {length} values ({size} bytes of {dtype}), got {len(raw)} bytes")
         return np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<")).astype(dtype)
-    for k, v in enumerate(value):
-        if not _is_number(v):
-            raise ValueError(f"{at} entry {k} is {v!r}, not a number")
-    values = np.array(value, dtype=dtype)
+    values = np.array(_items(value, float, at), dtype=dtype)
     if values.shape != (length,):
-        raise ValueError(f"{at} needs {length} values, got shape {values.shape}")
+        raise DocumentError(f"{at} needs {length} values, got shape {values.shape}")
     return values
 
 
@@ -337,50 +329,35 @@ class NetworkParams:
     @classmethod
     def from_doc(cls, doc: dict) -> tuple[NetworkSpec, "NetworkParams"]:
         """Inverse of :meth:`to_doc`: :func:`parse_structure` builds the spec.
-        A missing field, a ``structure`` that is not a string, ``blocks`` that
-        are not a list of objects, a ``format`` other than 1 or 2, a ``dtype``
-        other than float32/float64, an array not encoded as its format says,
-        an ``init_seed`` that is not an integer, or a block count or vector
-        length that does not match the structure raises ``ValueError``. A
-        document without ``format`` is format 1, whose arrays are lists of
-        numbers; one without ``dtype`` loads as float64. A document written
-        with ``batch_norm``/``dropout_p`` on every block instead of at the
-        top loads with its first block's."""
+        A missing field or one of the wrong kind, a ``format`` other than 1 or
+        2, a ``dtype`` other than float32/float64, an array not encoded as its
+        format says, or a block count or vector length that does not match
+        the structure raises ``DocumentError``. A document without ``format``
+        is format 1, whose arrays are lists of numbers; one without ``dtype``
+        loads as float64. A document written with ``batch_norm``/``dropout_p``
+        on every block instead of at the top loads with its first block's."""
         where = "network document"
-        structure = _require(doc, "structure", where)
-        if not isinstance(structure, str):
-            raise ValueError(
-                f"{where}: field 'structure' must be a string, got {type(structure).__name__}"
-            )
-        entries = _require(doc, "blocks", where)
-        if not isinstance(entries, list):
-            raise ValueError(
-                f"{where}: field 'blocks' must be a list of objects, got {type(entries).__name__}"
-            )
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise ValueError(f"{where} layer {i + 1} must be a JSON object, got {type(entry).__name__}")
-        fmt = doc.get("format", 1)
-        if type(fmt) is not int or fmt not in (1, 2):
-            raise ValueError(f"{where}: field 'format' is {fmt!r}, expected 1 or 2")
+        structure = _field(doc, "structure", str, where)
+        entries = _field(doc, "blocks", list, where)
+        fmt = _field(doc, "format", int, where, default=1)
+        if fmt not in (1, 2):
+            raise DocumentError(f"{where}: field 'format' is {fmt!r}, expected 1 or 2")
         packed = fmt == 2
-        init_seed = doc.get("init_seed", 0)
-        if isinstance(init_seed, bool) or not isinstance(init_seed, (int, np.integer)):
-            raise ValueError(f"{where}: field 'init_seed' is {init_seed!r}, expected an integer")
-        dtype = doc.get("dtype", "float64")
+        init_seed = _field(doc, "init_seed", int, where, default=0)
+        dtype = _field(doc, "dtype", str, where, default="float64")
         if dtype not in ("float32", "float64"):
-            raise ValueError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
+            raise DocumentError(f"{where}: field 'dtype' is {dtype!r}, expected 'float32' or 'float64'")
         settings, at = doc, where
-        if "batch_norm" not in doc and entries and "batch_norm" in entries[0]:
+        if "batch_norm" not in doc and entries and "batch_norm" in _object(entries[0], f"{where} layer 1"):
             settings, at = entries[0], f"{where} layer 1"
         spec = parse_structure(
             structure,
-            output_dim=_require(doc, "output_dim", where),
-            batch_norm=_require(settings, "batch_norm", at),
-            dropout_p=_require(settings, "dropout_p", at),
+            output_dim=_field(doc, "output_dim", int, where),
+            batch_norm=_field(settings, "batch_norm", bool, at),
+            dropout_p=_field(settings, "dropout_p", float, at),
         )
         if len(spec.blocks) != len(entries):
-            raise ValueError(
+            raise DocumentError(
                 f"structure has {len(spec.blocks)} layers but the document has {len(entries)} blocks"
             )
         blocks = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _require_integers
+from .base import _check_fields
 from .epochs import EpochSet
 
 __all__ = ["SyntheticSpec", "generate_synthetic"]
@@ -57,18 +57,19 @@ class SyntheticSpec:
     subject_id: str = "synthetic"
 
     def __post_init__(self) -> None:
-        _require_integers(self, "num_classes", "epochs_per_class", "channels", "samples", "seed")
+        _check_fields(self)
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if self.epochs_per_class < 1 or self.channels < 1 or self.samples < 1:
             raise ValueError("epochs_per_class, channels, and samples must be positive")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        for name in ("noise_sd", "default_gain"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         nyquist = self.sampling_rate / 2.0
         if not (0 < self.mu_hz < nyquist) or not (0 < self.beta_hz < nyquist):
             raise ValueError(
-                f"band frequencies ({self.mu_hz}, {self.beta_hz} Hz) must lie below "
-                f"the Nyquist frequency {nyquist} Hz"
+                f"mu_hz and beta_hz ({self.mu_hz}, {self.beta_hz} Hz) must lie above 0 and below "
+                f"the Nyquist frequency {nyquist} Hz of sampling_rate"
             )
         for name in ("mu_gains", "beta_gains"):
             g = getattr(self, name)

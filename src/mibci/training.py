@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .base import _require_aligned, _require_integers
+from .base import _check_fields, _require_aligned
 from .mdn import mdn_classify
 from .metrics import divergence
 from .network import NetworkParams, NetworkSpec, backward, forward, init_params, mse_loss
@@ -47,7 +47,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_integers(self, "batch_size", "max_iterations", "patience")
+        _check_fields(self)
         if self.learning_rate <= 0 or self.batch_size < 1:
             raise ValueError("learning_rate and batch_size must be positive")
         if self.max_iterations < 1 or self.patience < 1:

@@ -1,5 +1,7 @@
 """The five augmentation steps and the set expansion."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,8 @@ def test_config_validation():
 
 def test_estimator_facade():
     aug = EpochAugmenter(copies_per_epoch=3, seed=5)
+    # the facade's knobs are the config's fields; augmentation reads no sampling rate
+    assert list(aug.get_params()) == [f.name for f in fields(AugmentConfig)]
     assert aug.get_params()["copies_per_epoch"] == 3
     X = np.random.default_rng(0).normal(size=(4, 2, 16))
     y = [1, 1, 2, 2]

@@ -677,9 +677,9 @@ class TestExitCodes:
             (lambda net, e: e.update(weight=e["weight"][:-4]),
              r"layer 2: weight needs 2048 values \(8192 bytes of float32\), got 8190 bytes"),
             (lambda net, e: e.update(bias=[0.0] * 16),
-             "layer 2: bias must be a base64 string in a format-2 document, got list"),
+             "network document layer 2: field 'bias' must be a string, got list"),
             (lambda net, e: net.pop("format"),
-             "layer 1: weight must be a list of numbers in a format-1 document, got str"),
+             "network document layer 1: field 'weight' must be a list, got str"),
             (lambda net, e: net.update(format=7), "network document: field 'format' is 7, expected 1 or 2"),
         ],
         ids=["not-base64", "short-bytes", "list-in-format-2", "string-in-format-1", "unknown-format"],
@@ -715,7 +715,7 @@ class TestExitCodes:
         "field, value, message",
         [
             ("structure", 5, "network document: field 'structure' must be a string, got int"),
-            ("blocks", 5, "network document: field 'blocks' must be a list of objects, got int"),
+            ("blocks", 5, "network document: field 'blocks' must be a list, got int"),
             ("blocks", [1, 2], "network document layer 1 must be a JSON object, got int"),
         ],
     )
@@ -727,6 +727,16 @@ class TestExitCodes:
         code, _, err = run(["eval", "--in", str(synth_file), "--params", str(params)], capsys)
         assert code == 1
         assert f"error: scheme document member 1: {message}" in err
+
+    @pytest.mark.parametrize("fault", [KeyError("planted"), TypeError("planted")], ids=["KeyError", "TypeError"])
+    def test_a_program_fault_in_a_command_is_a_runtime_failure(self, synth_file, capsys, monkeypatch, fault):
+        def faulty(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(io_module, "_load_binary", faulty)
+        code, _, err = run(["augment", "--in", str(synth_file)], capsys)
+        assert code == 2
+        assert f"runtime failure: {type(fault).__name__}: " in err
 
     def test_unknown_command(self, capsys):
         assert run(["frobnicate"], capsys)[0] == 1
@@ -802,6 +812,7 @@ class TestExitCodes:
             ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
             ("n_runs", 2.0, "n_runs must be an integer, got 2.0"),
             ("m", True, "m must be an integer, got True"),
+            ("m", 0, "m must be >= 1, got 0"),
         ],
     )
     def test_plan_value_that_fails_every_run_exits_1(self, command, field, value, message, synth_file, tmp_path, capsys):
@@ -816,7 +827,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc.update(augment_config=5), "plan: 'augment_config' must be a JSON object, got int"),
+            (lambda doc: doc.update(augment_config=5), "plan: field 'augment_config' must be a JSON object, got int"),
             (lambda doc: doc.update(copies=1), "plan: ExperimentPlan has no field 'copies'"),
             (lambda doc: doc["augment_config"].update(copies=1), "plan augment_config: AugmentConfig has no field 'copies'"),
         ],

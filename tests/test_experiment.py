@@ -74,6 +74,11 @@ class TestPlan:
         with pytest.raises(ValueError, match="m"):
             ExperimentPlan(transform="TS", m=None)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_1_fails_at_plan_load(self, m):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            ExperimentPlan.from_dict(dict(tiny_plan(transform="TS").to_dict(), m=m))
+
     def test_bad_cells_rejected(self):
         with pytest.raises(ValueError):
             ExperimentPlan(transform="XX")
@@ -104,7 +109,7 @@ class TestPlan:
         assert again == plan
 
     def test_augment_config_that_is_not_an_object_is_refused(self):
-        with pytest.raises(ValueError, match="plan: 'augment_config' must be a JSON object, got int"):
+        with pytest.raises(ValueError, match="plan: field 'augment_config' must be a JSON object, got int"):
             ExperimentPlan.from_dict({"augment": "A", "augment_config": 5})
 
     def test_unknown_plan_key_is_refused(self):

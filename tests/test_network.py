@@ -714,7 +714,7 @@ class TestParamsSerialization:
     def test_missing_batchnorm_vector_rejected(self):
         doc = self._bn_doc()
         del doc["blocks"][0]["running_var"]
-        with pytest.raises(ValueError, match="layer 1: running_var needs 8 values"):
+        with pytest.raises(ValueError, match="network document layer 1: missing field 'running_var'"):
             NetworkParams.from_json(json.dumps(doc))
 
     def test_non_triple_structure_row_rejected(self):
@@ -913,13 +913,13 @@ class TestParamsSerialization:
             (lambda doc, e: e.update(bias=packed(np.zeros(16, dtype=np.float32))),
              r"layer 2: bias needs 16 values \(128 bytes of float64\), got 64 bytes"),
             (lambda doc, e: e.update(bias=[0.0] * 16),
-             "layer 2: bias must be a base64 string in a format-2 document, got list"),
+             "network document layer 2: field 'bias' must be a string, got list"),
             (lambda doc, e: doc.pop("format"),
-             "layer 1: weight must be a list of numbers in a format-1 document, got str"),
+             "network document layer 1: field 'weight' must be a list, got str"),
             (lambda doc, e: doc.update(format=3), "network document: field 'format' is 3, expected 1 or 2"),
-            (lambda doc, e: doc.update(format="2"), "network document: field 'format' is '2', expected 1 or 2"),
-            (lambda doc, e: doc.update(format=True), "network document: field 'format' is True, expected 1 or 2"),
-            (lambda doc, e: doc.update(format=2.0), "network document: field 'format' is 2.0, expected 1 or 2"),
+            (lambda doc, e: doc.update(format="2"), "network document: field 'format' must be an integer, got str"),
+            (lambda doc, e: doc.update(format=True), "network document: field 'format' must be an integer, got bool"),
+            (lambda doc, e: doc.update(format=2.0), "network document: field 'format' must be an integer, got float"),
         ],
         ids=["not-base64", "extra-padding", "non-ascii", "short-bytes", "float32-bytes", "list-in-format-2",
              "string-in-format-1", "format-3", "format-string", "format-bool", "format-float"],
@@ -934,14 +934,14 @@ class TestParamsSerialization:
     def test_init_seed_that_is_not_an_integer_rejected(self, value):
         doc = self._bn_doc()
         doc["init_seed"] = value
-        with pytest.raises(ValueError, match="network document: field 'init_seed' is .*, expected an integer"):
+        with pytest.raises(ValueError, match="network document: field 'init_seed' must be an integer, got "):
             NetworkParams.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [None, True, "0.5"], ids=["null", "true", "string"])
     def test_format_1_entry_that_is_not_a_number_rejected(self, value):
         doc = as_format_1(self._bn_doc())
         doc["blocks"][1]["bias"][3] = value
-        with pytest.raises(ValueError, match="layer 2: bias entry 3 is .*, not a number"):
+        with pytest.raises(ValueError, match="layer 2: bias: entry 3 is .*, not a number"):
             NetworkParams.from_json(json.dumps(doc))
 
     def test_non_object_document_rejected(self):
@@ -978,7 +978,7 @@ class TestParamsSerialization:
     def test_non_list_blocks_named(self, value):
         doc = self._bn_doc()
         doc["blocks"] = value
-        with pytest.raises(ValueError, match="network document: field 'blocks' must be a list of objects"):
+        with pytest.raises(ValueError, match="network document: field 'blocks' must be a list, got "):
             NetworkParams.from_doc(doc)
 
     def test_non_object_block_named(self):
