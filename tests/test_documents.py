@@ -239,7 +239,7 @@ def test_the_written_documents_load_unchanged(work):
     assert {cell: ExperimentReport.from_dict(rep).to_dict() for cell, rep in docs["matrix"].items()} == docs["matrix"]
 
 
-# Each message at the parent named no field, or named it only by accident.
+# Mistyped fields that are named at load instead of failing later with a bare Python error.
 TABLE = [
     ("csp", {"m": "1"}, "csp document: field 'm' must be an integer, got str"),
     ("csp", {"num_classes": "2"}, "csp document: field 'num_classes' must be an integer, got str"),
