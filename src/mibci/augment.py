@@ -141,7 +141,7 @@ def augment_epoch(
     return out
 
 
-def augment_set(dataset: EpochSet, cfg: AugmentConfig) -> EpochSet:
+def augment_set(dataset: EpochSet, cfg: AugmentConfig, dtype=np.float64) -> EpochSet:
     """Expand a training set with augmented variants of every epoch.
 
     Each source epoch keeps its position followed by ``copies_per_epoch``
@@ -150,11 +150,17 @@ def augment_set(dataset: EpochSet, cfg: AugmentConfig) -> EpochSet:
     class histogram scales by the same factor. Epoch ``i`` draws from its own
     substream seeded by ``(cfg.seed, i)``; the result is bit-identical for
     identical inputs and safe to compute in parallel per epoch.
+
+    Every variant is computed from the float64 value of its source epoch and
+    stored in ``dtype``, as the sources are. float32 holds a set that only
+    training reads, which rounds to :data:`training.TRAIN_DTYPE` anyway, in
+    half the memory: each value is rounded once, where it is stored.
     """
     stride = 1 + cfg.copies_per_epoch
-    out = np.empty((len(dataset) * stride, dataset.n_channels, dataset.n_samples))
+    out = np.empty((len(dataset) * stride, dataset.n_channels, dataset.n_samples), dtype=dtype)
     out[::stride] = dataset.data
     for i, epoch in enumerate(dataset.data):
+        epoch = epoch.astype(np.float64, copy=False)  # one epoch at a time, never the whole set
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & 0xFFFFFFFFFFFFFFFF, i]))
         for j in range(1, stride):
             out[i * stride + j] = augment_epoch(epoch, cfg, rng)

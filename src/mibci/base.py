@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -50,9 +51,18 @@ class EstimatorMixin:
         return f"{type(self).__name__}({args})"
 
 
-def as_epoch_array(X, dtype=np.float64) -> np.ndarray:
-    """Validate and coerce a batch of epochs to a (n, channels, samples) array."""
-    X = np.asarray(X, dtype=dtype)
+def _epoch_data(X) -> np.ndarray:
+    """``X`` as an array of epoch samples: float32 data (the EPB1 sample type
+    and the training dtype) stays float32 and is not copied; any other
+    becomes float64."""
+    X = np.asarray(X)
+    return X if X.dtype == np.float32 else X.astype(np.float64, copy=False)
+
+
+def as_epoch_array(X) -> np.ndarray:
+    """Validate and coerce a batch of epochs to a (n, channels, samples)
+    array, float32 or float64 as :func:`_epoch_data` keeps it."""
+    X = _epoch_data(X)
     if X.ndim == 2:
         X = X[np.newaxis]
     if X.ndim != 3:
@@ -97,7 +107,9 @@ class DocumentError(ValueError):
 
 # The one kind rule: each kind's types and its name in messages. An integer
 # is an int or numpy integer and a number any int or float (numpy's too);
-# neither is a bool. A list may be a tuple, and None stands for JSON null.
+# neither is a bool, and both must convert to a finite float, so NaN and
+# ±Infinity (which Python's json reads) and an integer beyond float range are
+# refused. A list may be a tuple, and None stands for JSON null.
 _KINDS = {
     int: ((int, np.integer), "an integer"),
     float: ((int, float, np.integer, np.floating), "a number"),
@@ -109,16 +121,35 @@ _KINDS = {
 }
 
 
+def _of_type(value, kind) -> bool:
+    """Whether ``value`` has one of ``kind``'s types (a bool is only a boolean)."""
+    return isinstance(value, _KINDS[kind][0]) and (kind is bool or not isinstance(value, bool))
+
+
+def _finite(value) -> bool:
+    """Whether the number ``value`` converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _is_kind(value, kind) -> bool:
     """Whether ``value`` is of ``kind``, one of :data:`_KINDS` or a tuple of them."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    return any(isinstance(value, _KINDS[k][0]) and (k is bool or not isinstance(value, bool)) for k in kinds)
+    return any(_of_type(value, k) and (k not in (int, float) or _finite(value)) for k in kinds)
 
 
 def _kind_error(value, kind) -> str:
-    """``kind`` in words (the first of a tuple) and what ``value`` is instead."""
+    """``kind`` in words (the first of a tuple whose type ``value`` has, else
+    the first) and what ``value`` is instead."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    typed = [k for k in kinds if _of_type(value, k)]
+    if typed:  # a number of the right type that no finite float holds
+        shown = f"an integer of {len(str(abs(value)))} digits" if isinstance(value, int) else repr(float(value))
+        return f"must be {_KINDS[typed[0]][1]} that converts to a finite float, got {shown}"
     got = "null" if value is None else type(value).__name__
-    return f"must be {_KINDS[kind[0] if isinstance(kind, tuple) else kind][1]}, got {got}"
+    return f"must be {_KINDS[kinds[0]][1]}, got {got}"
 
 
 def _object(doc, where: str) -> dict:
@@ -152,7 +183,9 @@ def _items(values, kind, where: str) -> list:
         raise DocumentError(f"{where} {_kind_error(values, list)}")
     for k, value in enumerate(values):
         if not _is_kind(value, kind):
-            raise DocumentError(f"{where}: entry {k} is {json.dumps(value, default=repr)}, not {_KINDS[kind][1]}")
+            wrong = (_kind_error(value, kind) if _of_type(value, kind)
+                     else f"is {json.dumps(value, default=repr)}, not {_KINDS[kind][1]}")
+            raise DocumentError(f"{where}: entry {k} {wrong}")
     return values
 
 
@@ -182,4 +215,5 @@ def _check_fields(owner) -> None:
         kind = _ANNOTATED_KINDS.get(f.type.removesuffix(" | None"))
         value = getattr(owner, f.name)
         if kind is not None and not _is_kind(value, (kind, None) if f.type.endswith(" | None") else kind):
-            raise DocumentError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
+            wrong = _kind_error(value, kind) if _of_type(value, kind) else f"must be {_KINDS[kind][1]}, got {value!r}"
+            raise DocumentError(f"{f.name} {wrong}")

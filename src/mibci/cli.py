@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from . import mdn
@@ -150,7 +151,8 @@ def synth(ctx, output, **params):
 def augment(ctx, in_path, output, **params):
     """Expand a training set with augmented epoch variants."""
     dataset = load_epochs(in_path)
-    grown = augment_set(dataset, AugmentConfig(**params, seed=_seed(ctx)))
+    # the file stores float32, so each variant is rounded to it as it is made
+    grown = augment_set(dataset, AugmentConfig(**params, seed=_seed(ctx)), dtype=np.float32)
     path = _out_path(ctx, output)
     save_epochs(grown, path)
     click.echo(f"{len(dataset)} -> {len(grown)} epochs, wrote {path}")

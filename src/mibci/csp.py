@@ -119,6 +119,11 @@ class CspModel:
         doc, where = json.loads(text), "csp document"
         input_channels = _field(doc, "input_channels", int, where)
         projection = _items(_field(doc, "projection", list, where), float, f"{where}: projection")
+        if input_channels < 1:
+            raise ValueError(f"{where}: field 'input_channels' must be >= 1, got {input_channels}")
+        if len(projection) % input_channels:
+            raise ValueError(f"{where}: field 'projection' holds {len(projection)} values, "
+                             f"not whole rows of input_channels = {input_channels}")
         return cls(
             m=_field(doc, "m", int, where),
             scheme=_field(doc, "scheme", str, where),
@@ -187,13 +192,14 @@ def _blocks(data: np.ndarray, rows: np.ndarray | None = None, bank: FilterBankSp
             sampling_rate: float | None = None) -> Iterator[np.ndarray]:
     """The TS front end's one block loop: ``data[rows]`` (every row when
     ``rows`` is None), :data:`base.BLOCK_EPOCHS` rows at a time, each block
-    band-filtered through ``bank`` when one is given. Only the rows of one
-    block are read at a time, so no copy of ``data[rows]`` is made."""
+    cast to float64 once and band-filtered through ``bank`` when one is
+    given. Only the rows of one block are read at a time, so no copy of
+    ``data[rows]`` is made."""
     sections = None if bank is None else bank.sections(sampling_rate)
     n = len(data) if rows is None else len(rows)
     for start in range(0, n, BLOCK_EPOCHS):
         stop = start + BLOCK_EPOCHS
-        block = data[start:stop] if rows is None else data[rows[start:stop]]
+        block = np.asarray(data[start:stop] if rows is None else data[rows[start:stop]], dtype=np.float64)
         yield block if bank is None else _filter_bank(block, bank, sampling_rate, sections)
 
 

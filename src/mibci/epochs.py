@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import _check_fields, _integer_labels
+from .base import _check_fields, _epoch_data, _integer_labels
 
 __all__ = [
     "EpochSet",
@@ -49,12 +49,13 @@ def _read_only(data: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EpochSet:
-    """Epochs stacked into one read-only ``(n, channels, samples)`` float64 array.
+    """Epochs stacked into one read-only ``(n, channels, samples)`` array.
 
-    ``labels`` (1-based int64), ``subject_ids`` and ``origins`` hold one entry
-    per row; a single string applies to every row, and ``num_classes=None``
-    takes the largest label. A writable ``data`` array is copied, a read-only
-    one is kept.
+    float32 ``data`` (an EPB1 file's samples, an augmented training set) stays
+    float32; any other becomes float64. ``labels`` (1-based int64),
+    ``subject_ids`` and ``origins`` hold one entry per row; a single string
+    applies to every row, and ``num_classes=None`` takes the largest label. A
+    writable ``data`` array is copied, a read-only one is kept.
     """
 
     data: np.ndarray
@@ -65,7 +66,7 @@ class EpochSet:
     origins: np.ndarray | str = "recorded"
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
+        data = _epoch_data(self.data)
         if data.ndim == 3 and len(data) == 0:
             raise ValueError("empty set: an EpochSet needs at least one epoch")
         if data.ndim != 3 or min(data.shape) < 1:
@@ -104,7 +105,7 @@ class EpochSet:
         return self.data.shape[2]
 
     def to_array(self) -> np.ndarray:
-        """The stored read-only (n, channels, samples) float64 array."""
+        """The stored read-only (n, channels, samples) array, float32 or float64."""
         return self.data
 
     def class_counts(self) -> np.ndarray:
@@ -135,17 +136,23 @@ class EpochSet:
         return replace(self, data=X)
 
     @cached_property
-    def _row_fingerprints(self) -> tuple[str, ...]:
-        """sha256 of each row's subject id (UTF-8), int64 label, float64 rate and samples."""
-        rate = np.float64(self.sampling_rate).tobytes()
-        rows = []
-        for subject_id, label, row in zip(self.subject_ids, self.labels, self.data):
-            h = hashlib.sha256(subject_id.encode("utf-8"))
-            h.update(label.tobytes())
-            h.update(rate)
-            h.update(row)  # data is C-contiguous, so hashlib reads the row in place
-            rows.append(h.hexdigest())
-        return tuple(rows)
+    def _row_digests(self) -> dict:
+        """Row index -> sha256 digest, filled as rows are first hashed."""
+        return {}
+
+    def _row_digest(self, i: int) -> bytes:
+        """sha256 of row ``i``'s subject id (UTF-8), int64 label, float64 rate
+        and samples as float64, so the digest does not depend on the stored
+        dtype. Each row is hashed once, and only when asked for."""
+        digest = self._row_digests.get(i)
+        if digest is None:
+            h = hashlib.sha256(self.subject_ids[i].encode("utf-8"))
+            h.update(self.labels[i].tobytes())
+            h.update(np.float64(self.sampling_rate).tobytes())
+            # rows are C-contiguous, so hashlib reads a float64 row in place
+            h.update(self.data[i].astype(np.float64, copy=False))
+            digest = self._row_digests[i] = h.digest()
+        return digest
 
     @cached_property
     def fingerprint(self) -> str:
@@ -156,13 +163,12 @@ class EpochSet:
         """``self.subset(indices).fingerprint``, from this set's row hashes, without copying a row."""
         h = hashlib.sha256(np.int64(self.num_classes).tobytes())
         for i in indices:
-            h.update(bytes.fromhex(self._row_fingerprints[i]))
+            h.update(self._row_digest(i))
         return h.hexdigest()
 
     def epoch_fingerprints(self, indices: Sequence[int] | None = None) -> set[str]:
         """The row hashes of every epoch, or of the epochs at ``indices``."""
-        rows = self._row_fingerprints
-        return set(rows) if indices is None else {rows[i] for i in indices}
+        return {self._row_digest(i).hex() for i in (range(len(self)) if indices is None else indices)}
 
 
 @dataclass(frozen=True)

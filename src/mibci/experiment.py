@@ -32,7 +32,7 @@ from .metrics import classwise_metrics, confusion
 from .model import WalshCnnClassifier
 from .network import ConvBlockSpec, _parse_triples, render_structure
 from .stats import TTestResult, paired_ttest
-from .training import TrainConfig
+from .training import TRAIN_DTYPE, TrainConfig
 from .walsh import WalshCodebook
 
 __all__ = [
@@ -100,6 +100,8 @@ class ExperimentPlan:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
+        if self.max_train_epochs is not None and self.max_train_epochs < 1:
+            raise ValueError(f"max_train_epochs must be >= 1, got {self.max_train_epochs}")
         # the config types own these checks, so a bad value fails here, not in every run
         self.split_spec()
         self.filter_bank()
@@ -280,11 +282,15 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         train_set, val_set, test_set = (dataset.subset(rows) for rows in (train_rows, val_rows, test_rows))
 
     if plan.augment == "A":
-        allowed_fps = train_set.epoch_fingerprints()
+        # the set is stored as training reads it, so its original rows must be
+        # the training rows rounded to TRAIN_DTYPE, in order; the rounded copy
+        # is freed once hashed, before the set is grown
+        rounded = np.asarray(train_set.to_array(), dtype=TRAIN_DTYPE)
+        allowed = train_set.subset(np.arange(len(train_set)), rounded).fingerprint
+        del rounded
         cfg = replace(plan.augment_config, seed=derive_seed(plan.master_seed, run, "augment"))
-        train_set = augment_set(train_set, cfg)
-        originals = train_set.subset(np.flatnonzero(train_set.origins != "augmented"))
-        if originals.epoch_fingerprints() != allowed_fps:
+        train_set = augment_set(train_set, cfg, dtype=TRAIN_DTYPE)
+        if train_set.fingerprint_of(range(0, len(train_set), 1 + cfg.copies_per_epoch)) != allowed:
             raise LeakageError(f"run {run}: augmentation consumed epochs outside the training partition")
 
     clf = plan.classifier(train_set.n_channels, derive_seed(plan.master_seed, run, "train"))

@@ -60,6 +60,8 @@ def load_epochs(path: str | Path, format: str = "binary", sampling_rate: float =
     format : {'binary', 'csv'}
     sampling_rate : float
         Only used for CSV input, which does not store a rate.
+
+    Binary samples load as the float32 the file stores, CSV samples as float64.
     """
     path = Path(path)
     if format == "binary":
@@ -116,7 +118,7 @@ def _load_binary(path: Path) -> EpochSet:
             f"{path}: {len(blob)} bytes cannot hold the header-declared {count} epochs "
             f"of {channels}x{samples} samples at byte {len(blob)}"
         )
-    data = np.empty((count, channels, samples))
+    data = np.empty((count, channels, samples), dtype=np.float32)  # the file's samples, not widened
     labels = np.empty(count, dtype=np.int64)
     subject_ids = []
     for k in range(count):

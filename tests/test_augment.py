@@ -49,6 +49,14 @@ def reference_augment_set(dataset: EpochSet, cfg: AugmentConfig) -> list[tuple]:
     return out
 
 
+REFERENCE_CONFIGS = [
+    AugmentConfig(seed=3),
+    AugmentConfig(copies_per_epoch=0),
+    AugmentConfig(copies_per_epoch=2, noise_sd=0.0, seed=-5),
+    AugmentConfig(rotation_half_range=1, flip_probability=1.0, noise_sd=0.3, seed=2**64 + 9),
+]
+
+
 class TestZeroMean:
     def test_simple(self):
         out = zero_mean(np.array([[1.0, 2.0, 3.0]]))
@@ -221,19 +229,15 @@ class TestAugmentSet:
         assert origins.count("augmented") == 2 * len(dataset)
         assert origins.count("recorded") == len(dataset)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            AugmentConfig(seed=3),
-            AugmentConfig(copies_per_epoch=0),
-            AugmentConfig(copies_per_epoch=2, noise_sd=0.0, seed=-5),
-            AugmentConfig(rotation_half_range=1, flip_probability=1.0, noise_sd=0.3, seed=2**64 + 9),
-        ],
-    )
-    def test_bit_equal_to_the_epoch_by_epoch_loop(self, cfg):
+    @staticmethod
+    def reference_dataset() -> EpochSet:
         source = make_set(3, channels=2, samples=11, num_classes=3, seed=4)
-        dataset = EpochSet(source.to_array(), source.labels, source.sampling_rate, 3,
-                           [f"s{i % 2}" for i in range(len(source))], "synthetic")
+        return EpochSet(source.to_array(), source.labels, source.sampling_rate, 3,
+                        [f"s{i % 2}" for i in range(len(source))], "synthetic")
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_bit_equal_to_the_epoch_by_epoch_loop(self, cfg):
+        dataset = self.reference_dataset()
         grown = augment_set(dataset, cfg)
         expected = reference_augment_set(dataset, cfg)
         subject_ids, labels, data, origins = (list(column) for column in zip(*expected))
@@ -243,6 +247,22 @@ class TestAugmentSet:
         assert list(grown.subject_ids) == subject_ids
         rebuilt = EpochSet(np.stack(data), labels, dataset.sampling_rate, 3, subject_ids, origins)
         assert grown.fingerprint == rebuilt.fingerprint
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS)
+    def test_float32_output_is_the_reference_rounded_once(self, cfg):
+        """Each variant is computed in float64 and rounded to float32 where it
+        is stored, from a float64 source or from the float32 rounding of it."""
+        dataset = self.reference_dataset()
+        single = dataset.with_data(dataset.to_array().astype(np.float32))
+        expected = np.stack([row[2] for row in reference_augment_set(dataset, cfg)]).astype(np.float32)
+        for source in (dataset, single):
+            widened = source.with_data(source.to_array().astype(np.float64))
+            wide = np.stack([row[2] for row in reference_augment_set(widened, cfg)])
+            for grown, rounded in ((augment_set(source, cfg, dtype=np.float32), wide.astype(np.float32)),
+                                   (augment_set(source, cfg), wide)):
+                assert grown.to_array().dtype == rounded.dtype
+                assert grown.to_array().tobytes() == rounded.tobytes()
+        assert augment_set(dataset, cfg, dtype=np.float32).to_array().tobytes() == expected.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -238,6 +238,10 @@ class TestCspCommands:
             ({"scheme": "bogus", "projection": np.eye(4).ravel().tolist()}, "unknown scheme 'bogus'"),
             ({"m": 0, "projection": []}, "m=0 must be >= 1"),
             ({"num_classes": 3}, "a two_class model needs exactly two classes, got 3"),
+            ({"input_channels": 0}, "csp document: field 'input_channels' must be >= 1, got 0"),
+            ({"input_channels": -4}, "csp document: field 'input_channels' must be >= 1, got -4"),
+            ({"input_channels": 3},
+             "csp document: field 'projection' holds 8 values, not whole rows of input_channels = 3"),
         ],
     )
     def test_apply_rejects_an_inconsistent_model(self, synth_file, tmp_path, capsys, edit, message):
@@ -813,6 +817,8 @@ class TestExitCodes:
             ("n_runs", 2.0, "n_runs must be an integer, got 2.0"),
             ("m", True, "m must be an integer, got True"),
             ("m", 0, "m must be >= 1, got 0"),
+            ("max_train_epochs", 0, "max_train_epochs must be >= 1, got 0"),
+            ("max_train_epochs", -3, "max_train_epochs must be >= 1, got -3"),
         ],
     )
     def test_plan_value_that_fails_every_run_exits_1(self, command, field, value, message, synth_file, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Spatial-filter fitting against planted-covariance oracles."""
 
+import json
+import re
 import tracemalloc
 import weakref
 
@@ -234,6 +236,21 @@ class TestSerialization:
         assert restored.scheme == model.scheme
         assert restored.bank == model.bank
         assert restored.fitted_on == model.fitted_on
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"input_channels": 0}, "field 'input_channels' must be >= 1, got 0"),
+            ({"input_channels": -4}, "field 'input_channels' must be >= 1, got -4"),
+            ({"input_channels": 3}, "field 'projection' holds 8 values, not whole rows of input_channels = 3"),
+            ({"projection": [0.5] * 7}, "field 'projection' holds 7 values, not whole rows of input_channels = 4"),
+        ],
+    )
+    def test_document_shape_fields_checked_before_the_reshape(self, edit, message):
+        dataset, _, _ = planted_dataset(dim=4, n_ep=4)
+        doc = json.loads(fit_csp(dataset, m=1).to_json())
+        with pytest.raises(ValueError, match=re.escape(f"csp document: {message}")):
+            CspModel.from_json(json.dumps({**doc, **edit}))
 
 
 class TestTransformer:

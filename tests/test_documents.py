@@ -33,13 +33,17 @@ from mibci.synthetic import SyntheticSpec, generate_synthetic
 STRUCTURE = "2,5,8 / 8,16,16"
 SERIES = [0.9, 0.8, 0.85, 0.95, 0.9]
 
-# A value of each JSON kind. Numbers stay within magnitudes a document field
-# plausibly holds: these cases test kinds, not overflow.
+# Numbers that no finite float holds: Python's json reads NaN and Infinity,
+# and an integer of any size. The kind rule refuses each.
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)]
+
+# A value of each JSON kind. Finite numbers stay within magnitudes a document
+# field plausibly holds: these cases test kinds, not range rules.
 KINDS = {
     "null": st.none(),
     "bool": st.booleans(),
-    "int": st.integers(-(2**31), 2**31),
-    "float": st.floats(-1e6, 1e6),
+    "int": st.integers(-(2**31), 2**31) | st.sampled_from(NON_FINITE[3:]),
+    "float": st.floats(-1e6, 1e6) | st.sampled_from(NON_FINITE[:3]),
     "string": st.text(max_size=6),
     "list": st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3),
     "object": st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
@@ -228,6 +232,27 @@ def test_a_swapped_field_exits_0_or_1_naming_it(work, name, data):
             assert names(path, err), f"{path} <- {new!r}: {err}"
 
 
+@pytest.mark.parametrize("name", sorted(set(INTO) - {"csp"}))  # csp.json's numbers are projection entries
+def test_a_number_no_float_holds_is_named(work, name):
+    """Every number field given NaN, ±Infinity or an integer beyond float
+    range raises ``DocumentError`` naming it; through the CLI it exits 1."""
+    root, docs = work
+    path_of = root / f"{name}_non_finite.json"
+    numbers = [path for path in field_paths(docs[name], INTO[name])
+               if kind_of(swapped(docs[name], path, None)[1]) == "float"]
+    for path in numbers:
+        for new in NON_FINITE:
+            doc = swapped(docs[name], path, new)[0]
+            path_of.write_text(json.dumps(doc))
+            if name in LIBRARY:
+                with pytest.raises(DocumentError) as raised:
+                    LIBRARY[name](doc)
+                assert names(path, str(raised.value)), f"{path} <- {new!r}: {raised.value}"
+            if argv(name, root, path_of) is not None:
+                code, err = exit_of(argv(name, root, path_of))
+                assert code == 1 and names(path, err), f"{path} <- {new!r}: exit {code}: {err}"
+
+
 def test_the_written_documents_load_unchanged(work):
     _, docs = work
     spec, params = NetworkParams.from_doc(docs["network"])
@@ -247,6 +272,9 @@ TABLE = [
     ("matrix", {"x": 1}, "matrix report: field 'x' must be a JSON object, got int"),
     ("report", {"runs": 5}, "report: field 'runs' must be a list, got int"),
     ("synth", {"noise_sd": "1"}, "noise_sd must be a number, got '1'"),
+    ("synth", {"noise_sd": 10**400}, "noise_sd must be a number that converts to a finite float, "
+                                     "got an integer of 401 digits"),
+    ("synth", {"noise_sd": float("nan")}, "noise_sd must be a number that converts to a finite float, got nan"),
     ("plan", {"learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
     ("plan", {"bands": 5}, "bands must be a list of (low, high) pairs of numbers, got 5"),
     ("plan", {"test_fraction": "0.2"}, "test_fraction must be a number, got '0.2'"),
@@ -257,6 +285,7 @@ TABLE = [
 
 @pytest.mark.parametrize("name, fields, message", TABLE, ids=[
     "csp-m", "csp-num_classes", "csp-filter_order", "matrix-x", "report-runs", "synth-noise_sd",
+    "synth-noise_sd-huge-int", "synth-noise_sd-nan",
     "plan-learning_rate", "plan-bands", "plan-test_fraction", "plan-copies_per_epoch",
 ])
 def test_a_mistyped_field_that_reached_a_bare_python_error_is_named(work, name, fields, message):

@@ -167,6 +167,18 @@ class TestArrayLayout:
             assert derived.fingerprint == reference_set_fingerprint(rows_of(derived), 3)
             assert derived.epoch_fingerprints() == {reference_fingerprint(*row) for row in rows_of(derived)}
 
+    def test_float32_data_is_kept_and_fingerprints_as_its_float64_value(self):
+        single = self.standalone_rows().astype(np.float32)
+        single.setflags(write=False)
+        a = EpochSet(single, self.LABELS, 160.0, 3, self.IDS, self.ORIGINS)
+        b = EpochSet(single.astype(np.float64), self.LABELS, 160.0, 3, self.IDS, self.ORIGINS)
+        assert a.to_array() is single  # read-only float32 data is taken as it is
+        assert b.to_array().dtype == np.float64
+        assert EpochSet(single.astype(np.float16), self.LABELS, 160.0, 3).to_array().dtype == np.float64
+        assert a.fingerprint == b.fingerprint == reference_set_fingerprint(rows_of(a), 3)
+        assert a.epoch_fingerprints() == b.epoch_fingerprints()
+        assert a.fingerprint_of([3, 0, 0]) == b.fingerprint_of([3, 0, 0]) == b.subset([3, 0, 0]).fingerprint
+
     def test_columns_round_trip_through_the_constructor(self):
         data = self.standalone_rows()
         dataset = EpochSet(data, self.LABELS, 160.0, 3, self.IDS, self.ORIGINS)

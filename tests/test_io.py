@@ -41,6 +41,17 @@ def test_binary_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_binary_loads_the_stored_float32_samples(tmp_path):
+    """The file's float32 samples are kept, not widened to float64; the set
+    fingerprints as the float64 set it was saved from."""
+    dataset = f32_quantized_set(n_per_class=3, channels=2, samples=16)
+    save_epochs(dataset, tmp_path / "set.epb")
+    loaded = load_epochs(tmp_path / "set.epb")
+    assert loaded.to_array().dtype == np.float32
+    assert np.array_equal(loaded.to_array(), dataset.to_array())
+    assert loaded.fingerprint == dataset.fingerprint
+
+
 def test_csv_round_trip_within_tolerance(tmp_path):
     dataset = make_set(n_per_class=2, channels=2, samples=5)
     path = tmp_path / "set.csv"

@@ -65,6 +65,35 @@ class TestSingleScheme:
         assert clf.features(X).shape == (len(y), 16)
         assert clf.decision_distances(X).shape == (len(y), 2)
 
+    def test_float32_input_reaches_training_and_prediction_uncopied(self, monkeypatch):
+        """A float32 array is the one training and the forward read: no
+        float64 copy is made of it, and no float32 copy after that. Other
+        input still becomes float64, and both predict alike."""
+        X, y = separable_arrays()
+        X32, V32 = X.astype(np.float32), X[:6].astype(np.float32)
+        seen = {}
+
+        def recording(module, name, pick):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.setdefault(name, []).append(pick(args, out))
+                return out
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(training_module, "_as_arrays", lambda args, out: out[0])
+        recording(model_module, "scheme_predict", lambda args, out: args[0])
+        recording(model_module, "forward", lambda args, out: args[2])
+        clf = WalshCnnClassifier(seed=1, **FAST).fit(X32, y, V32, y[:6])
+        predicted = clf.predict(X32)
+        clf.features(X32)
+        assert all(a is b for a, b in zip(seen["_as_arrays"], (X32, V32), strict=True))
+        assert seen["scheme_predict"][0] is X32
+        assert seen["forward"][0] is X32
+        assert np.array_equal(WalshCnnClassifier(seed=1, **FAST).fit(X, y, X[:6], y[:6]).predict(X.tolist()),
+                              predicted)
+
     def test_estimator_accepts_a_single_epoch(self):
         X, y = separable_arrays()
         clf = WalshCnnClassifier(seed=1, **{**FAST, "max_iterations": 2}).fit(X, y)
