@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BLOCK_EPOCHS, DocumentError, _check_fields, _is_kind
+from .base import DocumentError, _blocks, _check_fields, _is_kind
 from .epochs import EpochSet
 
 __all__ = [
@@ -112,26 +112,21 @@ def zero_phase_bandpass(data: np.ndarray, sos: np.ndarray, order: int = FilterBa
     return signal.sosfiltfilt(sos, data, axis=-1, padtype="even", padlen=pad)
 
 
-def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sampling_rate: float,
-                 sections: list[np.ndarray] | None = None) -> np.ndarray:
+def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sections: list[np.ndarray],
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Expand ``(n, E, T)`` epochs to read-only ``(n, E*B, T)`` band-filtered signals.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
-    the sample count is unchanged. Each epoch is filtered on its own, so the
-    bank runs over blocks of :data:`base.BLOCK_EPOCHS` epochs written
-    straight into the output, and its temporaries stay one block in size.
-    ``sections`` are ``spec.sections(sampling_rate)``, designed here when not given.
+    the sample count is unchanged. Exactly ``X`` is filtered, a band at a
+    time, through ``sections`` (``spec.sections(sampling_rate)``): callers
+    pass one block of :func:`base._blocks`. ``out`` receives the output when
+    given.
     """
-    if sections is None:
-        sections = spec.sections(sampling_rate)
     n, e, t = X.shape
-    out = np.empty((n, e * spec.n_bands, t))
-    for start in range(0, n, BLOCK_EPOCHS):
-        block = X[start : start + BLOCK_EPOCHS]
-        for b, sos in enumerate(sections):
-            out[start : start + BLOCK_EPOCHS, b * e : (b + 1) * e] = zero_phase_bandpass(
-                block, sos, spec.order
-            )
+    if out is None:
+        out = np.empty((n, e * spec.n_bands, t))
+    for b, sos in enumerate(sections):
+        out[:, b * e : (b + 1) * e] = zero_phase_bandpass(X, sos, spec.order)
     out.setflags(write=False)
     return out
 
@@ -140,6 +135,12 @@ def apply_filter_bank_set(dataset: EpochSet, spec: FilterBankSpec) -> EpochSet:
     """Expand every E-channel epoch of a set to E*B band-filtered channels.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
-    labels and metadata are kept.
+    labels and metadata are kept. Each block of :func:`base._blocks` is cast
+    to float64 once and filtered straight into the output.
     """
-    return dataset.with_data(_filter_bank(dataset.to_array(), spec, dataset.sampling_rate))
+    X, sections = dataset.to_array(), spec.sections(dataset.sampling_rate)
+    out = np.empty((len(X), X.shape[1] * spec.n_bands, X.shape[2]))
+    for block, dest in zip(_blocks(X, dtype=np.float64), _blocks(out)):
+        _filter_bank(block, spec, sections, dest)
+    out.setflags(write=False)
+    return dataset.with_data(out)

@@ -6,14 +6,15 @@ import inspect
 import json
 import math
 from dataclasses import MISSING, fields
+from typing import Iterator
 
 import numpy as np
 
 __all__ = ["DocumentError", "EstimatorMixin", "NotFittedError", "as_epoch_array", "as_labels"]
 
-# Epochs per block of the stages that work on each epoch alone: the eval
-# forward and the filter bank. It bounds their temporaries by one block,
-# not by the partition: for the paper-scale net, a block's conv windows are
+# Epochs per block of the stages that work on each epoch alone, read only by
+# :func:`_blocks`. It bounds their temporaries by one block, not by the
+# partition: for the paper-scale net, a block's conv windows are
 # 32 x 126 x 40 x 7 float32, about 4.5 MB.
 BLOCK_EPOCHS = 32
 
@@ -49,6 +50,16 @@ class EstimatorMixin:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+
+def _blocks(data: np.ndarray, rows: np.ndarray | None = None, dtype=None) -> Iterator[np.ndarray]:
+    """``data[rows]`` (all of ``data`` when ``rows`` is None) in blocks of
+    :data:`BLOCK_EPOCHS` rows, each cast to ``dtype`` once (None keeps it),
+    with no copy of ``data[rows]``. Every per-epoch stage takes its blocks
+    from here."""
+    for start in range(0, len(data) if rows is None else len(rows), BLOCK_EPOCHS):
+        block = slice(start, start + BLOCK_EPOCHS)
+        yield np.asarray(data[block] if rows is None else data[rows[block]], dtype=dtype)
 
 
 def _epoch_data(X) -> np.ndarray:

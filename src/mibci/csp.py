@@ -9,11 +9,11 @@ projection, so the first output channels maximize class-1 variance while the
 last maximize class-2 variance. Multi-class models compose one two-class fit
 per class against the pooled rest and stack the projections.
 
-Raw epochs pass through one block loop (:func:`_blocks`): each block of
-:data:`base.BLOCK_EPOCHS` epochs is band-filtered, then either added into
-per-class covariance sums (the fit) or projected straight into the output
-(apply), so no covariance stack and no filtered copy of a whole set is made
-unless the caller keeps the fit's blocks to project them afterwards.
+Raw epochs pass through the blocks of :func:`base._blocks`: each block is
+band-filtered, then either added into per-class covariance sums (the fit)
+or projected straight into the output (apply), so no covariance stack and
+no filtered copy of a whole set is made unless the caller keeps the fit's
+blocks to project them afterwards.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .bandpass import FilterBankSpec, _filter_bank
-from .base import BLOCK_EPOCHS, EstimatorMixin, NotFittedError, _field, _items, as_epoch_array, as_labels
+from .base import EstimatorMixin, NotFittedError, _blocks, _field, _items, as_epoch_array, as_labels
 from .epochs import EpochSet
 
 __all__ = ["CspModel", "fit_csp", "apply_csp_set", "CspTransformer"]
@@ -188,21 +188,6 @@ def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     return selected, evals, full
 
 
-def _blocks(data: np.ndarray, rows: np.ndarray | None = None, bank: FilterBankSpec | None = None,
-            sampling_rate: float | None = None) -> Iterator[np.ndarray]:
-    """The TS front end's one block loop: ``data[rows]`` (every row when
-    ``rows`` is None), :data:`base.BLOCK_EPOCHS` rows at a time, each block
-    cast to float64 once and band-filtered through ``bank`` when one is
-    given. Only the rows of one block are read at a time, so no copy of
-    ``data[rows]`` is made."""
-    sections = None if bank is None else bank.sections(sampling_rate)
-    n = len(data) if rows is None else len(rows)
-    for start in range(0, n, BLOCK_EPOCHS):
-        stop = start + BLOCK_EPOCHS
-        block = np.asarray(data[start:stop] if rows is None else data[rows[start:stop]], dtype=np.float64)
-        yield block if bank is None else _filter_bank(block, bank, sampling_rate, sections)
-
-
 def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray, counts: np.ndarray,
                  keep: list | None) -> tuple[np.ndarray, np.ndarray]:
     """Per class, the mean trace-normalized covariance of its epochs and of
@@ -283,7 +268,8 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec 
         Carries the projection and the fingerprint of ``train``.
     """
     train.require_all_classes()
-    return _fit(_blocks(train.to_array()), train.labels, train.num_classes, m, scheme, bank, train.fingerprint)
+    blocks = _blocks(train.to_array(), dtype=np.float64)
+    return _fit(blocks, train.labels, train.num_classes, m, scheme, bank, train.fingerprint)
 
 
 def _fit_raw(dataset: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec = FilterBankSpec(),
@@ -296,7 +282,8 @@ def _fit_raw(dataset: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSp
     ``fitted_on`` is the fingerprint of the raw epochs fitted on.
     """
     rows = np.arange(len(dataset)) if rows is None else np.asarray(rows, dtype=np.intp)
-    blocks = _blocks(dataset.to_array(), rows, bank, dataset.sampling_rate)
+    sections = bank.sections(dataset.sampling_rate)
+    blocks = (_filter_bank(block, bank, sections) for block in _blocks(dataset.to_array(), rows, np.float64))
     return _fit(blocks, dataset.labels[rows], dataset.num_classes, m, scheme, bank,
                 dataset.fingerprint_of(rows), keep)
 
@@ -316,7 +303,9 @@ def _apply_raw(model: CspModel, data: np.ndarray, sampling_rate: float,
     block at a time and project each block as it is filtered. Channels are
     checked before a filter pass is spent."""
     model.check_raw_channels(data.shape[1])
-    return np.concatenate([model.project(block) for block in _blocks(data, rows, model.bank, sampling_rate)])
+    sections = model.bank.sections(sampling_rate)
+    blocks = _blocks(data, rows, np.float64)
+    return np.concatenate([model.project(_filter_bank(block, model.bank, sections)) for block in blocks])
 
 
 def apply_csp_set(dataset: EpochSet, model: CspModel) -> EpochSet:

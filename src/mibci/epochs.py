@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import _check_fields, _epoch_data, _integer_labels
+from .base import _blocks, _check_fields, _epoch_data, _integer_labels
 
 __all__ = [
     "EpochSet",
@@ -71,7 +71,7 @@ class EpochSet:
             raise ValueError("empty set: an EpochSet needs at least one epoch")
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError(f"epoch data must be (n, channels, samples), got shape {data.shape}")
-        if not np.isfinite(data).all():
+        if not all(np.isfinite(block).all() for block in _blocks(data)):  # one block's mask at a time
             raise ValueError("epoch data contains non-finite values")
         n = len(data)
         labels = _integer_labels(self.labels)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .base import _blocks
 from .epochs import EpochSet
 
 __all__ = ["EpochFormatError", "load_epochs", "save_epochs"]
@@ -38,8 +39,9 @@ def save_epochs(dataset: EpochSet, path: str | Path, format: str = "binary") -> 
     """Write an epoch set to disk.
 
     Binary output round-trips bit-exactly through :func:`load_epochs` for
-    float32-representable samples (the container stores float32); CSV output
-    round-trips within text-formatting precision.
+    float32-representable samples (the container stores float32); a sample
+    beyond float32 range raises ``ValueError`` naming its epoch before the
+    file is opened. CSV output round-trips within text-formatting precision.
     """
     dataset.require_all_classes()
     path = Path(path)
@@ -72,6 +74,9 @@ def load_epochs(path: str | Path, format: str = "binary", sampling_rate: float =
 
 
 def _save_binary(dataset: EpochSet, path: Path) -> None:
+    peaks = np.concatenate([np.abs(block).max(axis=(1, 2)) for block in _blocks(dataset.data)])
+    if (over := np.flatnonzero(peaks > np.finfo(np.float32).max)).size:  # it would be stored as infinity
+        raise ValueError(f"epoch {over[0]} holds a sample of magnitude {peaks[over[0]]:g}, beyond EPB1's float32 range")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(

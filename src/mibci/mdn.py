@@ -184,10 +184,6 @@ def _map_members(fn: Callable, members: Sequence) -> list:
         return list(pool.map(fn, members))
 
 
-def _member_output(member: SchemeMember, data: np.ndarray) -> np.ndarray:
-    return forward(member.spec, member.params, data, mode="eval")
-
-
 def tally_ovo_votes(ballots: list[tuple[tuple[int, int], np.ndarray]], num_classes: int) -> int:
     """Resolve pairwise votes given (class pair, two distances) per member.
 
@@ -217,7 +213,7 @@ def scheme_predict(data: np.ndarray, scheme: MetaScheme, codebook: WalshCodebook
     members.
     """
     distances = _map_members(
-        lambda member: mdn_distances(_member_output(member, data), codebook), scheme.members
+        lambda member: mdn_distances(forward(member.spec, member.params, data), codebook), scheme.members
     )
     if scheme.kind == "single":
         return distances[0].argmin(axis=1) + 1

@@ -192,7 +192,7 @@ class WalshCnnClassifier(EstimatorMixin):
             raise ValueError("features() is defined for the single-network scheme")
         X = as_epoch_array(X)
         member = self.scheme_.members[0]
-        return forward(member.spec, member.params, X, mode="eval")
+        return forward(member.spec, member.params, X)
 
     def decision_distances(self, X) -> np.ndarray:
         """Per-class code distances (single scheme only)."""

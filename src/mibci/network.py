@@ -11,9 +11,10 @@ exactly ``output_dim`` values.
 The final activation is a ReLU, so outputs are nonnegative and can be
 regressed onto 0/1 code vectors.
 
-A network computes in its parameters' dtype: :func:`forward` and
-:func:`backward` cast their inputs and targets to it, and every output and
-gradient comes back in it.
+:func:`forward` only predicts, in eval mode and blocks of epochs;
+:func:`backward` records its own whole-batch pass of the same block stack.
+Both compute in the parameters' dtype: they cast inputs and targets to it,
+and every output and gradient comes back in it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import layers
-from .base import BLOCK_EPOCHS, DocumentError, _field, _items, _object
+from .base import DocumentError, _blocks, _field, _items, _object
 from .walsh import WalshCodebook
 
 __all__ = [
@@ -418,11 +419,11 @@ def _forward_stack(
     """One pass of a ``(batch, planes, length)`` batch through every block,
     flattened to ``(batch, output_dim)``.
 
-    In eval mode without ``caches`` a block builds no masks: dropout is the
+    A list as ``caches`` records every block's stages for :func:`backward`.
+    Without it (the eval pass only) a block builds no masks: dropout is the
     identity, and it pools before its ReLU, which gives the same bits (see
     :func:`layers.maxpool`) with the ReLU on half the samples.
     """
-    keep_masks = mode != "eval" or caches is not None
     for i, (block, p) in enumerate(zip(spec.blocks, params.blocks)):
         if x.shape[1] != block.in_planes:
             raise ValueError(
@@ -437,7 +438,7 @@ def _forward_stack(
             x, bn_cache = layers.batchnorm_forward(
                 x, p.gamma, p.beta, p.running_mean, p.running_var, mode
             )
-        if not keep_masks:
+        if caches is None:
             if block.pool_after:
                 x = layers.maxpool(x)
             x = layers.relu(x)
@@ -452,8 +453,7 @@ def _forward_stack(
             x, drop_cache = layers.dropout_forward(x, block.dropout_p, mode, rng)
             if block.pool_after:
                 x, pool_cache = layers.maxpool_forward(x)
-        if caches is not None:
-            caches.append((conv_cache, bn_cache, relu_cache, drop_cache, pool_cache))
+        caches.append((conv_cache, bn_cache, relu_cache, drop_cache, pool_cache))
     out = x.reshape(x.shape[0], -1)
     if out.shape[1] != spec.output_dim:
         raise ValueError(
@@ -463,34 +463,20 @@ def _forward_stack(
     return out
 
 
-def forward(
-    spec: NetworkSpec,
-    params: NetworkParams,
-    x: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-    caches: list | None = None,
-) -> np.ndarray:
-    """Run the block stack over a ``(batch, planes, length)`` batch and
-    flatten to ``(batch, output_dim)`` output vectors.
+def forward(spec: NetworkSpec, params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """Predict: the eval-mode ``(batch, output_dim)`` outputs of a
+    ``(batch, planes, length)`` batch, a pure function of (params, input).
 
-    Eval mode is a pure deterministic function of (params, input) and runs
-    in blocks of at most :data:`base.BLOCK_EPOCHS` epochs, each cast to the
-    params dtype on its own, so its intermediates stay small however large
-    the batch, and builds none of the masks only :func:`backward` reads.
-    Every layer works per epoch in eval mode, so blocking changes no value
-    beyond the rounding of the BLAS kernel picked for a block's shape.
-    Passing a list as ``caches`` records every stage for :func:`backward`
-    in one whole-batch pass.
+    It runs over the blocks of :func:`base._blocks`, each cast to the params
+    dtype on its own, so its intermediates stay small however large the
+    batch, and builds no mask. Every layer works per epoch in eval mode, so
+    blocking changes no value beyond the rounding of the BLAS kernel picked
+    for a block's shape.
     """
-    if mode != "eval" or caches is not None:
-        return _forward_stack(spec, params, _as_batch(x, params.dtype), mode, rng, caches)
     x = _as_batch(x, None)
-    n = x.shape[0]
-    out = np.empty((n, spec.output_dim), dtype=params.dtype)
-    for start in range(0, n, BLOCK_EPOCHS):
-        block = np.asarray(x[start : start + BLOCK_EPOCHS], dtype=params.dtype)
-        out[start : start + BLOCK_EPOCHS] = _forward_stack(spec, params, block, mode, rng, None)
+    out = np.empty((len(x), spec.output_dim), dtype=params.dtype)
+    for block, dest in zip(_blocks(x, dtype=params.dtype), _blocks(out)):
+        dest[...] = _forward_stack(spec, params, block, "eval", None, None)
     return out
 
 
@@ -518,7 +504,9 @@ def backward(
 ) -> tuple[list[dict], float]:
     """Gradients of the mean batch MSE with respect to every parameter.
 
-    Returns one dict per block with the same array shapes as the parameters
+    The batch runs through one recorded pass in ``mode`` (``"train"``
+    normalizes by batch statistics and draws dropout from ``rng``). Returns
+    one dict per block with the same array shapes as the parameters
     (``gamma``/``beta`` entries only where the block has batchnorm), plus the
     loss at the evaluated point.
     """
@@ -529,7 +517,7 @@ def backward(
             f"targets must be (batch, {spec.output_dim}), got {targets.shape}"
         )
     caches: list = []
-    out = forward(spec, params, x, mode=mode, rng=rng, caches=caches)
+    out = _forward_stack(spec, params, x, mode, rng, caches)
     loss = mse_loss(out, targets)
     batch, m = out.shape
     dflat = 2.0 * (out - targets) / (m * batch)

@@ -20,6 +20,9 @@ __all__ = ["SyntheticSpec", "generate_synthetic"]
 
 MU_BAND = (8.0, 12.0)
 BETA_BAND = (18.0, 26.0)
+# The largest amplitude of noise_sd, default_gain and every gain: numpy's normal
+# draws stay below 14, so each generated sample stays below 16 times it, finite.
+MAX_AMPLITUDE = float(np.finfo(np.float64).max / 16)
 
 
 def _lateralized_gains(num_classes: int, channels: int, gain: float) -> np.ndarray:
@@ -63,8 +66,8 @@ class SyntheticSpec:
         if self.epochs_per_class < 1 or self.channels < 1 or self.samples < 1:
             raise ValueError("epochs_per_class, channels, and samples must be positive")
         for name in ("noise_sd", "default_gain"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= MAX_AMPLITUDE:
+                raise ValueError(f"{name} must be in [0, {MAX_AMPLITUDE:g}], got {getattr(self, name):g}")
         nyquist = self.sampling_rate / 2.0
         if not (0 < self.mu_hz < nyquist) or not (0 < self.beta_hz < nyquist):
             raise ValueError(
@@ -80,6 +83,9 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must have shape (num_classes, channels)")
             if (g < 0).any():
                 raise ValueError(f"{name} must be nonnegative")
+            if not (g <= MAX_AMPLITUDE).all():  # NaN fails too
+                row = int(np.argmin((g <= MAX_AMPLITUDE).all(axis=1)))
+                raise ValueError(f"{name} row {row} must be at most {MAX_AMPLITUDE:g}, got {g[row].max():g}")
             g.setflags(write=False)
             object.__setattr__(self, name, g)
 

@@ -106,7 +106,7 @@ def _as_arrays(data: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 def _feature_divergence(spec, params, X, y) -> float | None:
     try:
-        return divergence(forward(spec, params, X, mode="eval"), y)
+        return divergence(forward(spec, params, X), y)
     except (ValueError, np.linalg.LinAlgError):
         return None
 
@@ -200,7 +200,7 @@ def train(
             optimizer.step(flat)
         train_loss = total / n
 
-        val_out = forward(spec, params, X_val, mode="eval")
+        val_out = forward(spec, params, X_val)
         val_loss = mse_loss(val_out, targets_val)
         val_acc = np.mean(mdn_classify(val_out, codebook) == y_val)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):

@@ -9,7 +9,7 @@ import numpy as np
 
 from mibci.epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from mibci.base import BLOCK_EPOCHS
-from mibci.network import forward, mse_loss
+from mibci.network import _forward_stack, mse_loss
 
 
 def naive_dft_magnitude(x: np.ndarray) -> np.ndarray:
@@ -42,7 +42,9 @@ def student_t_tail_quadrature(t: float, df: int) -> float:
 
 
 def numeric_gradients(spec, params, x, targets, h: float = 1e-5, mode: str = "eval"):
-    """Central finite differences of the batch MSE for every parameter."""
+    """Central finite differences of the batch MSE for every parameter, each
+    loss from one whole-batch pass of the stack ``backward`` records."""
+    x = np.asarray(x, dtype=params.dtype)
     grads = []
     for bp in params.blocks:
         entry = {}
@@ -52,9 +54,9 @@ def numeric_gradients(spec, params, x, targets, h: float = 1e-5, mode: str = "ev
             for idx in np.ndindex(*arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + h
-                lp = mse_loss(forward(spec, params, x, mode=mode), targets)
+                lp = mse_loss(_forward_stack(spec, params, x, mode, None, []), targets)
                 arr[idx] = orig - h
-                lm = mse_loss(forward(spec, params, x, mode=mode), targets)
+                lm = mse_loss(_forward_stack(spec, params, x, mode, None, []), targets)
                 arr[idx] = orig
                 g[idx] = (lp - lm) / (2 * h)
             entry[name] = g
@@ -62,13 +64,13 @@ def numeric_gradients(spec, params, x, targets, h: float = 1e-5, mode: str = "ev
     return grads
 
 
-def masked_eval_forward(spec, params, x, mode: str = "eval"):
-    """Eval forward through the training stack, which builds the ReLU,
-    dropout and pool masks, in blocks of BLOCK_EPOCHS as ``forward``
-    runs them."""
+def masked_eval_forward(spec, params, x):
+    """Eval forward through the recorded stack ``backward`` runs, which
+    builds the ReLU, dropout and pool masks, in blocks of BLOCK_EPOCHS as
+    ``forward`` runs them."""
     x = np.asarray(x, dtype=params.dtype)
     return np.concatenate([
-        forward(spec, params, x[start : start + BLOCK_EPOCHS], mode=mode, caches=[])
+        _forward_stack(spec, params, x[start : start + BLOCK_EPOCHS], "eval", None, [])
         for start in range(0, len(x), BLOCK_EPOCHS)
     ])
 

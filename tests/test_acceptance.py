@@ -328,6 +328,6 @@ def test_criterion_10_mdn_equivalence():
         members=(SchemeMember(classes=(1, 2), spec=spec, params=params),),
     )
     fixtures = rng.normal(size=(1000, 3, 32))
-    single = mdn_classify(forward(spec, params, fixtures, mode="eval"), two_class)
+    single = mdn_classify(forward(spec, params, fixtures), two_class)
     for i in range(1000):
         assert scheme_predict(fixtures[i : i + 1], scheme, two_class)[0] == single[i]

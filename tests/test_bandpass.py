@@ -146,15 +146,16 @@ class TestApplyFilterBank:
 
 
 class TestBlockedFilterBank:
-    """The bank filters blocks of BLOCK_EPOCHS epochs into its output; each
-    epoch is filtered on its own, so block edges change no bit."""
+    """``apply_filter_bank_set`` filters blocks of BLOCK_EPOCHS epochs into
+    its output; each epoch is filtered on its own, so block edges change no
+    bit."""
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
     def test_matches_whole_batch_and_per_epoch_bit_for_bit(self, n):
         assert BLOCK_EPOCHS == 32
         spec = FilterBankSpec()
         x = np.random.default_rng(n).normal(size=(n, 3, 120))
-        out = _filter_bank(x, spec, FS)
+        out = apply_filter_bank_set(EpochSet(x, np.ones(n, dtype=int), FS, num_classes=2), spec).to_array()
         sections = [design_bandpass(lo, hi, FS, spec.order) for lo, hi in spec.bands]
         whole = np.concatenate([zero_phase_bandpass(x, sos, spec.order) for sos in sections], axis=1)
         per_epoch = np.stack([
@@ -168,20 +169,22 @@ class TestBlockedFilterBank:
 
     def test_float32_input_is_filtered_in_float64(self):
         x = np.random.default_rng(4).normal(size=(40, 2, 80)).astype(np.float32)
-        out = _filter_bank(x, FilterBankSpec(), FS)
+        spec = FilterBankSpec()
+        out = _filter_bank(x, spec, spec.sections(FS))
         assert out.dtype == np.float64
-        assert np.array_equal(out, _filter_bank(x.astype(np.float64), FilterBankSpec(), FS))
+        assert np.array_equal(out, _filter_bank(x.astype(np.float64), spec, spec.sections(FS)))
 
     def test_working_set_is_the_output_plus_one_block(self):
-        """At the BCI-IV-2a training shape the bank allocates its 93 MB
+        """At the BCI-IV-2a training shape the set's bank allocates its 93 MB
         output plus at most 10 MB (9.1 MB measured); filtering each band over
         the whole partition at once took the output plus 60 MB."""
         x = np.random.default_rng(0).normal(size=(212, 22, 500))
+        dataset = EpochSet(x, np.tile([1, 2, 3, 4], 53), FS)
         spec = FilterBankSpec()
         output_bytes = x.nbytes * spec.n_bands
         tracemalloc.start()
         try:
-            out = _filter_bank(x, spec, FS)
+            out = apply_filter_bank_set(dataset, spec).to_array()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

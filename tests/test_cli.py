@@ -141,6 +141,26 @@ class TestSynthSplitAugment:
         assert (dataset.num_classes, dataset.n_channels, dataset.n_samples) == (3, 4, 16)
         assert len(dataset) == 12  # epochs_per_class from the config: no flag given
 
+    def test_synth_refuses_samples_an_epb_file_cannot_store(self, tmp_path, capsys):
+        code, _, err = run(["--out", str(tmp_path), "synth", *SYNTH_ARGS, "--noise-sd", "1e200"], capsys)
+        assert code == 1
+        assert "error: epoch 0 holds a sample of magnitude" in err
+        assert "beyond EPB1's float32 range" in err
+        assert not (tmp_path / "synthetic.epb").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"noise_sd": 1e308}, "noise_sd must be in [0, 1.12356e+307], got 1e+308"),
+        ({"default_gain": 1e308}, "default_gain must be in [0, 1.12356e+307], got 1e+308"),
+        ({"mu_gains": [[1, 0], [0, 1e308]]}, "mu_gains row 1 must be at most 1.12356e+307, got 1e+308"),
+    ])
+    def test_synth_names_an_amplitude_that_can_overflow(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run(["--out", str(tmp_path), "--config", str(path), "synth", *SYNTH_ARGS[:6]], capsys)
+        assert code == 1
+        assert f"error: {message}" in err
+        assert not (tmp_path / "synthetic.epb").exists()
+
     def test_augment_grows_set(self, synth_file, tmp_path, capsys):
         code, out, _ = run(
             ["--out", str(tmp_path), "augment", "--in", str(synth_file), "--copies", "4"], capsys

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import mibci.bandpass as bandpass_module
 import mibci.csp as csp_module
-from mibci.base import BLOCK_EPOCHS
+import mibci.base as base_module
+import mibci.network as network_module
+from mibci.base import BLOCK_EPOCHS, _blocks
 from mibci.csp import (
     CspModel,
     CspTransformer,
@@ -26,6 +28,7 @@ from mibci.csp import (
 )
 from mibci.bandpass import FilterBankSpec, _filter_bank, apply_filter_bank_set
 from mibci.epochs import EpochSet
+from mibci.network import forward, init_params, parse_structure
 
 
 def planted_dataset(dim=6, n_ep=40, samples=100, ratio=10.0, seed=1):
@@ -298,6 +301,11 @@ class TestTransformer:
 SMALL_BANK = FilterBankSpec(bands=((8.0, 12.0), (18.0, 24.0)))
 
 
+def small_bank(X):
+    """``X`` through SMALL_BANK at 100 Hz, as one array."""
+    return _filter_bank(X, SMALL_BANK, SMALL_BANK.sections(100.0))
+
+
 def reference_fit(filtered, labels, num_classes, m, scheme):
     """The whole-array formula the streamed fit replaced: one covariance
     stack for the set and a boolean-index mean per class and per rest."""
@@ -327,10 +335,10 @@ class TestStreamedFit:
     @given(labelled_epochs())
     def test_equals_the_whole_array_formula_bit_for_bit(self, case):
         X, labels, num_classes, scheme = case
-        filtered = _filter_bank(X, SMALL_BANK, 100.0)
+        filtered = small_bank(X)
         projection, means, rests = reference_fit(filtered, labels, num_classes, 1, scheme)
         counts = np.bincount(labels - 1, minlength=num_classes)
-        got_means, got_rests = csp_module._class_means(csp_module._blocks(filtered), labels, counts, None)
+        got_means, got_rests = csp_module._class_means(_blocks(filtered), labels, counts, None)
         assert np.array_equal(got_means, np.stack(means))
         assert np.array_equal(got_rests, np.stack(rests))
 
@@ -357,7 +365,7 @@ class TestStreamedFit:
         kept = []
         model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=rows, keep=kept)
         assert [len(b) for b in kept] == [BLOCK_EPOCHS, BLOCK_EPOCHS, 75 - 2 * BLOCK_EPOCHS]
-        whole = _filter_bank(X[rows], SMALL_BANK, 100.0)
+        whole = small_bank(X[rows])
         assert np.array_equal(np.concatenate(kept), whole)
         assert np.array_equal(_project_kept(model, kept), model.project(whole))
         assert kept == []
@@ -366,10 +374,10 @@ class TestStreamedFit:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(3 * BLOCK_EPOCHS + 1, 2, 48))
         model = _fit_raw(EpochSet(X, np.tile([1, 2], len(X))[: len(X)], 100.0), 1, "auto", SMALL_BANK)
-        whole = model.project(_filter_bank(X, SMALL_BANK, 100.0))
+        whole = model.project(small_bank(X))
         assert np.array_equal(_apply_raw(model, X, 100.0), whole)
         rows = rng.permutation(len(X))[:50]
-        expected = model.project(_filter_bank(X[rows], SMALL_BANK, 100.0))
+        expected = model.project(small_bank(X[rows]))
         assert np.array_equal(_apply_raw(model, X, 100.0, rows), expected)
         assert np.array_equal(CspTransformer(m=1, bands=SMALL_BANK.bands, sampling_rate=100.0).fit(
             X, np.tile([1, 2], len(X))[: len(X)]).transform(X), whole)
@@ -387,3 +395,35 @@ class TestStreamedFit:
         X = np.random.default_rng(12).normal(size=(2 * BLOCK_EPOCHS + 3, 2, 48))
         _fit_raw(EpochSet(X, np.tile([1, 2], len(X))[: len(X)], 100.0), 1, "auto", SMALL_BANK)
         assert len(alive) == 3 and all(ref() is None for ref in alive)
+
+
+class TestOneBlockSize:
+    def test_every_stage_splits_at_the_base_block_size(self, monkeypatch):
+        """Setting ``base.BLOCK_EPOCHS`` alone re-blocks all four per-epoch
+        stages: the eval forward, ``apply_filter_bank_set``, a TS fit and a
+        TS apply."""
+        monkeypatch.setattr(base_module, "BLOCK_EPOCHS", 5)
+        seen = {"forward": [], "bank": []}
+        real_conv, real_bank = network_module.layers.conv1d_forward, bandpass_module._filter_bank
+
+        def recording_conv(x, *args):
+            seen["forward"].append(len(x))
+            return real_conv(x, *args)
+
+        def recording_bank(X, *args):
+            seen["bank"].append(len(X))
+            return real_bank(X, *args)
+
+        monkeypatch.setattr(network_module.layers, "conv1d_forward", recording_conv)
+        monkeypatch.setattr(bandpass_module, "_filter_bank", recording_bank)
+        monkeypatch.setattr(csp_module, "_filter_bank", recording_bank)
+        X = np.random.default_rng(13).normal(size=(12, 2, 48))
+        raw = EpochSet(X, np.tile([1, 2], 6), 100.0)
+        spec = parse_structure("2,5,8 / 8,24,16", input_length=48, output_dim=16)
+
+        forward(spec, init_params(spec), X)
+        apply_filter_bank_set(raw, SMALL_BANK)
+        model = _fit_raw(raw, 1, "auto", SMALL_BANK)
+        _apply_raw(model, X, 100.0)
+        assert seen["forward"] == [5, 5, 5, 5, 2, 2]  # two conv layers per block
+        assert seen["bank"] == [5, 5, 2] * 3

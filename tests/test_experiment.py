@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
+import mibci.base as base_module
 import mibci.csp as csp_module
 import mibci.experiment as experiment_module
 from mibci.augment import AugmentConfig
@@ -263,7 +264,7 @@ class TestRunExperiment:
         projected and freed before the next is projected; each validation and
         test block is projected as soon as it is filtered. So no two
         partitions' filtered blocks are ever alive together."""
-        monkeypatch.setattr(csp_module, "BLOCK_EPOCHS", 4)
+        monkeypatch.setattr(base_module, "BLOCK_EPOCHS", 4)
         events, filtered = [], []
         real_bank, real_project = csp_module._filter_bank, csp_module.CspModel.project
 

@@ -52,6 +52,27 @@ def test_binary_loads_the_stored_float32_samples(tmp_path):
     assert loaded.fingerprint == dataset.fingerprint
 
 
+@pytest.mark.parametrize("scale", [1e39, 1e200])
+def test_binary_save_refuses_a_sample_beyond_float32_range(tmp_path, scale):
+    """The loader refuses the infinity such a sample would be stored as, so the
+    writer refuses it first, naming the epoch, and leaves no file."""
+    dataset = make_set(n_per_class=2, channels=2, samples=4)
+    data = dataset.to_array().copy()
+    data[2, 1, 3] = -scale
+    path = tmp_path / "set.epb"
+    with pytest.raises(ValueError, match=r"^epoch 2 holds a sample of magnitude .*, beyond EPB1's float32 range$"):
+        save_epochs(dataset.with_data(data), path)
+    assert not path.exists()
+
+
+def test_binary_save_keeps_the_largest_float32_sample(tmp_path):
+    dataset = make_set(n_per_class=2, channels=2, samples=4)
+    data = dataset.to_array().copy()
+    data[1, 0, 0] = np.finfo(np.float32).max
+    save_epochs(dataset.with_data(data), tmp_path / "set.epb")
+    assert load_epochs(tmp_path / "set.epb").to_array()[1, 0, 0] == np.finfo(np.float32).max
+
+
 def test_csv_round_trip_within_tolerance(tmp_path):
     dataset = make_set(n_per_class=2, channels=2, samples=5)
     path = tmp_path / "set.csv"

@@ -459,7 +459,7 @@ def random_scheme(kind: str, num_classes: int, seed: int) -> MetaScheme:
 
 def sequential_predict(x: np.ndarray, scheme: MetaScheme, codebook: WalshCodebook) -> np.ndarray:
     """The decision rules applied member by member on one thread."""
-    outputs = [forward(m.spec, m.params, x, mode="eval") for m in scheme.members]
+    outputs = [forward(m.spec, m.params, x) for m in scheme.members]
     if scheme.kind == "single":
         return mdn_classify(outputs[0], codebook)
     distances = [mdn_distances(out, codebook) for out in outputs]

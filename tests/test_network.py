@@ -16,6 +16,7 @@ from mibci.network import (
     ConvBlockSpec,
     NetworkParams,
     NetworkSpec,
+    _forward_stack,
     backward,
     count_weights,
     forward,
@@ -179,8 +180,9 @@ def trained_looking_params(spec: NetworkSpec, seed: int) -> NetworkParams:
 
 
 class TestBlockedEval:
-    """Eval mode runs in blocks of BLOCK_EPOCHS, each cast to the params dtype
-    on its own; a ``caches`` list runs the same stack over the whole batch at
+    """``forward`` runs in blocks of BLOCK_EPOCHS, each cast to the params
+    dtype on its own; the recorded stack ``backward`` runs
+    (``_forward_stack`` with a ``caches`` list) takes the whole batch at
     once, which is the reference.
 
     BLAS may pick a different kernel for a short tail block, or for a single
@@ -201,14 +203,14 @@ class TestBlockedEval:
         spec = parse_structure(structure, input_channels=channels, input_length=length, output_dim=16)
         params = trained_looking_params(spec, seed=n)
         x = np.random.default_rng(n).normal(size=(n, channels, length))
-        whole = forward(spec, params, x, mode="eval", caches=[])
-        blocked = forward(spec, params, x, mode="eval")
+        whole = _forward_stack(spec, params, x, "eval", None, [])
+        blocked = forward(spec, params, x)
         assert blocked.shape == (n, 16)
         if n <= BLOCK_EPOCHS:
             assert np.array_equal(blocked, whole)
         else:
             assert np.max(np.abs(blocked - whole)) <= 1e-12
-        assert np.array_equal(forward(spec, params, x, mode="eval"), blocked)
+        assert np.array_equal(forward(spec, params, x), blocked)
 
     @pytest.mark.parametrize(
         "structure, channels, length",
@@ -386,13 +388,13 @@ class TestBackward:
         x = rng.normal(size=(3, 2, 16))
         targets = rng.normal(size=(3, 16))
         _, loss = backward(spec, params, x, targets, mode="eval")
-        assert loss == mse_loss(forward(spec, params, x, mode="eval"), targets.astype(np.float32))
+        assert loss == mse_loss(forward(spec, params, x), targets.astype(np.float32))
 
     def test_zero_gradient_at_exact_fit(self):
         spec = parse_structure("2,5,8 / 8,8,16", input_length=16, output_dim=16, batch_norm=False, dropout_p=0.0)
         params = init_params(spec, seed=2)
         x = np.random.default_rng(3).normal(size=(3, 2, 16))
-        targets = forward(spec, params, x, mode="eval")
+        targets = forward(spec, params, x)
         grads, loss = backward(spec, params, x, targets, mode="eval")
         assert loss <= 1e-20
         for g in grads:
@@ -410,7 +412,7 @@ class TestBackward:
         rng = np.random.default_rng(10)
         x = np.abs(rng.normal(size=(6, 1, 4)))
         targets = rng.normal(size=(6, 1))
-        out = forward(spec, params, x, mode="eval")
+        out = forward(spec, params, x)
         assert np.all(out > 0)
         hand = float(np.mean(2.0 * (out - targets)))
         grads, _ = backward(spec, params, x, targets, mode="eval")

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from mibci.synthetic import SyntheticSpec, generate_synthetic
+from mibci.synthetic import MAX_AMPLITUDE, SyntheticSpec, generate_synthetic
 
 from helpers import band_power
 
@@ -81,3 +81,29 @@ def test_labels_and_shapes():
 def test_integer_fields_refuse_other_types(field, value):
     with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
         SyntheticSpec(**{field: value})
+
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(noise_sd=1e308), "noise_sd must be in [0, 1.12356e+307], got 1e+308"),
+    (dict(default_gain=1e308), "default_gain must be in [0, 1.12356e+307], got 1e+308"),
+    (dict(mu_gains=[[0.0, 0.0], [2.0, 1e308]]), "mu_gains row 1 must be at most 1.12356e+307, got 1e+308"),
+    (dict(beta_gains=[[np.inf, 0.0], [0.0, 0.0]]), "beta_gains row 0 must be at most 1.12356e+307, got inf"),
+    (dict(mu_gains=[[1.0, 0.0], [0.0, np.nan]]), "mu_gains row 1 must be at most 1.12356e+307, got nan"),
+])
+def test_an_amplitude_that_can_overflow_is_named(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SyntheticSpec(num_classes=2, channels=2, **fields)
+
+
+def test_the_largest_amplitudes_generate_finite_unchanged_samples():
+    """At MAX_AMPLITUDE in every field the samples are finite, and they are
+    the unit-amplitude set scaled: the range rule changes no sample."""
+    fields = dict(num_classes=2, epochs_per_class=20, channels=2, samples=64, seed=4)
+    unit = generate_synthetic(SyntheticSpec(**fields, noise_sd=1.0, mu_gains=np.ones((2, 2)),
+                                            beta_gains=np.ones((2, 2))))
+    scale = 2.0**1019  # the largest power of two in range, so scaling is exact
+    assert scale <= MAX_AMPLITUDE < 2 * scale
+    big = generate_synthetic(SyntheticSpec(**fields, noise_sd=scale, mu_gains=np.full((2, 2), scale),
+                                           beta_gains=np.full((2, 2), scale)))
+    assert np.array_equal(big.to_array(), unit.to_array() * scale)

@@ -141,7 +141,7 @@ def test_returns_best_iteration_parameters():
     from mibci.network import forward, mse_loss
 
     targets = codebook.targets[val_data[1] - 1]
-    loss = mse_loss(forward(small_spec(), params, val_data[0], mode="eval"), targets)
+    loss = mse_loss(forward(small_spec(), params, val_data[0]), targets)
     assert loss == pytest.approx(report.best_validation_loss, rel=1e-9)
 
 
@@ -157,22 +157,21 @@ def test_training_computes_in_float32(monkeypatch):
             optimizers.append(self)
 
     real_dropout = network_module.layers.dropout_forward
-    real_forward = network_module.forward
+    real_stack = network_module._forward_stack
 
     def spy_dropout(x, p, mode="train", rng=None):
         y, mask = real_dropout(x, p, mode, rng)
         masks.append(mask)
         return y, mask
 
-    def spy_forward(*args, **kwargs):
-        out = real_forward(*args, **kwargs)
+    def spy_stack(*args):
+        out = real_stack(*args)
         outputs.append(out)
         return out
 
     monkeypatch.setattr(training_module, "_Adam", SpyAdam)
     monkeypatch.setattr(network_module.layers, "dropout_forward", spy_dropout)
-    monkeypatch.setattr(network_module, "forward", spy_forward)
-    monkeypatch.setattr(training_module, "forward", spy_forward)
+    monkeypatch.setattr(network_module, "_forward_stack", spy_stack)
 
     train_data, val_data = small_problem()
     cfg = TrainConfig(max_iterations=3, patience=3, batch_size=4, seed=2)
@@ -187,7 +186,8 @@ def test_training_computes_in_float32(monkeypatch):
     train_masks = [mask for mask in masks if mask is not None]  # eval passes draw none
     assert len(train_masks) == 9
     assert all(mask.dtype == np.float32 for mask in train_masks)
-    # backward's forward (one per step), validation (one per pass), two divergences
+    # backward's recorded pass (one per step), then one block each: validation
+    # (one per pass) and two divergences
     assert len(outputs) == 9 + 3 + 2
     assert all(out.dtype == np.float32 for out in outputs)
     assert params.dtype == np.float32
