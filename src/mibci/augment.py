@@ -30,6 +30,11 @@ __all__ = [
     "EpochAugmenter",
 ]
 
+# The largest noise_sd: numpy's normal draws stay below 14, so noise stays
+# below 16 times it, within float32 range, the store of every variant that
+# training reads or the CLI writes.
+MAX_NOISE_SD = float(np.finfo(np.float32).max / 16)
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -37,7 +42,9 @@ class AugmentConfig:
 
     ``rotation_half_range=None`` means half the epoch length (integer floor),
     resolved when an epoch is seen. ``noise_sd`` is configurable because the
-    fixed default presumes a raw microvolt amplitude scale.
+    fixed default presumes a raw microvolt amplitude scale; it is at most
+    :data:`MAX_NOISE_SD`, and :meth:`check_range` bounds ``amp_high`` and
+    ``noise_sd`` by the epochs augmented and the dtype they are stored in.
     """
 
     amp_low: float = 0.2
@@ -58,8 +65,25 @@ class AugmentConfig:
             raise ValueError("rotation_half_range must be >= 0")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
+        if self.noise_sd > MAX_NOISE_SD:
+            raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD:g}], got {self.noise_sd:g}")
         if self.copies_per_epoch < 0:
             raise ValueError("copies_per_epoch must be >= 0")
+
+    def check_range(self, peak: float, dtype) -> None:
+        """Raise ``ValueError`` naming ``amp_high`` or ``noise_sd`` unless every
+        variant fits ``dtype`` when the zero-meaned epochs are at most
+        ``peak`` in magnitude. A variant sample is such a sample times a
+        factor of at most ``amp_high``, plus noise below ``16 * noise_sd``."""
+        limit, name = float(np.finfo(dtype).max), np.dtype(dtype).name
+        scaled = float(peak) * float(self.amp_high)  # Python floats: inf on overflow, no warning
+        if scaled > limit:
+            raise ValueError(f"amp_high {self.amp_high:g} scales zero-mean samples of magnitude up to "
+                             f"{peak:g} beyond the {name} range {limit:g} of the augmented set")
+        if scaled + 16 * float(self.noise_sd) > limit:
+            raise ValueError(f"noise_sd {self.noise_sd:g} added to zero-mean samples of magnitude up to "
+                             f"{peak:g} times amp_high {self.amp_high:g} leaves the {name} range "
+                             f"{limit:g} of the augmented set")
 
 
 def zero_mean(data: np.ndarray) -> np.ndarray:
@@ -154,8 +178,12 @@ def augment_set(dataset: EpochSet, cfg: AugmentConfig, dtype=np.float64) -> Epoc
     Every variant is computed from the float64 value of its source epoch and
     stored in ``dtype``, as the sources are. float32 holds a set that only
     training reads, which rounds to :data:`training.TRAIN_DTYPE` anyway, in
-    half the memory: each value is rounded once, where it is stored.
+    half the memory: each value is rounded once, where it is stored. A
+    variant that could leave ``dtype``'s range is refused first, by
+    :meth:`AugmentConfig.check_range`, before anything is stored.
     """
+    peaks = (np.abs(zero_mean(epoch.astype(np.float64, copy=False))).max() for epoch in dataset.data)
+    cfg.check_range(max(peaks, default=0.0), dtype)
     stride = 1 + cfg.copies_per_epoch
     out = np.empty((len(dataset) * stride, dataset.n_channels, dataset.n_samples), dtype=dtype)
     out[::stride] = dataset.data

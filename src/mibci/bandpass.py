@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DocumentError, _blocks, _check_fields, _is_kind
+from .base import DocumentError, _blocks, _check_fields, _is_kind, _map_shares
 from .epochs import EpochSet
 
 __all__ = [
@@ -117,16 +117,24 @@ def _filter_bank(X: np.ndarray, spec: FilterBankSpec, sections: list[np.ndarray]
     """Expand ``(n, E, T)`` epochs to read-only ``(n, E*B, T)`` band-filtered signals.
 
     Output channel ``b*E + e`` is channel ``e`` filtered into band ``b``;
-    the sample count is unchanged. Exactly ``X`` is filtered, a band at a
-    time, through ``sections`` (``spec.sections(sampling_rate)``): callers
-    pass one block of :func:`base._blocks`. ``out`` receives the output when
-    given.
+    the sample count is unchanged. Exactly ``X`` is filtered through
+    ``sections`` (``spec.sections(sampling_rate)``): callers pass one block
+    of :func:`base._blocks`. ``out`` receives the output when given.
+
+    One thread per usable CPU filters a contiguous share of the epochs
+    through every band and writes only its share's rows. Each row is
+    filtered on its own, so the output is the same bits whatever the share
+    sizes, and whatever the number of threads.
     """
     n, e, t = X.shape
     if out is None:
         out = np.empty((n, e * spec.n_bands, t))
-    for b, sos in enumerate(sections):
-        out[:, b * e : (b + 1) * e] = zero_phase_bandpass(X, sos, spec.order)
+
+    def fill(share: slice) -> None:
+        for b, sos in enumerate(sections):
+            out[share, b * e : (b + 1) * e] = zero_phase_bandpass(X[share], sos, spec.order)
+
+    _map_shares(fill, n)
     out.setflags(write=False)
     return out
 

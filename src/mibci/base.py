@@ -5,8 +5,10 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +62,37 @@ def _blocks(data: np.ndarray, rows: np.ndarray | None = None, dtype=None) -> Ite
     for start in range(0, len(data) if rows is None else len(rows), BLOCK_EPOCHS):
         block = slice(start, start + BLOCK_EPOCHS)
         yield np.asarray(data[block] if rows is None else data[rows[block]], dtype=dtype)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_members(fn: Callable, members: Sequence) -> list:
+    """``[fn(m) for m in members]``, with the members run concurrently.
+
+    This is the package's one thread pool. Members share no mutable state,
+    and numpy, BLAS and scipy's filters release the GIL, so up to one thread
+    per usable CPU runs them at once. With one worker the calls run inline
+    and no pool is started. Results come back in member order; the first
+    member (in that order) that raised re-raises here.
+    """
+    workers = min(len(members), _usable_cpus())
+    if workers <= 1:
+        return [fn(m) for m in members]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, members))
+
+
+def _map_shares(fn: Callable[[slice], object], n: int) -> None:
+    """Call ``fn`` on contiguous slices of ``range(n)``, one per usable CPU
+    (at most ``n``), through :func:`_map_members`. The slices cover each
+    index once, so each call may write its own rows of a shared output."""
+    parts = min(n, _usable_cpus())
+    _map_members(fn, [slice(k * n // parts, (k + 1) * n // parts) for k in range(parts)])
 
 
 def _epoch_data(X) -> np.ndarray:

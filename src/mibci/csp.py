@@ -10,10 +10,10 @@ last maximize class-2 variance. Multi-class models compose one two-class fit
 per class against the pooled rest and stack the projections.
 
 Raw epochs pass through the blocks of :func:`base._blocks`: each block is
-band-filtered, then either added into per-class covariance sums (the fit)
-or projected straight into the output (apply), so no covariance stack and
-no filtered copy of a whole set is made unless the caller keeps the fit's
-blocks to project them afterwards.
+band-filtered, then either added into per-class covariance sums and freed
+(the fit) or projected straight into the output (apply). So no covariance
+stack and no filtered copy of a whole set is ever made: a set that is both
+fitted on and projected is filtered twice, once by each pass.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def _csp_pair(c1: np.ndarray, c2: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     return selected, evals, full
 
 
-def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray, counts: np.ndarray,
-                 keep: list | None) -> tuple[np.ndarray, np.ndarray]:
+def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray,
+                 counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per class, the mean trace-normalized covariance of its epochs and of
     all the other classes' epochs (the one-vs-rest "rest").
 
@@ -197,15 +197,13 @@ def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray, counts: np.nd
     epoch's covariance is added into its class's sum and every other
     class's rest sum, from zero and in index order, which is the order of
     ``covs[labels == c].mean(axis=0)``: both give the same bits, without a
-    covariance stack or a boolean-index copy. ``keep`` collects the blocks.
+    covariance stack or a boolean-index copy. A block and its covariances
+    are freed before the next block is made, so one is alive at a time.
     """
     others = ~np.eye(len(counts), dtype=bool)
     sums = rests = None
     start = 0
-    for block in blocks:
-        if keep is not None:
-            keep.append(block)
-        covs = _normalized_covariances(block)
+    for covs in map(_normalized_covariances, blocks):
         if sums is None:
             sums = np.zeros((len(counts), *covs.shape[1:]))
             rests = np.zeros_like(sums)
@@ -213,11 +211,12 @@ def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray, counts: np.nd
             sums[label - 1] += cov
             rests[others[label - 1]] += cov
         start += len(covs)
+        del covs, cov  # freed before the next block is filtered
     return sums / counts[:, None, None], rests / (len(labels) - counts)[:, None, None]
 
 
 def _fit(blocks: Iterable[np.ndarray], labels: np.ndarray, num_classes: int, m: int, scheme: str,
-         bank: FilterBankSpec | None, fitted_on: str, keep: list | None = None) -> CspModel:
+         bank: FilterBankSpec | None, fitted_on: str) -> CspModel:
     """The filters of the band-filtered epochs in ``blocks``, whose classes are ``labels``."""
     counts = np.bincount(labels - 1, minlength=num_classes)
     if (counts < 2).any():
@@ -228,7 +227,7 @@ def _fit(blocks: Iterable[np.ndarray], labels: np.ndarray, num_classes: int, m: 
         raise ValueError("two_class CSP needs exactly two classes")
     if scheme not in ("two_class", "one_vs_rest"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    means, rests = _class_means(blocks, labels, counts, keep)
+    means, rests = _class_means(blocks, labels, counts)
     pairs = [(means[0], means[1])] if scheme == "two_class" else list(zip(means, rests))
     selected, eigenvalues, full_filters = zip(*(_csp_pair(own, rest, m) for own, rest in pairs))
     return CspModel(
@@ -273,39 +272,38 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec 
 
 
 def _fit_raw(dataset: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec = FilterBankSpec(),
-             rows=None, keep: list | None = None) -> CspModel:
+             rows=None) -> CspModel:
     """Filter bank + spatial filters fitted on the raw epochs ``dataset[rows]``
     (every epoch when ``rows`` is None), filtered one block at a time.
 
-    No filtered block outlives its covariances unless ``keep`` is given:
-    then it collects them, in order, for :func:`_project_kept`. The model's
+    Each filtered block is freed once its covariances are summed, so the fit
+    keeps none: a caller that also wants the training epochs projected
+    filters them again through :func:`_apply_raw`. The model's
     ``fitted_on`` is the fingerprint of the raw epochs fitted on.
     """
     rows = np.arange(len(dataset)) if rows is None else np.asarray(rows, dtype=np.intp)
     sections = bank.sections(dataset.sampling_rate)
     blocks = (_filter_bank(block, bank, sections) for block in _blocks(dataset.to_array(), rows, np.float64))
     return _fit(blocks, dataset.labels[rows], dataset.num_classes, m, scheme, bank,
-                dataset.fingerprint_of(rows), keep)
-
-
-def _project_kept(model: CspModel, kept: list) -> np.ndarray:
-    """Project the blocks a fit kept, emptying ``kept`` as it goes, so each
-    block is freed once it is projected."""
-    projected = []
-    while kept:
-        projected.append(model.project(kept.pop(0)))
-    return np.concatenate(projected)
+                dataset.fingerprint_of(rows))
 
 
 def _apply_raw(model: CspModel, data: np.ndarray, sampling_rate: float,
                rows: np.ndarray | None = None) -> np.ndarray:
     """Filter raw epochs ``data[rows]`` (every row when ``rows`` is None) one
-    block at a time and project each block as it is filtered. Channels are
-    checked before a filter pass is spent."""
+    block at a time and project each block into the output as it is
+    filtered. Channels are checked before a filter pass is spent.
+
+    Every epoch is filtered and projected on its own, so an epoch's output
+    does not depend on which rows share its block: projecting ``[a | b]``
+    gives ``a``'s and ``b``'s projections, bit for bit.
+    """
     model.check_raw_channels(data.shape[1])
     sections = model.bank.sections(sampling_rate)
-    blocks = _blocks(data, rows, np.float64)
-    return np.concatenate([model.project(_filter_bank(block, model.bank, sections)) for block in blocks])
+    out = np.empty((len(data) if rows is None else len(rows), model.n_outputs, data.shape[2]))
+    for block, dest in zip(_blocks(data, rows, np.float64), _blocks(out)):
+        dest[...] = model.project(_filter_bank(block, model.bank, sections))
+    return out
 
 
 def apply_csp_set(dataset: EpochSet, model: CspModel) -> EpochSet:

@@ -25,7 +25,7 @@ from ._version import __version__
 from .augment import AugmentConfig, augment_set
 from .bandpass import FilterBankSpec
 from .base import DocumentError, _check_fields, _field, _known_keys
-from .csp import _apply_raw, _fit_raw, _project_kept
+from .csp import _apply_raw, _fit_raw
 from .epochs import EpochSet, SplitSpec, derive_seed, split_dataset
 from .io import load_epochs
 from .metrics import classwise_metrics, confusion
@@ -265,18 +265,20 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         )
 
     if plan.transform == "TS":
-        # Each partition is read from dataset one block of rows at a time, so
-        # no raw copy of a partition is made. The training blocks stay filtered
-        # from the fit until each is projected and freed; validation and test
-        # blocks are projected as they are filtered.
-        kept: list[np.ndarray] = []
-        model = _fit_raw(dataset, plan.m, bank=plan.filter_bank(), rows=train_rows, keep=kept)
+        # The fit filters the training rows one block at a time and keeps no
+        # block. Then one pass filters and projects the rows of every
+        # partition, block by block, in the order [train | validation | test];
+        # each epoch is projected on its own, so a block that straddles two
+        # partitions gives the same bits. No raw or filtered copy of a
+        # partition is made; each partition takes over its slice.
+        model = _fit_raw(dataset, plan.m, bank=plan.filter_bank(), rows=train_rows)
         if model.fitted_on != dataset.fingerprint_of(train_rows):
             raise LeakageError(f"run {run}: CSP was fitted on epochs outside the training partition")
-        train_set = dataset.subset(train_rows, _project_kept(model, kept))
-        val_set, test_set = (
-            dataset.subset(rows, _apply_raw(model, dataset.to_array(), dataset.sampling_rate, rows))
-            for rows in (val_rows, test_rows)
+        partitions = (train_rows, val_rows, test_rows)
+        projected = _apply_raw(model, dataset.to_array(), dataset.sampling_rate, np.concatenate(partitions))
+        train_set, val_set, test_set = (
+            dataset.subset(rows, part)
+            for rows, part in zip(partitions, np.split(projected, np.cumsum([len(train_rows), len(val_rows)])))
         )
     else:
         train_set, val_set, test_set = (dataset.subset(rows) for rows in (train_rows, val_rows, test_rows))

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import _field, _items
+from .base import _field, _items, _map_members
 from .network import NetworkParams, NetworkSpec, forward
 from .walsh import WalshCodebook
 
@@ -160,28 +157,6 @@ class MetaScheme:
     def from_json(cls, text: str) -> "MetaScheme":
         """Inverse of :meth:`to_json`; see :meth:`from_doc`."""
         return cls.from_doc(json.loads(text))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map_members(fn: Callable, members: Sequence) -> list:
-    """``[fn(m) for m in members]``, with the members run concurrently.
-
-    Members share no mutable state, and numpy/BLAS release the GIL, so up
-    to one thread per usable CPU runs them at once. With one worker the
-    calls run inline and no pool is started. Results come back in member
-    order; the first member (in that order) that raised re-raises here.
-    """
-    workers = min(len(members), _usable_cpus())
-    if workers <= 1:
-        return [fn(m) for m in members]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, members))
 
 
 def tally_ovo_votes(ballots: list[tuple[tuple[int, int], np.ndarray]], num_classes: int) -> int:

@@ -14,9 +14,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from .base import EstimatorMixin, NotFittedError, _require_aligned, as_epoch_array, as_labels
+from .base import EstimatorMixin, NotFittedError, _map_members, _require_aligned, as_epoch_array, as_labels
 from .epochs import SplitSpec, _stratified_draw, derive_seed
-from .mdn import MetaScheme, SchemeMember, _map_members, decomposition, mdn_distances, scheme_predict
+from .mdn import MetaScheme, SchemeMember, decomposition, mdn_distances, scheme_predict
 from .network import ConvBlockSpec, NetworkSpec, forward, parse_structure
 from .training import TrainConfig, train
 from .walsh import WalshCodebook, build_walsh

@@ -1,5 +1,6 @@
 """The five augmentation steps and the set expansion."""
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mibci.augment import (
+    MAX_NOISE_SD,
     AugmentConfig,
     EpochAugmenter,
     augment_epoch,
@@ -274,6 +276,51 @@ class TestAugmentSet:
         grown = augment_set(dataset, AugmentConfig(copies_per_epoch=copies))
         assert len(grown) == len(dataset) * (1 + copies)
         assert np.array_equal(grown.class_counts(), (1 + copies) * dataset.class_counts())
+
+
+class TestRangeRule:
+    """Every variant must fit the dtype it is stored in. A knob that could
+    take one beyond it is refused by name before anything is stored; every
+    other variant is stored as before."""
+
+    @staticmethod
+    def peak(dataset: EpochSet) -> float:
+        return max(np.abs(zero_mean(epoch)).max() for epoch in dataset.to_array())
+
+    def test_noise_sd_is_bounded_by_the_float32_store(self):
+        assert AugmentConfig(noise_sd=MAX_NOISE_SD).noise_sd == MAX_NOISE_SD
+        with pytest.raises(ValueError, match=r"noise_sd must be in \[0, 2.12676e\+37\], got 1e\+308"):
+            AugmentConfig(noise_sd=1e308)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_amp_high_that_scales_a_variant_beyond_the_store_is_named(self, dtype):
+        source = TestAugmentSet.reference_dataset()
+        dataset = source.with_data(1e10 * source.to_array())  # float64 max / its peak is finite
+        cfg = AugmentConfig(amp_high=float(np.finfo(dtype).max) / self.peak(dataset) * 1.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"amp_high .* beyond the {np.dtype(dtype).name} range"):
+                augment_set(dataset, cfg, dtype=dtype)
+
+    def test_noise_sd_that_takes_a_scaled_variant_beyond_the_store_is_named(self):
+        dataset = TestAugmentSet.reference_dataset()
+        cfg = AugmentConfig(amp_high=0.99 * float(np.finfo(np.float32).max) / self.peak(dataset),
+                            noise_sd=MAX_NOISE_SD)
+        with pytest.raises(ValueError, match="noise_sd .* leaves the float32 range"):
+            augment_set(dataset, cfg, dtype=np.float32)
+        assert np.isfinite(augment_set(dataset, cfg).to_array()).all()  # float64 holds them
+
+    def test_variants_near_the_float32_limit_are_stored_as_the_reference(self):
+        dataset = TestAugmentSet.reference_dataset()
+        amp_high = 0.9 * float(np.finfo(np.float32).max) / self.peak(dataset)
+        cfg = AugmentConfig(amp_low=0.8 * amp_high, amp_high=amp_high, noise_sd=1e36, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grown = augment_set(dataset, cfg, dtype=np.float32).to_array()
+        expected = np.stack([row[2] for row in reference_augment_set(dataset, cfg)]).astype(np.float32)
+        assert np.isfinite(grown).all()
+        assert np.abs(grown).max() > 0.5 * np.finfo(np.float32).max
+        assert grown.tobytes() == expected.tobytes()
 
 
 def test_config_validation():

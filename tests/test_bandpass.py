@@ -1,12 +1,15 @@
 """Filter design and filter-bank behavior via sine-through-filter oracles."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from scipy import signal
 
+import mibci.bandpass as bandpass_module
+import mibci.base as base_module
 from mibci.bandpass import (
     DEFAULT_BANDS,
     FilterBankSpec,
@@ -190,3 +193,58 @@ class TestBlockedFilterBank:
             tracemalloc.stop()
         assert out.nbytes == output_bytes
         assert peak <= output_bytes + 10e6
+
+
+def one_thread_bank(x, spec):
+    """The bank as one thread runs it over the whole of ``x``, a band at a time."""
+    return np.concatenate([zero_phase_bandpass(x, sos, spec.order) for sos in spec.sections(FS)], axis=1)
+
+
+class TestThreadedFilterBank:
+    """``_filter_bank`` gives each usable CPU's thread a contiguous share of
+    a block's epochs; each epoch is filtered on its own, so every CPU count
+    and share size gives the same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2, 31, 32])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_block_is_the_same_bits_at_every_cpu_count(self, cpus, n, dtype, monkeypatch):
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: cpus)
+        spec = FilterBankSpec()
+        x = np.random.default_rng(n).normal(size=(n, 3, 120)).astype(dtype)
+        out = _filter_bank(x, spec, spec.sections(FS))
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert np.array_equal(out, one_thread_bank(x, spec))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_set_is_the_same_bits_at_every_cpu_count(self, cpus, dtype, monkeypatch):
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: cpus)
+        spec = FilterBankSpec()
+        n = 2 * BLOCK_EPOCHS + 7
+        x = np.random.default_rng(cpus).normal(size=(n, 2, 100)).astype(dtype)
+        out = apply_filter_bank_set(EpochSet(x, np.tile([1, 2], n)[:n], FS), spec).to_array()
+        assert np.array_equal(out, one_thread_bank(x, spec))
+
+    @pytest.mark.parametrize("n, shares", [(1, [1]), (2, [1, 1]), (32, [10, 11, 11])])
+    def test_one_thread_per_usable_cpu_each_filters_its_share_through_every_band(self, n, shares, monkeypatch):
+        started, filtered = [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        real_filter = bandpass_module.zero_phase_bandpass
+
+        def recording_filter(data, sos, order):
+            filtered.append(len(data))
+            return real_filter(data, sos, order)
+
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(base_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bandpass_module, "zero_phase_bandpass", recording_filter)
+        spec = FilterBankSpec()
+        _filter_bank(np.random.default_rng(5).normal(size=(n, 2, 80)), spec, spec.sections(FS))
+        assert started == ([] if len(shares) == 1 else [len(shares)])
+        assert sorted(filtered) == sorted(shares * spec.n_bands)

@@ -3,12 +3,14 @@
 import itertools
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mibci.bandpass as bandpass_module
+import mibci.base as base_module
 import mibci.csp as csp_module
 import mibci.io as io_module
 import mibci.mdn as mdn_module
@@ -160,6 +162,17 @@ class TestSynthSplitAugment:
         assert code == 1
         assert f"error: {message}" in err
         assert not (tmp_path / "synthetic.epb").exists()
+
+    @pytest.mark.parametrize("flag, value, knob", [("--noise-sd", "1e308", "noise_sd"),
+                                                   ("--amp-high", "1e39", "amp_high")])
+    def test_augment_names_a_knob_that_takes_a_variant_beyond_float32(self, synth_file, tmp_path, capsys,
+                                                                       flag, value, knob):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["--out", str(tmp_path), "augment", "--in", str(synth_file), flag, value], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {knob} ")
+        assert not (tmp_path / "augmented.epb").exists()
 
     def test_augment_grows_set(self, synth_file, tmp_path, capsys):
         code, out, _ = run(
@@ -408,7 +421,7 @@ class TestTrainEval:
     def test_member_error_on_a_worker_thread_is_validation_error(
         self, synth_file, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 2)
         code, _, err = run(
             ["--out", str(tmp_path), "--seed", "2", "train", "--train", str(synth_file),
              "--scheme", "ovr", *FAST_TRAIN],

@@ -22,7 +22,6 @@ from mibci.csp import (
     _csp_pair,
     _fit_raw,
     _normalized_covariances,
-    _project_kept,
     apply_csp_set,
     fit_csp,
 )
@@ -338,7 +337,7 @@ class TestStreamedFit:
         filtered = small_bank(X)
         projection, means, rests = reference_fit(filtered, labels, num_classes, 1, scheme)
         counts = np.bincount(labels - 1, minlength=num_classes)
-        got_means, got_rests = csp_module._class_means(_blocks(filtered), labels, counts, None)
+        got_means, got_rests = csp_module._class_means(_blocks(filtered), labels, counts)
         assert np.array_equal(got_means, np.stack(means))
         assert np.array_equal(got_rests, np.stack(rests))
 
@@ -358,17 +357,26 @@ class TestStreamedFit:
         assert np.array_equal(model.projection, _fit_raw(subset, 1, "auto", SMALL_BANK).projection)
         assert model.fitted_on == subset.fingerprint
 
-    def test_kept_blocks_are_the_filtered_rows_and_project_like_the_whole(self):
+    def test_fit_blocks_are_the_filtered_rows_and_apply_projects_them_like_the_whole(self, monkeypatch):
+        """The fit filters ``rows`` in blocks and keeps none; filtering the
+        same rows again through ``_apply_raw`` projects them like the whole."""
         X, labels = np.random.default_rng(10).normal(size=(75, 2, 48)), np.tile([1, 2], 38)[:75]
         raw = EpochSet(X, labels, 100.0)
         rows = np.arange(75)[::-1]
-        kept = []
-        model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=rows, keep=kept)
-        assert [len(b) for b in kept] == [BLOCK_EPOCHS, BLOCK_EPOCHS, 75 - 2 * BLOCK_EPOCHS]
+        seen = []
+        real_bank = csp_module._filter_bank
+
+        def recording(*args):
+            out = real_bank(*args)
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(csp_module, "_filter_bank", recording)
+        model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=rows)
+        assert [len(b) for b in seen] == [BLOCK_EPOCHS, BLOCK_EPOCHS, 75 - 2 * BLOCK_EPOCHS]
         whole = small_bank(X[rows])
-        assert np.array_equal(np.concatenate(kept), whole)
-        assert np.array_equal(_project_kept(model, kept), model.project(whole))
-        assert kept == []
+        assert np.array_equal(np.concatenate(seen), whole)
+        assert np.array_equal(_apply_raw(model, X, 100.0, rows), model.project(whole))
 
     def test_block_wise_apply_equals_projecting_the_whole_filtered_set(self):
         rng = np.random.default_rng(11)
@@ -381,6 +389,24 @@ class TestStreamedFit:
         assert np.array_equal(_apply_raw(model, X, 100.0, rows), expected)
         assert np.array_equal(CspTransformer(m=1, bands=SMALL_BANK.bands, sampling_rate=100.0).fit(
             X, np.tile([1, 2], len(X))[: len(X)]).transform(X), whole)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("block", [6, BLOCK_EPOCHS])
+    def test_one_apply_over_every_partition_equals_one_apply_per_partition(self, block, dtype, monkeypatch):
+        """One pass over the rows ``[train | validation | test]``, whose blocks
+        straddle the partitions, gives each partition's projection bit for
+        bit, as a TS run needs."""
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(80, 2, 48)).astype(dtype)
+        order = rng.permutation(80)
+        partitions = order[:43], order[43:50], order[50:]
+        model = _fit_raw(EpochSet(X, np.tile([1, 2], 40), 100.0), 1, "auto", SMALL_BANK, rows=partitions[0])
+        monkeypatch.setattr(base_module, "BLOCK_EPOCHS", block)
+        assert 43 % block and 50 % block  # a block holds rows of two partitions at both edges
+        one = _apply_raw(model, X, 100.0, np.concatenate(partitions))
+        separate = [_apply_raw(model, X, 100.0, rows) for rows in partitions]
+        assert np.array_equal(one, np.concatenate(separate))
+        assert np.array_equal(one, model.project(small_bank(X[order])))
 
     def test_fit_keeps_no_filtered_block_unless_asked(self, monkeypatch):
         alive = []

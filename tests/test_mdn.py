@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mibci.mdn as mdn_module
+import mibci.base as base_module
 from mibci.io import load_epochs
 from mibci.mdn import (
     MetaScheme,
@@ -437,8 +437,8 @@ def pools(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(mdn_module, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(base_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(base_module, "ThreadPoolExecutor", RecordingPool)
     return started
 
 
@@ -488,7 +488,7 @@ class TestConcurrentMembers:
         assert pools == ([] if kind == "single" else [4])
 
     def test_workers_capped_by_member_count(self, pools):
-        assert mdn_module._map_members(lambda m: m * m, [3, 4]) == [9, 16]
+        assert base_module._map_members(lambda m: m * m, [3, 4]) == [9, 16]
         assert pools == [2]
 
     def test_results_come_back_in_member_order(self, pools):
@@ -496,7 +496,7 @@ class TestConcurrentMembers:
             time.sleep(0.02 * (5 - m))
             return m
 
-        assert mdn_module._map_members(slow_first, list(range(5))) == list(range(5))
+        assert base_module._map_members(slow_first, list(range(5))) == list(range(5))
 
     def test_first_member_in_order_raises(self, pools):
         def fail_some(m):
@@ -508,14 +508,14 @@ class TestConcurrentMembers:
             return m
 
         with pytest.raises(ValueError, match="member 1 failed"):
-            mdn_module._map_members(fail_some, list(range(4)))
+            base_module._map_members(fail_some, list(range(4)))
 
     def test_one_usable_cpu_runs_inline(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(mdn_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(base_module, "ThreadPoolExecutor", no_pool)
         scheme = random_scheme("ovo", num_classes=3, seed=40)
         x = np.random.default_rng(41).normal(size=(6, 2, 64))
         two_class = WalshCodebook(2)
@@ -523,6 +523,6 @@ class TestConcurrentMembers:
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert mdn_module._usable_cpus() == len(os.sched_getaffinity(0))
+            assert base_module._usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert mdn_module._usable_cpus() == (os.cpu_count() or 1)
+        assert base_module._usable_cpus() == (os.cpu_count() or 1)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import mibci.mdn as mdn_module
+import mibci.base as base_module
 import mibci.model as model_module
 import mibci.training as training_module
 from mibci.base import NotFittedError
@@ -273,7 +273,7 @@ class TestConcurrentMembers:
 
     @pytest.fixture(autouse=True)
     def four_cpus(self, monkeypatch):
-        monkeypatch.setattr(mdn_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 4)
 
     @pytest.mark.parametrize("scheme", ["single", "ovo", "ovr"])
     def test_fit_matches_per_member_train(self, scheme):
@@ -329,7 +329,7 @@ class TestConcurrentMembers:
 
         def recording_map(fn, items):
             calls.append(len(items))
-            return mdn_module._map_members(fn, items)
+            return base_module._map_members(fn, items)
 
         monkeypatch.setattr(model_module, "_map_members", recording_map)
         X, y = separable_arrays(num_classes=3, per_class=8)
@@ -340,7 +340,7 @@ class TestConcurrentMembers:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(mdn_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(base_module, "ThreadPoolExecutor", no_pool)
         X, y = separable_arrays()
         clf = WalshCnnClassifier(seed=1, **FAST).fit(X, y)
         assert clf.predict(X).shape == (len(y),)
