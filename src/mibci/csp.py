@@ -9,24 +9,29 @@ projection, so the first output channels maximize class-1 variance while the
 last maximize class-2 variance. Multi-class models compose one two-class fit
 per class against the pooled rest and stack the projections.
 
-Raw epochs pass through the blocks of :func:`base._blocks`: each block is
-band-filtered, then either added into per-class covariance sums and freed
-(the fit) or projected straight into the output (apply). So no covariance
-stack and no filtered copy of a whole set is ever made: a set that is both
-fitted on and projected is filtered twice, once by each pass.
+Raw epochs pass through the filter bank in rounds of
+:data:`base.ROUND_EPOCHS` epochs (:func:`bandpass._filter_rounds`): worker
+threads filter up to one round per usable CPU ahead, and the calling thread
+takes each round in order and either adds it into per-class covariance sums
+(the fit) or projects it straight into the output (apply), then frees it.
+So no covariance stack and no filtered copy of a set, nor of a block, is
+ever made: a set that is both fitted on and projected is filtered twice,
+once by each pass. The covariances, ``eigh`` and the projection all run on
+the calling thread in epoch order, so the thread count changes no bit.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .bandpass import FilterBankSpec, _filter_bank
+from .bandpass import FilterBankSpec, _filter_rounds
 from .base import EstimatorMixin, NotFittedError, _blocks, _field, _items, as_epoch_array, as_labels
 from .epochs import EpochSet
 
@@ -198,7 +203,7 @@ def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray,
     class's rest sum, from zero and in index order, which is the order of
     ``covs[labels == c].mean(axis=0)``: both give the same bits, without a
     covariance stack or a boolean-index copy. A block and its covariances
-    are freed before the next block is made, so one is alive at a time.
+    are freed before the next block is taken.
     """
     others = ~np.eye(len(counts), dtype=bool)
     sums = rests = None
@@ -211,7 +216,7 @@ def _class_means(blocks: Iterable[np.ndarray], labels: np.ndarray,
             sums[label - 1] += cov
             rests[others[label - 1]] += cov
         start += len(covs)
-        del covs, cov  # freed before the next block is filtered
+        del covs, cov  # freed before the next block is taken
     return sums / counts[:, None, None], rests / (len(labels) - counts)[:, None, None]
 
 
@@ -274,35 +279,37 @@ def fit_csp(train: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec 
 def _fit_raw(dataset: EpochSet, m: int, scheme: str = "auto", bank: FilterBankSpec = FilterBankSpec(),
              rows=None) -> CspModel:
     """Filter bank + spatial filters fitted on the raw epochs ``dataset[rows]``
-    (every epoch when ``rows`` is None), filtered one block at a time.
+    (every epoch when ``rows`` is None), filtered one round at a time.
 
-    Each filtered block is freed once its covariances are summed, so the fit
+    Each filtered round is freed once its covariances are summed, so the fit
     keeps none: a caller that also wants the training epochs projected
     filters them again through :func:`_apply_raw`. The model's
     ``fitted_on`` is the fingerprint of the raw epochs fitted on.
     """
     rows = np.arange(len(dataset)) if rows is None else np.asarray(rows, dtype=np.intp)
-    sections = bank.sections(dataset.sampling_rate)
-    blocks = (_filter_bank(block, bank, sections) for block in _blocks(dataset.to_array(), rows, np.float64))
-    return _fit(blocks, dataset.labels[rows], dataset.num_classes, m, scheme, bank,
-                dataset.fingerprint_of(rows))
+    with closing(_filter_rounds(dataset.to_array(), bank, dataset.sampling_rate, rows)) as rounds:
+        return _fit(rounds, dataset.labels[rows], dataset.num_classes, m, scheme, bank,
+                    dataset.fingerprint_of(rows))
 
 
 def _apply_raw(model: CspModel, data: np.ndarray, sampling_rate: float,
-               rows: np.ndarray | None = None) -> np.ndarray:
+               rows: np.ndarray | None = None, dtype=np.float64) -> np.ndarray:
     """Filter raw epochs ``data[rows]`` (every row when ``rows`` is None) one
-    block at a time and project each block into the output as it is
-    filtered. Channels are checked before a filter pass is spent.
+    round at a time and project each round into the ``dtype`` output as it
+    arrives. Channels are checked before a filter pass is spent.
 
     Every epoch is filtered and projected on its own, so an epoch's output
-    does not depend on which rows share its block: projecting ``[a | b]``
-    gives ``a``'s and ``b``'s projections, bit for bit.
+    does not depend on which rows share its round: projecting ``[a | b]``
+    gives ``a``'s and ``b``'s projections, bit for bit. A float32 output
+    holds the float64 projection rounded once.
     """
     model.check_raw_channels(data.shape[1])
-    sections = model.bank.sections(sampling_rate)
-    out = np.empty((len(data) if rows is None else len(rows), model.n_outputs, data.shape[2]))
-    for block, dest in zip(_blocks(data, rows, np.float64), _blocks(out)):
-        dest[...] = model.project(_filter_bank(block, model.bank, sections))
+    out = np.empty((len(data) if rows is None else len(rows), model.n_outputs, data.shape[2]), dtype=dtype)
+    start = 0
+    with closing(_filter_rounds(data, model.bank, sampling_rate, rows)) as rounds:
+        for filtered in rounds:
+            out[start : start + len(filtered)] = model.project(filtered)
+            start += len(filtered)
     return out
 
 

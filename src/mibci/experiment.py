@@ -265,17 +265,20 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
         )
 
     if plan.transform == "TS":
-        # The fit filters the training rows one block at a time and keeps no
-        # block. Then one pass filters and projects the rows of every
-        # partition, block by block, in the order [train | validation | test];
-        # each epoch is projected on its own, so a block that straddles two
+        # The fit filters the training rows one round at a time and keeps no
+        # round. Then one pass filters and projects the rows of every
+        # partition, round by round, in the order [train | validation | test];
+        # each epoch is projected on its own, so a round that straddles two
         # partitions gives the same bits. No raw or filtered copy of a
-        # partition is made; each partition takes over its slice.
+        # partition is made; each partition takes over its slice. Without
+        # augmentation every reader rounds the partitions to TRAIN_DTYPE, so
+        # they are stored in it; augmentation draws from the float64 ones.
         model = _fit_raw(dataset, plan.m, bank=plan.filter_bank(), rows=train_rows)
         if model.fitted_on != dataset.fingerprint_of(train_rows):
             raise LeakageError(f"run {run}: CSP was fitted on epochs outside the training partition")
         partitions = (train_rows, val_rows, test_rows)
-        projected = _apply_raw(model, dataset.to_array(), dataset.sampling_rate, np.concatenate(partitions))
+        projected = _apply_raw(model, dataset.to_array(), dataset.sampling_rate, np.concatenate(partitions),
+                               TRAIN_DTYPE if plan.augment == "NA" else np.float64)
         train_set, val_set, test_set = (
             dataset.subset(rows, part)
             for rows, part in zip(partitions, np.split(projected, np.cumsum([len(train_rows), len(val_rows)])))

@@ -1,11 +1,15 @@
 """Filter design and filter-bank behavior via sine-through-filter oracles."""
 
+import re
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 import mibci.bandpass as bandpass_module
@@ -14,11 +18,12 @@ from mibci.bandpass import (
     DEFAULT_BANDS,
     FilterBankSpec,
     _filter_bank,
+    _filter_rounds,
     apply_filter_bank_set,
     design_bandpass,
     zero_phase_bandpass,
 )
-from mibci.base import BLOCK_EPOCHS
+from mibci.base import BLOCK_EPOCHS, ROUND_EPOCHS
 from mibci.epochs import EpochSet
 
 from helpers import make_set
@@ -149,8 +154,8 @@ class TestApplyFilterBank:
 
 
 class TestBlockedFilterBank:
-    """``apply_filter_bank_set`` filters blocks of BLOCK_EPOCHS epochs into
-    its output; each epoch is filtered on its own, so block edges change no
+    """``apply_filter_bank_set`` filters rounds of ROUND_EPOCHS epochs into
+    its output; each epoch is filtered on its own, so round edges change no
     bit."""
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
@@ -177,13 +182,18 @@ class TestBlockedFilterBank:
         assert out.dtype == np.float64
         assert np.array_equal(out, _filter_bank(x.astype(np.float64), spec, spec.sections(FS)))
 
-    def test_working_set_is_the_output_plus_one_block(self):
-        """At the BCI-IV-2a training shape the set's bank allocates its 93 MB
-        output plus at most 10 MB (9.1 MB measured); filtering each band over
-        the whole partition at once took the output plus 60 MB."""
+    def test_working_set_is_the_output_plus_the_rounds_in_flight(self, monkeypatch):
+        """At the BCI-IV-2a training shape, on 2 usable CPUs, the set's bank
+        allocates its 93 MB output plus at most 4 MB (2.3 MB measured): each
+        round in flight is filtered straight into the output. Blocks of 32
+        epochs shared over the CPUs took the output plus 9.1 MB, and
+        filtering each band over the whole partition at once the output plus
+        60 MB."""
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 2)
         x = np.random.default_rng(0).normal(size=(212, 22, 500))
         dataset = EpochSet(x, np.tile([1, 2, 3, 4], 53), FS)
         spec = FilterBankSpec()
+        apply_filter_bank_set(EpochSet(x[:4], [1, 2, 3, 4], FS), spec)  # loads scipy.signal untraced
         output_bytes = x.nbytes * spec.n_bands
         tracemalloc.start()
         try:
@@ -192,29 +202,38 @@ class TestBlockedFilterBank:
         finally:
             tracemalloc.stop()
         assert out.nbytes == output_bytes
-        assert peak <= output_bytes + 10e6
+        assert peak <= output_bytes + 4e6
 
 
 def one_thread_bank(x, spec):
     """The bank as one thread runs it over the whole of ``x``, a band at a time."""
-    return np.concatenate([zero_phase_bandpass(x, sos, spec.order) for sos in spec.sections(FS)], axis=1)
+    return np.concatenate([zero_phase_bandpass(x, design_bandpass(lo, hi, FS, spec.order), spec.order)
+                           for lo, hi in spec.bands], axis=1)
+
+
+def filtered_rounds(x, spec):
+    """Every round ``_filter_rounds`` yields for ``x``, copied as it arrives."""
+    with closing(_filter_rounds(x, spec, FS)) as rounds:
+        return [r.copy() for r in rounds]
 
 
 class TestThreadedFilterBank:
-    """``_filter_bank`` gives each usable CPU's thread a contiguous share of
-    a block's epochs; each epoch is filtered on its own, so every CPU count
-    and share size gives the same bits."""
+    """``_filter_rounds`` filters rounds of ROUND_EPOCHS epochs on one
+    thread per usable CPU, ahead of the caller, and yields them in order;
+    each epoch is filtered on its own, so every CPU count gives the same
+    bits."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n", [1, 2, 31, 32])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_block_is_the_same_bits_at_every_cpu_count(self, cpus, n, dtype, monkeypatch):
+    def test_rounds_are_the_same_bits_at_every_cpu_count(self, cpus, n, dtype, monkeypatch):
         monkeypatch.setattr(base_module, "_usable_cpus", lambda: cpus)
         spec = FilterBankSpec()
         x = np.random.default_rng(n).normal(size=(n, 3, 120)).astype(dtype)
-        out = _filter_bank(x, spec, spec.sections(FS))
-        assert out.dtype == np.float64 and not out.flags.writeable
-        assert np.array_equal(out, one_thread_bank(x, spec))
+        rounds = filtered_rounds(x, spec)
+        assert [len(r) for r in rounds] == [min(ROUND_EPOCHS, n - k) for k in range(0, n, ROUND_EPOCHS)]
+        assert all(r.dtype == np.float64 for r in rounds)
+        assert np.array_equal(np.concatenate(rounds), one_thread_bank(x, spec))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -226,25 +245,90 @@ class TestThreadedFilterBank:
         out = apply_filter_bank_set(EpochSet(x, np.tile([1, 2], n)[:n], FS), spec).to_array()
         assert np.array_equal(out, one_thread_bank(x, spec))
 
-    @pytest.mark.parametrize("n, shares", [(1, [1]), (2, [1, 1]), (32, [10, 11, 11])])
-    def test_one_thread_per_usable_cpu_each_filters_its_share_through_every_band(self, n, shares, monkeypatch):
-        started, filtered = [], []
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    def test_one_pool_filters_each_round_into_a_buffer_of_the_calling_thread(self, n, monkeypatch):
+        """One pool of one thread per usable CPU filters each round through
+        every band into an output the calling thread allocated; at most one
+        round per CPU is started beyond the one the caller holds."""
+        started, calls, ahead = [], [], []
+        consumed = 0
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        real_filter = bandpass_module.zero_phase_bandpass
+        real_bank = bandpass_module._filter_bank
 
-        def recording_filter(data, sos, order):
-            filtered.append(len(data))
-            return real_filter(data, sos, order)
+        def recording_bank(X, spec, sections, out=None):
+            calls.append((len(X), out is not None, threading.current_thread() is threading.main_thread()))
+            return real_bank(X, spec, sections, out)
 
         monkeypatch.setattr(base_module, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(base_module, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(bandpass_module, "zero_phase_bandpass", recording_filter)
+        monkeypatch.setattr(bandpass_module, "_filter_bank", recording_bank)
         spec = FilterBankSpec()
-        _filter_bank(np.random.default_rng(5).normal(size=(n, 2, 80)), spec, spec.sections(FS))
-        assert started == ([] if len(shares) == 1 else [len(shares)])
-        assert sorted(filtered) == sorted(shares * spec.n_bands)
+        with closing(_filter_rounds(np.random.default_rng(5).normal(size=(n, 2, 80)), spec, FS)) as rounds:
+            for _ in rounds:
+                consumed += 1
+                ahead.append(len(calls) - consumed)
+        sizes = [min(ROUND_EPOCHS, n - k) for k in range(0, n, ROUND_EPOCHS)]
+        assert started == [3]
+        assert sorted(calls) == sorted((size, True, False) for size in sizes)
+        assert max(ahead) <= 3
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started on one usable CPU")
+
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(base_module, "ThreadPoolExecutor", no_pool)
+        spec = FilterBankSpec()
+        x = np.random.default_rng(6).normal(size=(9, 2, 80))
+        assert np.array_equal(np.concatenate(filtered_rounds(x, spec)), one_thread_bank(x, spec))
+
+
+class TestDesignedOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        order=st.integers(1, 6),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        band=st.sampled_from(DEFAULT_BANDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_phase_is_sosfiltfilt_with_even_padding_bit_for_bit(self, n, order, lead, dtype, band, seed):
+        x = np.random.default_rng(seed).normal(size=(*lead, n)).astype(dtype)
+        sos = design_bandpass(*band, FS, order)
+        expected = signal.sosfiltfilt(sos, x, padtype="even", padlen=min(3 * order, n - 1))
+        got = zero_phase_bandpass(x, sos, order)
+        assert got.shape == x.shape and got.dtype == np.float64
+        assert np.array_equal(got, expected)
+
+    def test_each_band_is_designed_once_per_pass(self, monkeypatch):
+        solved = []
+        real_zi = signal.sosfilt_zi
+
+        def counting_zi(sos):
+            solved.append(len(sos))
+            return real_zi(sos)
+
+        monkeypatch.setattr(signal, "sosfilt_zi", counting_zi)
+        spec = FilterBankSpec()
+        n = 3 * ROUND_EPOCHS + 1
+        apply_filter_bank_set(EpochSet(np.random.default_rng(7).normal(size=(n, 2, 64)), np.tile([1, 2], n)[:n], FS),
+                              spec)
+        assert len(solved) == spec.n_bands
+
+    def test_sections_and_steady_states_stay_writable(self):
+        for sos, zi in FilterBankSpec().sections(FS):
+            assert sos.flags.writeable and zi.flags.writeable
+
+    @pytest.mark.parametrize("rate", [1e10, 1e12])
+    def test_a_band_whose_steady_state_is_singular_is_named(self, rate):
+        spec = FilterBankSpec(order=3)
+        message = (f"band (6.0, 12.0) Hz cannot be designed as an order-3 Butterworth band-pass at a "
+                   f"{rate:g} Hz sampling rate: its steady state cannot be solved (Singular matrix)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec.sections(rate)

@@ -11,7 +11,6 @@ import pytest
 
 import mibci.bandpass as bandpass_module
 import mibci.base as base_module
-import mibci.csp as csp_module
 import mibci.io as io_module
 import mibci.mdn as mdn_module
 from mibci.augment import AugmentConfig
@@ -235,7 +234,6 @@ class TestCspCommands:
         def no_filtering(*args):
             raise AssertionError("a mismatched input reached the filter bank")
 
-        monkeypatch.setattr(csp_module, "_filter_bank", no_filtering)
         monkeypatch.setattr(bandpass_module, "_filter_bank", no_filtering)
         code, _, err = run(
             ["--out", str(tmp_path), "csp-apply", "--in", str(wide / "synthetic.epb"),
@@ -245,6 +243,23 @@ class TestCspCommands:
         assert code == 1
         assert "error: epochs have 3 channels x 2 bands = 6 filtered channels, model expects 4" in err
         assert not (tmp_path / "transformed.epb").exists()
+
+    @pytest.mark.filterwarnings("ignore:singular composite covariance")
+    def test_fit_names_a_band_that_cannot_be_designed_at_the_rate(self, tmp_path, capsys):
+        """At 1e12 Hz the 6-12 Hz band's steady state is a singular system:
+        the error names the band, the order and the rate. 1e9 Hz still fits."""
+        for rate in ("1e12", "1e9"):
+            out = tmp_path / rate
+            code, _, err = run(["--out", str(out), "synth", "--rate", rate, "--epochs-per-class", "4"], capsys)
+            assert code == 0, err
+            code, _, err = run(["--out", str(out), "csp-fit", "--in", str(out / "synthetic.epb"), "--m", "1"], capsys)
+            if rate == "1e9":
+                assert code == 0, err
+                continue
+            assert code == 1
+            assert err == ("error: band (6.0, 12.0) Hz cannot be designed as an order-4 Butterworth band-pass at a "
+                           "1e+12 Hz sampling rate: its steady state cannot be solved (Singular matrix)\n")
+            assert not (out / "csp.json").exists()
 
     @pytest.mark.parametrize("field", CSP_FIELDS)
     def test_apply_names_a_missing_field(self, synth_file, tmp_path, capsys, field):

@@ -2,8 +2,10 @@
 
 import json
 import re
+import threading
 import tracemalloc
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import mibci.bandpass as bandpass_module
 import mibci.csp as csp_module
 import mibci.base as base_module
 import mibci.network as network_module
-from mibci.base import BLOCK_EPOCHS, _blocks
+from mibci.base import BLOCK_EPOCHS, ROUND_EPOCHS, _blocks
 from mibci.csp import (
     CspModel,
     CspTransformer,
@@ -285,7 +287,6 @@ class TestTransformer:
         def no_filtering(*args):
             raise AssertionError("a mismatched input reached the filter bank")
 
-        monkeypatch.setattr(csp_module, "_filter_bank", no_filtering)
         monkeypatch.setattr(bandpass_module, "_filter_bank", no_filtering)
         with pytest.raises(ValueError, match="epochs have 4 channels x 5 bands = 20 filtered channels, model expects 15"):
             tr.transform(rng.normal(size=(2, 4, 128)))
@@ -303,6 +304,18 @@ SMALL_BANK = FilterBankSpec(bands=((8.0, 12.0), (18.0, 24.0)))
 def small_bank(X):
     """``X`` through SMALL_BANK at 100 Hz, as one array."""
     return _filter_bank(X, SMALL_BANK, SMALL_BANK.sections(100.0))
+
+
+def watching(real_rounds, see):
+    """``real_rounds`` (``_filter_rounds``) with ``see`` called on each round as it is yielded."""
+
+    def rounds(*args, **kwargs):
+        with closing(real_rounds(*args, **kwargs)) as inner:
+            for r in inner:
+                see(r)
+                yield r
+
+    return rounds
 
 
 def reference_fit(filtered, labels, num_classes, m, scheme):
@@ -357,23 +370,17 @@ class TestStreamedFit:
         assert np.array_equal(model.projection, _fit_raw(subset, 1, "auto", SMALL_BANK).projection)
         assert model.fitted_on == subset.fingerprint
 
-    def test_fit_blocks_are_the_filtered_rows_and_apply_projects_them_like_the_whole(self, monkeypatch):
-        """The fit filters ``rows`` in blocks and keeps none; filtering the
+    def test_fit_rounds_are_the_filtered_rows_and_apply_projects_them_like_the_whole(self, monkeypatch):
+        """The fit filters ``rows`` in rounds and keeps none; filtering the
         same rows again through ``_apply_raw`` projects them like the whole."""
         X, labels = np.random.default_rng(10).normal(size=(75, 2, 48)), np.tile([1, 2], 38)[:75]
         raw = EpochSet(X, labels, 100.0)
         rows = np.arange(75)[::-1]
         seen = []
-        real_bank = csp_module._filter_bank
-
-        def recording(*args):
-            out = real_bank(*args)
-            seen.append(out.copy())
-            return out
-
-        monkeypatch.setattr(csp_module, "_filter_bank", recording)
+        monkeypatch.setattr(csp_module, "_filter_rounds",
+                            watching(csp_module._filter_rounds, lambda r: seen.append(r.copy())))
         model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=rows)
-        assert [len(b) for b in seen] == [BLOCK_EPOCHS, BLOCK_EPOCHS, 75 - 2 * BLOCK_EPOCHS]
+        assert [len(r) for r in seen] == [ROUND_EPOCHS] * (75 // ROUND_EPOCHS) + [75 % ROUND_EPOCHS]
         whole = small_bank(X[rows])
         assert np.array_equal(np.concatenate(seen), whole)
         assert np.array_equal(_apply_raw(model, X, 100.0, rows), model.project(whole))
@@ -408,26 +415,79 @@ class TestStreamedFit:
         assert np.array_equal(one, np.concatenate(separate))
         assert np.array_equal(one, model.project(small_bank(X[order])))
 
-    def test_fit_keeps_no_filtered_block_unless_asked(self, monkeypatch):
+    def test_fit_keeps_no_filtered_round(self, monkeypatch):
         alive = []
-        real_bank = csp_module._filter_bank
-
-        def filtering(*args):
-            out = real_bank(*args)
-            alive.append(weakref.ref(out))
-            return out
-
-        monkeypatch.setattr(csp_module, "_filter_bank", filtering)
+        monkeypatch.setattr(csp_module, "_filter_rounds",
+                            watching(csp_module._filter_rounds, lambda r: alive.append(weakref.ref(r))))
         X = np.random.default_rng(12).normal(size=(2 * BLOCK_EPOCHS + 3, 2, 48))
         _fit_raw(EpochSet(X, np.tile([1, 2], len(X))[: len(X)], 100.0), 1, "auto", SMALL_BANK)
-        assert len(alive) == 3 and all(ref() is None for ref in alive)
+        assert len(alive) == -(-len(X) // ROUND_EPOCHS) and all(ref() is None for ref in alive)
+
+
+class TestPipeline:
+    """The front end's rounds are filtered on one thread per usable CPU;
+    the covariances, ``eigh`` and the projection stay on the calling thread
+    in epoch order, so every CPU count gives the same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fit_and_apply_are_the_same_bits_at_every_cpu_count(self, dtype, monkeypatch):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(81, 3, 48)).astype(dtype)
+        raw = EpochSet(X, np.tile([1, 2, 3], 27), 100.0)
+        order = rng.permutation(81)
+        partitions = order[:45], order[45:51], order[51:]
+        assert all(len(p) % ROUND_EPOCHS for p in partitions[:2])  # rounds straddle both partition edges
+        reference = None
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(base_module, "_usable_cpus", lambda: cpus)
+            model = _fit_raw(raw, 1, "one_vs_rest", SMALL_BANK, rows=partitions[0])
+            got = (model.projection, _apply_raw(model, X, 100.0, np.concatenate(partitions)),
+                   _apply_raw(model, X, 100.0, np.concatenate(partitions), np.float32))
+            reference = reference or got
+            assert all(np.array_equal(a, b) for a, b in zip(got, reference))
+        projection, one_pass, rounded = reference
+        whole = small_bank(X[order])
+        assert np.array_equal(one_pass, projection @ whole)
+        assert rounded.dtype == np.float32 and np.array_equal(rounded, one_pass.astype(np.float32))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_an_error_in_a_middle_round_ends_the_pool(self, cpus, monkeypatch):
+        """A zero-power epoch in the fourth round raises the fit's error on
+        the calling thread; a round that fails on a worker raises its own.
+        Either way no pool thread is left when the call returns."""
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: cpus)
+        X = np.random.default_rng(16).normal(size=(10 * ROUND_EPOCHS, 2, 48))
+        X[3 * ROUND_EPOCHS + 1] = 0
+        raw = EpochSet(X, np.tile([1, 2], 5 * ROUND_EPOCHS), 100.0)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="an epoch with zero total power has no spatial covariance"):
+            _fit_raw(raw, 1, "auto", SMALL_BANK)
+        assert threading.active_count() == before
+
+        real_bank, filtered, lock = bandpass_module._filter_bank, [], threading.Lock()
+
+        def failing(X, *args):
+            with lock:
+                filtered.append(len(X))
+                started = len(filtered)
+            if started == 4:
+                raise FloatingPointError("round 4 failed")
+            return real_bank(X, *args)
+
+        monkeypatch.setattr(bandpass_module, "_filter_bank", failing)
+        model = _fit_raw(raw, 1, "auto", SMALL_BANK, rows=np.arange(ROUND_EPOCHS, 2 * ROUND_EPOCHS))
+        filtered.clear()
+        with pytest.raises(FloatingPointError, match="round 4 failed"):
+            _apply_raw(model, X, 100.0)
+        assert threading.active_count() == before
+        assert len(filtered) <= 4 + cpus
 
 
 class TestOneBlockSize:
-    def test_every_stage_splits_at_the_base_block_size(self, monkeypatch):
-        """Setting ``base.BLOCK_EPOCHS`` alone re-blocks all four per-epoch
-        stages: the eval forward, ``apply_filter_bank_set``, a TS fit and a
-        TS apply."""
+    def test_the_forward_splits_at_the_block_size_and_the_front_end_at_the_round_size(self, monkeypatch):
+        """Setting ``base.BLOCK_EPOCHS`` alone re-blocks the eval forward; the
+        filter bank's three passes (``apply_filter_bank_set``, a TS fit and a
+        TS apply) keep their rounds of ``ROUND_EPOCHS``."""
         monkeypatch.setattr(base_module, "BLOCK_EPOCHS", 5)
         seen = {"forward": [], "bank": []}
         real_conv, real_bank = network_module.layers.conv1d_forward, bandpass_module._filter_bank
@@ -442,7 +502,6 @@ class TestOneBlockSize:
 
         monkeypatch.setattr(network_module.layers, "conv1d_forward", recording_conv)
         monkeypatch.setattr(bandpass_module, "_filter_bank", recording_bank)
-        monkeypatch.setattr(csp_module, "_filter_bank", recording_bank)
         X = np.random.default_rng(13).normal(size=(12, 2, 48))
         raw = EpochSet(X, np.tile([1, 2], 6), 100.0)
         spec = parse_structure("2,5,8 / 8,24,16", input_length=48, output_dim=16)
@@ -451,5 +510,6 @@ class TestOneBlockSize:
         apply_filter_bank_set(raw, SMALL_BANK)
         model = _fit_raw(raw, 1, "auto", SMALL_BANK)
         _apply_raw(model, X, 100.0)
+        assert ROUND_EPOCHS == 4
         assert seen["forward"] == [5, 5, 5, 5, 2, 2]  # two conv layers per block
-        assert seen["bank"] == [5, 5, 2] * 3
+        assert seen["bank"] == [4, 4, 4] * 3

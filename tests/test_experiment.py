@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from mibci.experiment import (
     run_experiment,
     run_matrix,
 )
-from mibci.model import default_structure
+from mibci.base import ROUND_EPOCHS
+from mibci.model import WalshCnnClassifier, default_structure
 from mibci.synthetic import SyntheticSpec, generate_synthetic
 
 from helpers import plant_training_copy
@@ -259,46 +261,91 @@ class TestRunExperiment:
         with pytest.raises(LeakageError, match="run 0: CSP was fitted on epochs outside the training partition"):
             run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
 
-    def test_ts_fit_keeps_no_block_and_one_pass_projects_every_partition(self, tiny_dataset, monkeypatch):
-        """The fit filters every training block and projects none. Then one
-        pass over the rows [train | validation | test] filters and projects
-        block by block, its blocks straddling the partitions; one filtered
-        block is alive at each projection."""
-        monkeypatch.setattr(base_module, "BLOCK_EPOCHS", 4)
+    def test_ts_fit_keeps_no_round_and_one_pass_projects_every_partition(self, tiny_dataset, monkeypatch):
+        """The fit takes every training round and projects none. Then one
+        pass over the rows [train | validation | test] takes and projects
+        round by round, its rounds straddling the partitions; one filtered
+        round is alive at each projection. One usable CPU keeps the events
+        in one thread; the threaded rounds are the same bits (test_csp)."""
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 1)
         events, filtered = [], []
-        real_bank, real_project = csp_module._filter_bank, csp_module.CspModel.project
+        real_rounds, real_project = csp_module._filter_rounds, csp_module.CspModel.project
 
-        def filtering(X, *args):
-            out = real_bank(X, *args)
-            events.append(("filter", len(X)))
-            filtered.append(weakref.ref(out))
-            return out
+        def rounds(*args):
+            with closing(real_rounds(*args)) as inner:
+                for r in inner:
+                    events.append(("filter", len(r)))
+                    filtered.append(weakref.ref(r))
+                    yield r
 
         def projecting(self, X):
             events.append(("project", len(X), sum(ref() is not None for ref in filtered)))
             return real_project(self, X)
 
-        monkeypatch.setattr(csp_module, "_filter_bank", filtering)
+        monkeypatch.setattr(csp_module, "_filter_rounds", rounds)
         monkeypatch.setattr(csp_module.CspModel, "project", projecting)
         report = run_experiment(tiny_plan(transform="TS", m=1, n_runs=1), tiny_dataset)
         sizes = report.runs[0].split_sizes
 
-        def blocks(n):
-            return [min(4, n - start) for start in range(0, n, 4)]
+        def chunks(n):
+            return [min(ROUND_EPOCHS, n - start) for start in range(0, n, ROUND_EPOCHS)]
 
-        train = blocks(sizes["train"])
-        assert len(train) > 1 and sizes["train"] % 4
+        train = chunks(sizes["train"])
+        assert len(train) > 1 and sizes["train"] % ROUND_EPOCHS
         expected = [("filter", b) for b in train]
-        for b in blocks(sum(sizes.values())):
+        for b in chunks(sum(sizes.values())):
             expected += [("filter", b), ("project", b, 1)]
         assert events == expected
 
+    @pytest.mark.parametrize("augment, dtype", [("NA", np.float32), ("A", np.float64)])
+    def test_ts_partitions_are_float32_unless_augmented(self, tiny_dataset, augment, dtype, monkeypatch):
+        """Without augmentation every reader of a TS partition rounds it to
+        float32, so the apply pass stores it so; augmentation draws its
+        variants from the float64 training partition."""
+        stored, fitted = [], []
+        real_apply, real_augment = experiment_module._apply_raw, experiment_module.augment_set
+        real_fit = WalshCnnClassifier.fit
+
+        def applying(*args):
+            out = real_apply(*args)
+            stored.append(out.dtype)
+            return out
+
+        def augmenting(dataset, cfg, **kwargs):
+            fitted.append(("augment", dataset.to_array().dtype))
+            return real_augment(dataset, cfg, **kwargs)
+
+        def fitting(self, X, y, X_val=None, y_val=None):
+            fitted.append(("fit", X.dtype, X_val.dtype))
+            return real_fit(self, X, y, X_val, y_val)
+
+        monkeypatch.setattr(experiment_module, "_apply_raw", applying)
+        monkeypatch.setattr(experiment_module, "augment_set", augmenting)
+        monkeypatch.setattr(WalshCnnClassifier, "fit", fitting)
+        report = run_experiment(tiny_plan(transform="TS", augment=augment, n_runs=1), tiny_dataset)
+        assert report.n_failed == 0, report.runs[0].error
+        assert stored == [dtype]
+        if augment == "NA":
+            assert fitted == [("fit", np.float32, np.float32)]
+        else:
+            assert fitted == [("augment", np.float64), ("fit", np.float32, np.float64)]
+
+    def test_float32_ts_partitions_change_no_result(self, tiny_dataset, monkeypatch):
+        plan = tiny_plan(transform="TS", n_runs=2)
+        rounded = run_experiment(plan, tiny_dataset)
+        real_apply = experiment_module._apply_raw
+        monkeypatch.setattr(experiment_module, "_apply_raw", lambda *args: real_apply(*args[:4]))
+        wide = run_experiment(plan, tiny_dataset)
+        assert [r.to_dict() for r in rounded.runs] == [r.to_dict() for r in wide.runs]
+
     def test_ts_run_holds_no_filtered_partition(self):
-        """A TS run holds at most one filtered block: the fit keeps none and
-        the one apply pass projects each block as it is filtered. With the
-        filtered training partition held from the fit to its projection the
-        traced peak was 1.52 times that partition; it is 0.83 times now,
-        set by training."""
+        """A TS run holds no filtered partition and no filtered block: the
+        fit keeps no round and the one apply pass projects each round as it
+        arrives, into float32 partitions that training reads without a copy.
+        With the filtered training partition held from the fit to its
+        projection the traced peak was 1.52 times that partition; with
+        float64 partitions, which training copied to float32, 0.83 times; it
+        is 0.74 times now, set by training."""
         dataset = generate_synthetic(SyntheticSpec(num_classes=4, epochs_per_class=30, channels=24,
                                                    samples=200, seed=3))
         plan = ExperimentPlan(transform="TS", m=1, structure="8,5,8 / 8,100,16", code_size=16,
@@ -313,7 +360,7 @@ class TestRunExperiment:
         run = report.runs[0]
         assert run.error is None, run.error
         filtered_bytes = run.split_sizes["train"] * 24 * 5 * 200 * 8
-        assert peak <= 0.92 * filtered_bytes, (peak, filtered_bytes)
+        assert peak <= 0.78 * filtered_bytes, (peak, filtered_bytes)
 
     def test_nts_a_run_holds_its_augmented_set_once_in_float32(self):
         """The augmented training set is stored in float32, as training reads
