@@ -180,7 +180,8 @@ def _filter_rounds(data: np.ndarray, spec: FilterBankSpec, sampling_rate: float,
     None), in order, one round of :data:`base.ROUND_EPOCHS` epochs at a time.
 
     The rounds are filtered through :func:`base._pipeline`, up to one per
-    usable CPU ahead of the caller. Each round is written into its rows of
+    usable CPU (at most :data:`base.PIPELINE_WORKERS`) ahead of the caller.
+    Each round is written into its rows of
     ``out`` when given, else into a buffer allocated here, on the calling
     thread, which frees it once the caller drops it. Close the iterator
     (``contextlib.closing``) so that an error stops its threads at once.

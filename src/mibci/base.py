@@ -29,6 +29,16 @@ BLOCK_EPOCHS = 32
 # and from 0.35 to 0.27 s.
 ROUND_EPOCHS = 4
 
+# Threads of a :func:`_pipeline`, at most; fewer on fewer usable CPUs. Its
+# working set grows with them: each holds a round and its filter
+# temporaries, and the fit's traced peak at the BCI-IV-2a shape measured
+# 9.6, 21.4, 28.5 and 45.1 MB at 2, 6, 8 and 16 threads. Six rounds being
+# filtered, one queued and the one the caller holds are 32 epochs, one
+# BLOCK_EPOCHS block; and the caller's covariances of a round take a sixth
+# of its filtering (0.65 against 4.1 ms on one thread), so a seventh thread
+# would mostly wait in the fit.
+PIPELINE_WORKERS = 6
+
 
 class NotFittedError(ValueError):
     """Raised when transform/predict is called before fit."""
@@ -101,7 +111,10 @@ def _map_members(fn: Callable, members: Sequence) -> list:
 
 def _pipeline(fn: Callable, items: Iterable) -> Iterator:
     """``fn(item)`` for each of ``items``, yielded in item order, with up to
-    one call per usable CPU running ahead of the caller on a pool's threads.
+    one call per usable CPU, and at most :data:`PIPELINE_WORKERS`, running
+    ahead of the caller on a pool's threads. One more call waits queued,
+    already holding what ``items`` allocated for it, so at most
+    ``PIPELINE_WORKERS + 2`` results are alive at once on any CPU count.
 
     ``items`` is drawn on the calling thread, so what it allocates (a
     round's output buffer) is allocated there, and freed there once the
@@ -111,7 +124,7 @@ def _pipeline(fn: Callable, items: Iterable) -> Iterator:
     the calls not yet started are cancelled; closing the generator does the
     same, and in both cases the pool's threads have ended when it returns.
     """
-    workers = _usable_cpus()
+    workers = min(_usable_cpus(), PIPELINE_WORKERS)
     if workers <= 1:
         yield from map(fn, items)
         return

@@ -11,9 +11,10 @@ per class against the pooled rest and stack the projections.
 
 Raw epochs pass through the filter bank in rounds of
 :data:`base.ROUND_EPOCHS` epochs (:func:`bandpass._filter_rounds`): worker
-threads filter up to one round per usable CPU ahead, and the calling thread
-takes each round in order and either adds it into per-class covariance sums
-(the fit) or projects it straight into the output (apply), then frees it.
+threads filter up to one round per usable CPU ahead (at most
+:data:`base.PIPELINE_WORKERS`), and the calling thread takes each round in
+order and either adds it into per-class covariance sums (the fit) or
+projects it straight into the output (apply), then frees it.
 So no covariance stack and no filtered copy of a set, nor of a block, is
 ever made: a set that is both fitted on and projected is filtered twice,
 once by each pass. The covariances, ``eigh`` and the projection all run on

@@ -23,7 +23,7 @@ from mibci.bandpass import (
     design_bandpass,
     zero_phase_bandpass,
 )
-from mibci.base import BLOCK_EPOCHS, ROUND_EPOCHS
+from mibci.base import BLOCK_EPOCHS, PIPELINE_WORKERS, ROUND_EPOCHS
 from mibci.epochs import EpochSet
 
 from helpers import make_set
@@ -212,9 +212,14 @@ def one_thread_bank(x, spec):
 
 
 def filtered_rounds(x, spec):
-    """Every round ``_filter_rounds`` yields for ``x``, copied as it arrives."""
+    """Every round ``_filter_rounds`` yields for ``x``, checked read-only
+    and copied as it arrives."""
+    copies = []
     with closing(_filter_rounds(x, spec, FS)) as rounds:
-        return [r.copy() for r in rounds]
+        for r in rounds:
+            assert not r.flags.writeable
+            copies.append(r.copy())
+    return copies
 
 
 class TestThreadedFilterBank:
@@ -234,6 +239,9 @@ class TestThreadedFilterBank:
         assert [len(r) for r in rounds] == [min(ROUND_EPOCHS, n - k) for k in range(0, n, ROUND_EPOCHS)]
         assert all(r.dtype == np.float64 for r in rounds)
         assert np.array_equal(np.concatenate(rounds), one_thread_bank(x, spec))
+        out = _filter_bank(x, spec, spec.sections(FS))
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert np.array_equal(out, one_thread_bank(x, spec))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -276,6 +284,37 @@ class TestThreadedFilterBank:
         assert started == [3]
         assert sorted(calls) == sorted((size, True, False) for size in sizes)
         assert max(ahead) <= 3
+
+    def test_many_usable_cpus_start_at_most_the_capped_pool(self, monkeypatch):
+        """On 64 usable CPUs the pool has PIPELINE_WORKERS threads, so the
+        rounds alive at once do not grow with the CPU count."""
+        started, calls, ahead = [], [], []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        real_bank = bandpass_module._filter_bank
+
+        def recording_bank(X, spec, sections, out=None):
+            calls.append(len(X))
+            return real_bank(X, spec, sections, out)
+
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(base_module, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bandpass_module, "_filter_bank", recording_bank)
+        spec = FilterBankSpec()
+        x = np.random.default_rng(8).normal(size=(4 * PIPELINE_WORKERS * ROUND_EPOCHS, 2, 80))
+        got = []
+        with closing(_filter_rounds(x, spec, FS)) as rounds:
+            for r in rounds:
+                got.append(r.copy())
+                ahead.append(len(calls) - len(got))
+        assert started == [PIPELINE_WORKERS] and PIPELINE_WORKERS < 64
+        assert len(calls) == 4 * PIPELINE_WORKERS
+        assert max(ahead) <= PIPELINE_WORKERS
+        assert np.array_equal(np.concatenate(got), one_thread_bank(x, spec))
 
     def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -325,10 +364,20 @@ class TestDesignedOnce:
         for sos, zi in FilterBankSpec().sections(FS):
             assert sos.flags.writeable and zi.flags.writeable
 
-    @pytest.mark.parametrize("rate", [1e10, 1e12])
-    def test_a_band_whose_steady_state_is_singular_is_named(self, rate):
-        spec = FilterBankSpec(order=3)
-        message = (f"band (6.0, 12.0) Hz cannot be designed as an order-3 Butterworth band-pass at a "
-                   f"{rate:g} Hz sampling rate: its steady state cannot be solved (Singular matrix)")
+    def test_a_band_whose_steady_state_is_singular_is_named(self, monkeypatch):
+        """A section with a double pole at z = 1 (denominator 1 - 2/z + 1/z^2)
+        makes ``sosfilt_zi``'s system I - A exactly singular by construction:
+        elimination leaves an exactly zero pivot in any IEEE arithmetic, which
+        LAPACK's getrf reports, so ``np.linalg.solve`` raises LinAlgError."""
+        real_design = bandpass_module.design_bandpass
+
+        def design(low_hz, high_hz, sampling_rate, order):
+            if (low_hz, high_hz) == (12.0, 18.0):
+                return np.array([[1.0, 0.0, -1.0, 1.0, -2.0, 1.0]])
+            return real_design(low_hz, high_hz, sampling_rate, order)
+
+        monkeypatch.setattr(bandpass_module, "design_bandpass", design)
+        message = ("band (12.0, 18.0) Hz cannot be designed as an order-3 Butterworth band-pass at a "
+                   "250 Hz sampling rate: its steady state cannot be solved (Singular matrix)")
         with pytest.raises(ValueError, match=re.escape(message)):
-            spec.sections(rate)
+            FilterBankSpec(order=3).sections(FS)

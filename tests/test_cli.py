@@ -246,8 +246,11 @@ class TestCspCommands:
 
     @pytest.mark.filterwarnings("ignore:singular composite covariance")
     def test_fit_names_a_band_that_cannot_be_designed_at_the_rate(self, tmp_path, capsys):
-        """At 1e12 Hz the 6-12 Hz band's steady state is a singular system:
-        the error names the band, the order and the rate. 1e9 Hz still fits."""
+        """At 1e12 Hz the error names the band, the order and the rate. 1e9 Hz
+        still fits. From 1e10 Hz up, ``butter`` rounds every section of the
+        6-12 Hz band to the denominator 1 - 2/z + 1/z^2 exactly (at 1e9 Hz
+        its a1 + a2 + 1 is about 3e-15), a double pole at z = 1, whose
+        steady-state system has an exactly zero pivot that LAPACK reports."""
         for rate in ("1e12", "1e9"):
             out = tmp_path / rate
             code, _, err = run(["--out", str(out), "synth", "--rate", rate, "--epochs-per-class", "4"], capsys)
