@@ -9,7 +9,8 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, fields
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,7 +37,8 @@ ROUND_EPOCHS = 4
 # filtered, one queued and the one the caller holds are 32 epochs, one
 # BLOCK_EPOCHS block; and the caller's covariances of a round take a sixth
 # of its filtering (0.65 against 4.1 ms on one thread), so a seventh thread
-# would mostly wait in the fit.
+# would mostly wait in the fit. A scheme's members share the cap: OVO over
+# five or more classes runs its members on six threads, with the same results.
 PIPELINE_WORKERS = 6
 
 
@@ -92,45 +94,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_members(fn: Callable, members: Sequence) -> list:
-    """``[fn(m) for m in members]``, with the members run concurrently.
-
-    It and :func:`_pipeline` are the package's two thread pools. Members
-    share no mutable state, and numpy, BLAS and scipy's filters release the
-    GIL, so up to one thread per usable CPU runs them at once. With one
-    worker the calls run inline and no pool is started. Results come back
-    in member order; the first member (in that order) that raised re-raises
-    here.
-    """
-    workers = min(len(members), _usable_cpus())
-    if workers <= 1:
-        return [fn(m) for m in members]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, members))
-
-
 def _pipeline(fn: Callable, items: Iterable) -> Iterator:
-    """``fn(item)`` for each of ``items``, yielded in item order, with up to
-    one call per usable CPU, and at most :data:`PIPELINE_WORKERS`, running
-    ahead of the caller on a pool's threads. One more call waits queued,
-    already holding what ``items`` allocated for it, so at most
-    ``PIPELINE_WORKERS + 2`` results are alive at once on any CPU count.
+    """``fn(item)`` for each of ``items``, yielded in item order: the
+    package's one thread pool, for the filter bank's rounds and a scheme's
+    members alike.
+
+    A pool starts only for two or more items on two or more usable CPUs;
+    else the calls run inline. It has a thread per usable CPU, at most
+    :data:`PIPELINE_WORKERS`, and starts one on a submit only when none is
+    idle, so two items start at most two. The calls run ahead of the caller
+    and one more waits queued, so at most ``PIPELINE_WORKERS + 2`` results
+    are alive at once on any CPU count.
 
     ``items`` is drawn on the calling thread, so what it allocates (a
     round's output buffer) is allocated there, and freed there once the
     caller drops the result: a buffer allocated on a worker thread would
-    grow that thread's malloc arena instead. With one usable CPU the calls
-    run inline and no pool is started. A call that raised re-raises here and
-    the calls not yet started are cancelled; closing the generator does the
-    same, and in both cases the pool's threads have ended when it returns.
+    grow that thread's malloc arena instead. The first call in item order
+    that raised re-raises here, and the calls not yet started are cancelled;
+    closing the generator does the same, and in both cases the pool's
+    threads have ended when it returns.
     """
     workers = min(_usable_cpus(), PIPELINE_WORKERS)
-    if workers <= 1:
-        yield from map(fn, items)
+    items = iter(items)
+    head = list(islice(items, 2)) if workers > 1 else []
+    if len(head) < 2:
+        yield from map(fn, chain(head, items))
         return
     pool, pending = ThreadPoolExecutor(max_workers=workers), deque()
     try:
-        for item in items:
+        for item in chain(head, items):
             pending.append(pool.submit(fn, item))
             if len(pending) > workers:
                 yield pending.popleft().result()

@@ -301,16 +301,13 @@ def experiment(ctx, dataset, n_runs):
     """Run one plan cell (requires --config with a plan JSON)."""
     plan = _plan(ctx, "experiment", dataset, n_runs)
     report = run_experiment(plan)
-    _emit(
-        ctx,
-        report.to_dict(),
-        "experiment.json",
-        text=(
-            f"{plan.transform}-{plan.augment}: mean accuracy "
-            f"{(report.mean_accuracy or 0) * 100:.1f}% (kappa {report.mean_kappa or 0:.3f}) "
-            f"over {len(report.runs) - report.n_failed} runs, {report.n_failed} failed"
-        ),
-    )
+    if report.mean_accuracy is None:
+        summary = "no run succeeded"
+    else:
+        summary = (f"mean accuracy {report.mean_accuracy * 100:.1f}% (kappa {report.mean_kappa:.3f}) "
+                   f"over {len(report.runs) - report.n_failed} runs")
+    _emit(ctx, report.to_dict(), "experiment.json",
+          text=f"{plan.transform}-{plan.augment}: {summary}, {report.n_failed} failed")
 
 
 @cli.command()

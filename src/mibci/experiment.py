@@ -239,16 +239,6 @@ def _execute_run(plan: ExperimentPlan, dataset: EpochSet, run: int) -> RunResult
     result = RunResult(run=run, seed=seed)
 
     split = split_dataset(dataset, plan.split_spec(derive_seed(plan.master_seed, run, "split")))
-    for name, indices, fraction in (
-        ("validation", split.validation_indices, plan.validation_fraction),
-        ("test", split.test_indices, plan.test_fraction),
-    ):
-        if not indices:
-            raise ValueError(
-                f"run {run}: the {name} partition is empty: class counts "
-                f"{dataset.class_counts().tolist()} at {name}_fraction {fraction} leave no "
-                f"{name} epoch; raise the fraction or add epochs"
-            )
     train_rows, val_rows, test_rows = (
         np.asarray(rows, dtype=np.intp)
         for rows in (split.train_indices, split.validation_indices, split.test_indices)
@@ -323,8 +313,22 @@ def run_experiment(plan: ExperimentPlan, dataset: EpochSet | None = None) -> Exp
     A failing run is recorded with its error and the remaining runs
     proceed; aggregates cover successful runs only and state the count.
     A :class:`LeakageError` is not a run failure: it aborts the experiment.
+    A plan that leaves a holdout partition empty raises ``ValueError``
+    before any run: the split's sizes depend only on the class counts and
+    the fractions, so one split stands for every run's.
     """
     data = _load_dataset(plan, dataset)
+    split = split_dataset(data, plan.split_spec())
+    for name, indices, fraction in (
+        ("validation", split.validation_indices, plan.validation_fraction),
+        ("test", split.test_indices, plan.test_fraction),
+    ):
+        if not indices:
+            raise ValueError(
+                f"the {name} partition is empty: class counts "
+                f"{data.class_counts().tolist()} at {name}_fraction {fraction} leave no "
+                f"{name} epoch; raise the fraction or add epochs"
+            )
     runs: list[RunResult] = []
     for r in range(plan.n_runs):
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _field, _items, _map_members
+from .base import _field, _items, _pipeline
 from .network import NetworkParams, NetworkSpec, forward
 from .walsh import WalshCodebook
 
@@ -187,9 +187,9 @@ def scheme_predict(data: np.ndarray, scheme: MetaScheme, codebook: WalshCodebook
     C-class rows for a single network, the shared two-class rows for OVO/OVR
     members.
     """
-    distances = _map_members(
+    distances = list(_pipeline(
         lambda member: mdn_distances(forward(member.spec, member.params, data), codebook), scheme.members
-    )
+    ))
     if scheme.kind == "single":
         return distances[0].argmin(axis=1) + 1
     member_distances = [(member.classes, d) for member, d in zip(scheme.members, distances)]

@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .base import EstimatorMixin, NotFittedError, _map_members, _require_aligned, as_epoch_array, as_labels
+from .base import EstimatorMixin, NotFittedError, _pipeline, _require_aligned, as_epoch_array, as_labels
 from .epochs import SplitSpec, _stratified_draw, derive_seed
 from .mdn import MetaScheme, SchemeMember, decomposition, mdn_distances, scheme_predict
 from .network import ConvBlockSpec, NetworkSpec, forward, parse_structure
@@ -172,7 +172,7 @@ class WalshCnnClassifier(EstimatorMixin):
                 self._train_config(seed),
             )
 
-        fitted = _map_members(fit_member, range(len(problems)))
+        fitted = list(_pipeline(fit_member, range(len(problems))))
         self.train_reports_ = [report for _, report in fitted]
         members = tuple(
             SchemeMember(classes=classes, spec=spec, params=params)

@@ -588,6 +588,17 @@ class TestExperimentCommands:
         assert code == 0
         assert "mean" in out
 
+    def test_text_line_when_no_run_succeeded(self, synth_file, tmp_path, capsys):
+        doc = dict(tiny_plan_doc(str(synth_file)), transform="TS", m=3)  # 2m > the 4 filtered channels
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["--out", str(tmp_path), "--config", str(plan_path), "--format", "text", "experiment"], capsys
+        )
+        assert code == 0, err
+        assert out == "TS-NA: no run succeeded, 2 failed\n"
+        assert json.loads((tmp_path / "experiment.json").read_text())["mean_accuracy"] is None
+
     def test_matrix_prints_four_labeled_rows(self, synth_file, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(tiny_plan_doc(str(synth_file))))
@@ -870,6 +881,7 @@ class TestExitCodes:
             ("m", 0, "m must be >= 1, got 0"),
             ("max_train_epochs", 0, "max_train_epochs must be >= 1, got 0"),
             ("max_train_epochs", -3, "max_train_epochs must be >= 1, got -3"),
+            ("test_fraction", 0.1, "the test partition is empty: class counts [8, 8] at test_fraction 0.1 leave no test epoch"),
         ],
     )
     def test_plan_value_that_fails_every_run_exits_1(self, command, field, value, message, synth_file, tmp_path, capsys):

@@ -217,13 +217,14 @@ class TestRunExperiment:
         ],
     )
     def test_empty_partition_is_named(self, name, fractions):
+        """The split's sizes do not depend on the run, so the plan fails
+        before any run, not in each."""
         spec = SyntheticSpec(num_classes=2, epochs_per_class=8, channels=3, samples=16,
                              sampling_rate=100.0, seed=22)
-        report = run_experiment(tiny_plan(n_runs=1, **fractions), generate_synthetic(spec))
-        assert report.n_failed == 1
-        error = report.runs[0].error
-        assert f"ValueError: run 0: the {name} partition is empty" in error
-        assert f"class counts [8, 8] at {name}_fraction {fractions[name + '_fraction']}" in error
+        message = (f"the {name} partition is empty: class counts [8, 8] at {name}_fraction "
+                   f"{fractions[name + '_fraction']} leave no {name} epoch")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_experiment(tiny_plan(n_runs=2, **fractions), generate_synthetic(spec))
 
     def test_train_truncation(self, tiny_dataset):
         plan = tiny_plan(max_train_epochs=8, n_runs=1)

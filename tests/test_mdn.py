@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mibci.base as base_module
+from mibci.base import PIPELINE_WORKERS
 from mibci.io import load_epochs
 from mibci.mdn import (
     MetaScheme,
@@ -487,16 +489,43 @@ class TestConcurrentMembers:
         assert len(np.unique(expected)) > 1
         assert pools == ([] if kind == "single" else [4])
 
+    def test_many_members_share_the_capped_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 64)
+        scheme = random_scheme("ovo", num_classes=5, seed=50)
+        codebook = WalshCodebook(2)
+        x = np.random.default_rng(51).normal(size=(40, 2, 64))
+        assert len(scheme.members) == 10 > PIPELINE_WORKERS
+        assert np.array_equal(scheme_predict(x, scheme, codebook), sequential_predict(x, scheme, codebook))
+        assert pools == [PIPELINE_WORKERS]
+
     def test_workers_capped_by_member_count(self, pools):
-        assert base_module._map_members(lambda m: m * m, [3, 4]) == [9, 16]
-        assert pools == [2]
+        """Two members on four usable CPUs start two threads, not four: a
+        thread starts on a submit only when none is idle."""
+        before = threading.active_count()
+        both_running = threading.Barrier(2, timeout=10)
+        started = []
+
+        def square(m):
+            both_running.wait()
+            started.append(threading.active_count() - before)
+            return m * m
+
+        assert list(base_module._pipeline(square, [3, 4])) == [9, 16]
+        assert max(started) <= 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_a_pool_starts_only_for_two_or_more_items(self, n, pools, monkeypatch):
+        monkeypatch.setattr(base_module, "_usable_cpus", lambda: 3)
+        assert list(base_module._pipeline(lambda m: m + 1, range(n))) == list(range(1, n + 1))
+        assert pools == ([3] if n >= 2 else [])
 
     def test_results_come_back_in_member_order(self, pools):
         def slow_first(m):
             time.sleep(0.02 * (5 - m))
             return m
 
-        assert base_module._map_members(slow_first, list(range(5))) == list(range(5))
+        assert list(base_module._pipeline(slow_first, list(range(5)))) == list(range(5))
 
     def test_first_member_in_order_raises(self, pools):
         def fail_some(m):
@@ -508,7 +537,7 @@ class TestConcurrentMembers:
             return m
 
         with pytest.raises(ValueError, match="member 1 failed"):
-            base_module._map_members(fail_some, list(range(4)))
+            list(base_module._pipeline(fail_some, list(range(4))))
 
     def test_one_usable_cpu_runs_inline(self, monkeypatch):
         def no_pool(*args, **kwargs):

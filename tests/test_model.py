@@ -1,5 +1,6 @@
 """The end-to-end estimator facade."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -319,19 +320,21 @@ class TestConcurrentMembers:
         monkeypatch.setattr(model_module, "train", train_member_1_at_huge_rate)
         X, y = separable_arrays(num_classes=3, per_class=8)
         clf = WalshCnnClassifier(scheme="ovo", seed=2, **{**FAST, "batch_norm": False, "max_iterations": 3})
+        threads = threading.active_count()
         with pytest.raises(TrainingDivergedError, match="non-finite loss"):
             clf.fit(X, y)
         assert not hasattr(clf, "scheme_")
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("scheme, members", [("single", 1), ("ovo", 3), ("ovr", 3)])
     def test_each_fit_maps_its_members_once(self, scheme, members, monkeypatch):
         calls = []
 
-        def recording_map(fn, items):
+        def recording_pipeline(fn, items):
             calls.append(len(items))
-            return base_module._map_members(fn, items)
+            return base_module._pipeline(fn, items)
 
-        monkeypatch.setattr(model_module, "_map_members", recording_map)
+        monkeypatch.setattr(model_module, "_pipeline", recording_pipeline)
         X, y = separable_arrays(num_classes=3, per_class=8)
         WalshCnnClassifier(scheme=scheme, seed=1, **{**FAST, "max_iterations": 2}).fit(X, y)
         assert calls == [members]

@@ -70,6 +70,7 @@ class TestScipyLoadsWhereItRuns:
             "dataset": epb, "transform": "NTS", "augment": "A",
             "augment_config": {"copies_per_epoch": 1}, "structure": "2,5,8 / 8,16,16",
             "max_iterations": 2, "patience": 2, "dropout_p": 0.0, "n_runs": 1,
+            "validation_fraction": 0.25,  # 8 epochs per class leave none at the default 0.1
         }))
         loaded = probe_scipy(tmp_path, [
             ["synth", ["synth", "--classes", "3", "--epochs-per-class", "8", "--channels", "2",
