@@ -69,11 +69,10 @@ class FilterBankSpec:
         """Per band at ``sampling_rate``, its :func:`design_bandpass` SOS array
         and the ``scipy.signal.sosfilt_zi`` steady state that both passes
         start from. Both stay writable: ``sosfilt`` refuses a read-only array.
-        A band whose steady state cannot be solved for raises ``ValueError``
-        naming the band, the order and the rate."""
+        A band that :func:`design_bandpass` refuses at this rate, or whose
+        steady state cannot be solved for, raises ``ValueError`` naming it."""
         from scipy import signal
 
-        self.validate_rate(sampling_rate)
         designed = []
         for lo, hi in self.bands:
             sos = design_bandpass(lo, hi, sampling_rate, self.order)
@@ -85,15 +84,6 @@ class FilterBankSpec:
                     f"at a {sampling_rate:g} Hz sampling rate: its steady state cannot be solved ({err})"
                 ) from None
         return designed
-
-    def validate_rate(self, sampling_rate: float) -> None:
-        nyquist = sampling_rate / 2.0
-        for lo, hi in self.bands:
-            if hi >= nyquist:
-                raise ValueError(
-                    f"band ({lo}, {hi}) Hz reaches the Nyquist frequency "
-                    f"{nyquist} Hz at a {sampling_rate} Hz sampling rate"
-                )
 
 
 def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: int = FilterBankSpec.order) -> np.ndarray:
@@ -108,7 +98,7 @@ def design_bandpass(low_hz: float, high_hz: float, sampling_rate: float, order: 
     if not 0 < low_hz < high_hz < nyquist:
         raise ValueError(
             f"band ({low_hz}, {high_hz}) Hz invalid for sampling rate {sampling_rate} Hz "
-            f"(need 0 < low < high < {nyquist})"
+            f"(need 0 < low < high < {nyquist}, the Nyquist frequency)"
         )
     from scipy import signal
 

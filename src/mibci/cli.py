@@ -28,6 +28,7 @@ from .experiment import (
     ExperimentReport,
     LeakageError,
     compare_augmentation,
+    paired_accuracies,
     run_experiment,
     run_matrix,
 )
@@ -56,13 +57,19 @@ def _parse_bands(text: str | None) -> tuple[tuple[float, float], ...]:
     return tuple(bands)
 
 
-def _read_object(path) -> dict:
-    """The JSON object in ``path``; malformed JSON or any other value is a
-    validation error naming the file."""
+def _read_json(path):
+    """The JSON value in ``path``, the one reader of every JSON input;
+    malformed JSON is a validation error naming the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise click.ClickException(f"{path}: {exc}") from None
+
+
+def _read_object(path) -> dict:
+    """The JSON object in ``path``; any other value is a validation error
+    naming the file."""
+    doc = _read_json(path)
     if not _is_kind(doc, dict):
         raise click.ClickException(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -168,12 +175,16 @@ def split(ctx, in_path, **params):
     dataset = load_epochs(in_path)
     spec = SplitSpec(**params, seed=_seed(ctx))
     parts = split_dataset(dataset, spec)
+    partitions = {"train": parts.train_indices, "validation": parts.validation_indices, "test": parts.test_indices}
+    for name, indices in partitions.items():
+        missing = sorted(set(range(1, dataset.num_classes + 1)) - set(dataset.labels[list(indices)].tolist()))
+        if indices and missing:
+            raise ValueError(
+                f"the {name} partition has no epochs of classes {missing} at test_fraction "
+                f"{spec.test_fraction:g} and validation_fraction {spec.validation_fraction:g}; no file written"
+            )
     doc = {"seed": spec.seed}
-    for name, indices in (
-        ("train", parts.train_indices),
-        ("validation", parts.validation_indices),
-        ("test", parts.test_indices),
-    ):
+    for name, indices in partitions.items():
         entry = {"count": len(indices), "indices": list(indices), "path": None}
         if indices:
             path = _out_path(ctx, f"{name}.epb")
@@ -212,7 +223,7 @@ def csp_fit(ctx, in_path, m, scheme, bands, order, output):
 def csp_apply(ctx, in_path, model_path, output):
     """Band-filter an EPB1 file and project it onto fitted spatial filters."""
     dataset = load_epochs(in_path)
-    model = CspModel.load(model_path)
+    model = CspModel.from_doc(_read_object(model_path))
     projected = _apply_raw(model, dataset.to_array(), dataset.sampling_rate)
     transformed = dataset.subset(range(len(dataset)), projected)
     path = _out_path(ctx, output)
@@ -265,7 +276,7 @@ def train(ctx, train_path, val_path, no_batch_norm, **params):
 def eval_cmd(ctx, in_path, params_path):
     """Classify an EPB1 file with a model.json written by train and report metrics."""
     dataset = load_epochs(in_path)
-    scheme = mdn.MetaScheme.from_json(Path(params_path).read_text(encoding="utf-8"))
+    scheme = mdn.MetaScheme.from_doc(_read_object(params_path))
     if scheme.num_classes != dataset.num_classes:
         raise ValueError(
             f"the model has {scheme.num_classes} classes but {in_path} has {dataset.num_classes}"
@@ -322,17 +333,18 @@ def matrix(ctx, dataset, n_runs):
     _out_path(ctx, "matrix.json").write_text(report.to_json(), encoding="utf-8")
     _out_path(ctx, "matrix.txt").write_text(table + "\n", encoding="utf-8")
     click.echo(table)
-    if len(report.cells["NTS-A"].accuracies()) >= 2:
-        result, summary = compare_augmentation(report.cells["NTS-A"], report.cells["NTS-NA"])
+    nts = report.cells["NTS-A"], report.cells["NTS-NA"]
+    if len(paired_accuracies(*nts)[0]) >= 2:
+        _, summary = compare_augmentation(*nts)
         click.echo(f"NTS augmentation effect: {summary}")
     else:
-        click.echo("NTS augmentation effect: needs at least two successful runs to test")
+        click.echo("NTS augmentation effect: needs at least two runs that succeeded in both cells to test")
 
 
-def _load_series(path: str) -> list[float]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+def _load_series(path: str) -> "ExperimentReport | list[float]":
+    doc = _read_json(path)
     if _is_kind(doc, dict) and "runs" in doc:
-        return ExperimentReport.from_dict(doc).accuracies()
+        return ExperimentReport.from_dict(doc)
     if _is_kind(doc, list):
         return [float(v) for v in _items(doc, float, path)]
     raise click.ClickException(f"{path}: expected a JSON number list or an experiment report")
@@ -343,9 +355,13 @@ def _load_series(path: str) -> list[float]:
 @click.option("--b", "b_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.pass_context
 def ttest(ctx, a_path, b_path):
-    """Paired t-test between two accuracy series (JSON lists or reports)."""
-    a = _load_series(a_path)
-    b = _load_series(b_path)
+    """Paired t-test between two accuracy series: two experiment reports pair
+    the runs that succeeded in both by run index, JSON number lists by position."""
+    a, b = _load_series(a_path), _load_series(b_path)
+    if isinstance(a, ExperimentReport) and isinstance(b, ExperimentReport):
+        a, b = paired_accuracies(a, b)
+    else:
+        a, b = (s.accuracies() if isinstance(s, ExperimentReport) else s for s in (a, b))
     result = paired_ttest(a, b)
     _emit(
         ctx,

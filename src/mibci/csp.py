@@ -120,9 +120,14 @@ class CspModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CspModel":
-        """Inverse of :meth:`to_json`; a missing field or one of the wrong kind
-        raises ``DocumentError`` naming it."""
-        doc, where = json.loads(text), "csp document"
+        """Inverse of :meth:`to_json`; see :meth:`from_doc`."""
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "CspModel":
+        """The model a parsed :meth:`to_json` document describes; a missing
+        field or one of the wrong kind raises ``DocumentError`` naming it."""
+        where = "csp document"
         input_channels = _field(doc, "input_channels", int, where)
         projection = _items(_field(doc, "projection", list, where), float, f"{where}: projection")
         if input_channels < 1:
@@ -142,10 +147,6 @@ class CspModel:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CspModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _normalized_covariances(X: np.ndarray) -> np.ndarray:

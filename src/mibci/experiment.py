@@ -44,6 +44,7 @@ __all__ = [
     "run_experiment",
     "run_matrix",
     "compare_augmentation",
+    "paired_accuracies",
     "MATRIX_CELLS",
 ]
 
@@ -411,25 +412,32 @@ def run_matrix(plan: ExperimentPlan, dataset: EpochSet | None = None) -> MatrixR
     return MatrixReport(cells=cells)
 
 
+def paired_accuracies(report_a: ExperimentReport, report_b: ExperimentReport) -> tuple[list[float], list[float]]:
+    """The accuracies of the runs that succeeded in both reports, paired by
+    :attr:`RunResult.run` in ``report_a``'s order. Cells of a matrix share
+    their splits run for run, so this is the paired design."""
+    b = {r.run: r.accuracy for r in report_b.runs if r.error is None}
+    common = [r for r in report_a.runs if r.error is None and r.run in b]
+    return [r.accuracy for r in common], [b[r.run] for r in common]
+
+
 def compare_augmentation(
     report_a: "ExperimentReport | list[ExperimentReport]",
     report_na: "ExperimentReport | list[ExperimentReport]",
 ) -> tuple[TTestResult, str]:
     """Paired t-test of augmented vs non-augmented accuracies.
 
-    Two single reports pair their per-run accuracies; two lists of reports
-    (e.g. one per subject) pair their per-report means.
+    Two single reports pair the runs that succeeded in both
+    (:func:`paired_accuracies`); two lists of reports (e.g. one per subject)
+    pair their per-report means by position.
     """
     if isinstance(report_a, ExperimentReport) != isinstance(report_na, ExperimentReport):
         raise ValueError("compare matching shapes: two reports or two report lists")
     if isinstance(report_a, ExperimentReport):
-        a = report_a.accuracies()
-        b = report_na.accuracies()
+        a, b = paired_accuracies(report_a, report_na)
     else:
         a = [r.mean_accuracy for r in report_a]
         b = [r.mean_accuracy for r in report_na]
-    if len(a) != len(b):
-        raise ValueError(f"paired comparison needs equal counts, got {len(a)} vs {len(b)}")
     result = paired_ttest(a, b)
     direction = "higher" if result.t > 0 else ("lower" if result.t < 0 else "equal")
     summary = (

@@ -124,8 +124,6 @@ class WalshCnnClassifier(EstimatorMixin):
             structure = default_structure(channels, length, self.code_size)
         return parse_structure(
             structure,
-            input_channels=channels,
-            input_length=length,
             output_dim=self.code_size,
             batch_norm=self.batch_norm,
             dropout_p=self.dropout_p,

@@ -13,6 +13,8 @@ regressed onto 0/1 code vectors.
 
 :func:`forward` only predicts, in eval mode and blocks of epochs;
 :func:`backward` records its own whole-batch pass of the same block stack.
+Each checks its batch once against :meth:`NetworkSpec.validate_io`, the
+network's one shape rule.
 Both compute in the parameters' dtype: they cast inputs and targets to it,
 and every output and gradient comes back in it.
 """
@@ -66,10 +68,6 @@ class ConvBlockSpec:
 
     def out_length(self, length: int) -> int:
         if self.padding == "valid":
-            if length < self.kernel_size:
-                raise ValueError(
-                    f"valid conv with kernel {self.kernel_size} needs length >= kernel, got {length}"
-                )
             length = length - self.kernel_size + 1
         if self.pool_after:
             length = -(-length // 2)
@@ -95,29 +93,36 @@ class NetworkSpec:
                 )
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def input_planes(self) -> int:
-        return self.blocks[0].in_planes
-
     def flatten_length(self, input_length: int) -> int:
-        """Temporal length after all blocks, starting from input_length."""
+        """Temporal length after all blocks, starting from input_length. A
+        valid kernel longer than the samples that reach it raises
+        ``ValueError`` naming its layer."""
         length = input_length
-        for block in self.blocks:
+        for i, block in enumerate(self.blocks):
+            if block.padding == "valid" and length < block.kernel_size:
+                raise ValueError(
+                    f"layer {i + 1}: valid kernel {block.kernel_size} is longer than the {length} samples that reach it"
+                )
             length = block.out_length(length)
         return length
 
-    def validate_io(self, input_channels: int, input_length: int) -> None:
-        """Check this structure against concrete input dimensions."""
-        if self.input_planes != input_channels:
+    def validate_io(self, input_channels: int | None = None, input_length: int | None = None) -> None:
+        """The network's one shape rule: raise ``ValueError`` unless a
+        ``(batch, input_channels, input_length)`` batch passes through every
+        block and flattens to exactly ``output_dim`` values. A dimension
+        given as None is not checked."""
+        if input_channels is not None and input_channels != self.blocks[0].in_planes:
             raise ValueError(
-                f"first layer expects {self.input_planes} input channels, data has {input_channels}"
+                f"layer 1: input has {input_channels} planes, block expects {self.blocks[0].in_planes} input channels"
             )
+        if input_length is None:
+            return
         final_length = self.flatten_length(input_length)
-        flat = final_length * self.blocks[-1].out_planes
-        if flat != self.output_dim:
+        planes = self.blocks[-1].out_planes
+        if final_length * planes != self.output_dim:
             raise ValueError(
-                f"flatten length {flat} (= {self.blocks[-1].out_planes} planes x "
-                f"{final_length} samples) does not equal output_dim {self.output_dim}"
+                f"{planes} planes x a remaining length of {final_length} samples flatten to "
+                f"{final_length * planes} values, not output_dim {self.output_dim}"
             )
 
 
@@ -158,8 +163,8 @@ def parse_structure(
     space-separated. Every block is same-padded with pooling except the
     final one, which is valid-padded without pooling and must shrink the
     temporal length to exactly 1, making the flattened output equal its
-    plane count. When ``input_channels``/``input_length`` are given the
-    chain is validated against them.
+    plane count. When ``input_channels``/``input_length`` are given, the
+    spec's :meth:`NetworkSpec.validate_io` checks them.
     """
     triples = _parse_triples(text)
     blocks = []
@@ -184,19 +189,7 @@ def parse_structure(
             f"final layer has {final.out_planes} planes; flatten cannot equal output_dim "
             f"{output_dim} when the last valid conv reduces the length to 1"
         )
-    if input_channels is not None and spec.input_planes != input_channels:
-        raise ValueError(
-            f"structure expects {spec.input_planes} input channels, data has {input_channels}"
-        )
-    if input_length is not None:
-        length = input_length
-        for block in spec.blocks[:-1]:
-            length = block.out_length(length)
-        if final.kernel_size != length:
-            raise ValueError(
-                f"final valid kernel {final.kernel_size} must equal the remaining length "
-                f"{length} to reduce the temporal dimension to 1"
-            )
+    spec.validate_io(input_channels, input_length)
     return spec
 
 
@@ -401,10 +394,12 @@ def init_params(spec: NetworkSpec, seed: int = 0) -> NetworkParams:
     return NetworkParams(blocks=blocks, init_seed=seed)
 
 
-def _as_batch(x: np.ndarray, dtype: np.dtype | None) -> np.ndarray:
+def _as_batch(spec: NetworkSpec, x: np.ndarray, dtype: np.dtype | None) -> np.ndarray:
+    """``x`` as a ``(batch, planes, length)`` array that ``spec.validate_io`` accepts."""
     x = np.asarray(x, dtype=dtype)
     if x.ndim != 3:
         raise ValueError(f"expected a (batch, planes, length) batch, got shape {x.shape}")
+    spec.validate_io(x.shape[1], x.shape[2])
     return x
 
 
@@ -416,23 +411,17 @@ def _forward_stack(
     rng: np.random.Generator | None,
     caches: list | None,
 ) -> np.ndarray:
-    """One pass of a ``(batch, planes, length)`` batch through every block,
-    flattened to ``(batch, output_dim)``.
+    """One pass of a ``(batch, planes, length)`` batch that
+    :meth:`NetworkSpec.validate_io` accepts through every block, flattened to
+    ``(batch, output_dim)``.
 
     A list as ``caches`` records every block's stages for :func:`backward`.
     Without it (the eval pass only) a block builds no masks: dropout is the
     identity, and it pools before its ReLU, which gives the same bits (see
     :func:`layers.maxpool`) with the ReLU on half the samples.
     """
-    for i, (block, p) in enumerate(zip(spec.blocks, params.blocks)):
-        if x.shape[1] != block.in_planes:
-            raise ValueError(
-                f"layer {i + 1}: input has {x.shape[1]} planes, block expects {block.in_planes}"
-            )
-        try:
-            x, conv_cache = layers.conv1d_forward(x, p.weight, p.bias, block.padding)
-        except ValueError as exc:
-            raise ValueError(f"layer {i + 1}: {exc}") from None
+    for block, p in zip(spec.blocks, params.blocks):
+        x, conv_cache = layers.conv1d_forward(x, p.weight, p.bias, block.padding)
         bn_cache = None
         if block.batch_norm:
             x, bn_cache = layers.batchnorm_forward(
@@ -454,13 +443,7 @@ def _forward_stack(
             if block.pool_after:
                 x, pool_cache = layers.maxpool_forward(x)
         caches.append((conv_cache, bn_cache, relu_cache, drop_cache, pool_cache))
-    out = x.reshape(x.shape[0], -1)
-    if out.shape[1] != spec.output_dim:
-        raise ValueError(
-            f"flattened output has {out.shape[1]} values, spec says {spec.output_dim}; "
-            "check the structure against the input length"
-        )
-    return out
+    return x.reshape(x.shape[0], -1)
 
 
 def forward(spec: NetworkSpec, params: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -473,7 +456,7 @@ def forward(spec: NetworkSpec, params: NetworkParams, x: np.ndarray) -> np.ndarr
     blocking changes no value beyond the rounding of the BLAS kernel picked
     for a block's shape.
     """
-    x = _as_batch(x, None)
+    x = _as_batch(spec, x, None)
     out = np.empty((len(x), spec.output_dim), dtype=params.dtype)
     for block, dest in zip(_blocks(x, dtype=params.dtype), _blocks(out)):
         dest[...] = _forward_stack(spec, params, block, "eval", None, None)
@@ -510,7 +493,7 @@ def backward(
     (``gamma``/``beta`` entries only where the block has batchnorm), plus the
     loss at the evaluated point.
     """
-    x = _as_batch(x, params.dtype)
+    x = _as_batch(spec, x, params.dtype)
     targets = np.asarray(targets, dtype=params.dtype)
     if targets.shape != (x.shape[0], spec.output_dim):
         raise ValueError(

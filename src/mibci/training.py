@@ -150,7 +150,8 @@ def train(
     Raises
     ------
     ValueError
-        If a partition's epoch and label counts differ, before any step.
+        If a partition's epoch and label counts differ, or its epochs do not
+        fit ``spec``, before any step.
     TrainingDivergedError
         If the training or validation loss becomes non-finite.
     """
@@ -164,7 +165,8 @@ def train(
         raise ValueError(
             f"network output dim {spec.output_dim} must equal the code size {codebook.size}"
         )
-    spec.validate_io(X_train.shape[1], X_train.shape[2])
+    for X in (X_train, X_val):
+        spec.validate_io(X.shape[1], X.shape[2])
 
     targets_train = _code_targets(codebook, y_train).astype(TRAIN_DTYPE)
     targets_val = _code_targets(codebook, y_val)

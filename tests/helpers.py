@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from mibci.epochs import EpochSet, SplitSpec, derive_seed, split_dataset
+from mibci.experiment import ExperimentReport, RunResult
 from mibci.base import BLOCK_EPOCHS
 from mibci.network import _forward_stack, mse_loss
 
@@ -152,3 +153,13 @@ class ForcedRng:
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return np.full(size, self._normal) if size is not None else self._normal
+
+
+def report_of(accuracies: list) -> ExperimentReport:
+    """A report whose run ``i`` scored ``accuracies[i]``, or failed where it is None."""
+    runs = [RunResult(run=i, seed=i, error="failed") if a is None else RunResult(run=i, seed=i, accuracy=a, kappa=a)
+            for i, a in enumerate(accuracies)]
+    ok = [a for a in accuracies if a is not None]
+    mean = float(np.mean(ok)) if ok else None
+    return ExperimentReport(plan={}, runs=runs, mean_accuracy=mean, sd_accuracy=None, mean_kappa=mean,
+                            sd_kappa=None, n_failed=len(runs) - len(ok), provenance={})

@@ -94,8 +94,8 @@ class TestFilterBankSpec:
 
     def test_rate_validation(self):
         spec = FilterBankSpec()
-        with pytest.raises(ValueError, match="Nyquist"):
-            spec.validate_rate(60.0)
+        with pytest.raises(ValueError, match=r"band \(24\.0, 30\.0\) Hz .*Nyquist"):
+            spec.sections(60.0)
 
 
 def filter_one(data):

@@ -11,21 +11,23 @@ import pytest
 
 import mibci.bandpass as bandpass_module
 import mibci.base as base_module
+import mibci.cli as cli_module
 import mibci.io as io_module
 import mibci.mdn as mdn_module
 from mibci.augment import AugmentConfig
 from mibci.bandpass import FilterBankSpec
 from mibci.cli import cli, main
-from mibci.epochs import SplitSpec
-from mibci.experiment import ExperimentPlan
+from mibci.epochs import EpochSet, SplitSpec
+from mibci.experiment import ExperimentPlan, MatrixReport
 from mibci.io import EpochFormatError, load_epochs, save_epochs
 from mibci.mdn import MetaScheme, SchemeMember
 from mibci.network import ConvBlockSpec, init_params, parse_structure
+from mibci.stats import paired_ttest
 from mibci.synthetic import SyntheticSpec
 from mibci.training import TrainConfig
 from mibci.walsh import WalshCodebook
 
-from helpers import masked_eval_forward, packed, plant_training_copy
+from helpers import masked_eval_forward, packed, plant_training_copy, report_of
 
 TABLE7_S1 = "2,7,40 / 40,7,40 / 40,7,40 / 40,7,40 / 40,16,16"
 ALEXNET_CONV = "3,121,96 / 96,25,256 / 256,9,192 / 192,9,192 / 192,9,128"
@@ -127,6 +129,18 @@ class TestSynthSplitAugment:
         assert doc["train"]["count"] + doc["validation"]["count"] == 14
         assert load_epochs(tmp_path / "test.epb").num_classes == 2
         assert doc["validation"]["count"] == 0  # floor(0.1 * 7) per class
+
+    def test_split_refuses_a_partition_without_a_class_and_writes_nothing(self, tmp_path, capsys):
+        # 5 epochs of class 2: 1 goes to test, floor(0.1 * 4) = 0 to validation
+        data = np.random.default_rng(0).normal(size=(35, 2, 32))
+        uneven = tmp_path / "uneven.epb"
+        save_epochs(EpochSet(data, [1] * 30 + [2] * 5, 64.0, 2, subject_ids="s"), uneven)
+        out = tmp_path / "o"
+        code, _, err = run(["--out", str(out), "split", "--in", str(uneven)], capsys)
+        assert code == 1
+        assert ("error: the validation partition has no epochs of classes [2] "
+                "at test_fraction 0.2 and validation_fraction 0.1") in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_given_flags_win_over_the_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -615,6 +629,29 @@ class TestExperimentCommands:
         assert (tmp_path / "matrix.txt").exists()
         assert "augmentation effect" in out
 
+    @pytest.mark.parametrize(
+        "augmented, plain, line",
+        [
+            ([0.9, None, 0.8, 0.85], [0.7, 0.6, None, 0.65], "paired t(1) = "),
+            ([0.9, 0.8, 0.85, 0.7], [0.7, None, 0.65, 0.6], "paired t(2) = "),
+            ([0.9, None, 0.8], [None, 0.6, 0.7], "needs at least two runs that succeeded in both cells"),
+        ],
+        ids=["two-common", "unequal-counts", "one-common"],
+    )
+    def test_matrix_pairs_the_runs_that_succeeded_in_both_cells(
+        self, augmented, plain, line, synth_file, tmp_path, capsys, monkeypatch
+    ):
+        cells = {"TS-A": report_of(plain), "TS-NA": report_of(plain),
+                 "NTS-A": report_of(augmented), "NTS-NA": report_of(plain)}
+        monkeypatch.setattr(cli_module, "run_matrix", lambda plan: MatrixReport(cells=cells))
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(tiny_plan_doc(str(synth_file))))
+        code, out, err = run(["--out", str(tmp_path), "--config", str(plan_path), "matrix"], capsys)
+        assert code == 0, err
+        assert (tmp_path / "matrix.json").exists() and (tmp_path / "matrix.txt").exists()
+        assert out.splitlines()[-1].startswith("NTS augmentation effect: ")
+        assert line in out.splitlines()[-1]
+
 
     def test_leaked_test_epoch_is_runtime_failure(self, synth_file, tmp_path, capsys):
         doc = dict(tiny_plan_doc(str(synth_file)), validation_fraction=0.2)
@@ -656,6 +693,16 @@ class TestWeightsAndStats:
         )
         assert code == 0
         assert "t(3) = 5.0000" in out
+
+    def test_ttest_pairs_two_reports_by_run(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(report_of([0.9, None, 0.8, 0.85]).to_json())
+        b.write_text(report_of([0.7, 0.6, None, 0.65]).to_json())
+        code, _, err = run(["--out", str(tmp_path), "ttest", "--a", str(a), "--b", str(b)], capsys)
+        assert code == 0, err
+        doc = json.loads((tmp_path / "ttest.json").read_text())
+        assert doc == paired_ttest([0.9, 0.85], [0.7, 0.65]).to_dict()
 
     @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "string", "null"])
     def test_ttest_refuses_an_entry_that_is_not_a_number(self, value, tmp_path, capsys):
@@ -835,6 +882,26 @@ class TestExitCodes:
         code, _, err = run(["--format", "text", "report", "--in", str(stored)], capsys)
         assert code == 1
         assert f"{stored}: {message}" in err
+
+    @pytest.mark.parametrize("option", ["ttest --a", "ttest --b", "eval --params", "csp-apply --model",
+                                        "report --in", "--config"])
+    def test_truncated_json_input_names_the_file(self, option, synth_file, tmp_path, capsys):
+        series = tmp_path / "series.json"
+        series.write_text("[0.9, 0.8]")
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"members": [\n')
+        args = {
+            "ttest --a": ["ttest", "--a", str(truncated), "--b", str(series)],
+            "ttest --b": ["ttest", "--a", str(series), "--b", str(truncated)],
+            "eval --params": ["eval", "--in", str(synth_file), "--params", str(truncated)],
+            "csp-apply --model": ["csp-apply", "--in", str(synth_file), "--model", str(truncated)],
+            "report --in": ["report", "--in", str(truncated)],
+            "--config": ["--config", str(truncated), "experiment"],
+        }[option]
+        code, _, err = run(["--out", str(tmp_path / "out"), *args], capsys)
+        assert code == 1
+        assert f"{truncated}: Expecting value: line 2 column 1" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value", [("num_classes", "3"), ("samples", 32.5), ("epochs_per_class", True), ("seed", "7")]

@@ -20,14 +20,16 @@ from mibci.experiment import (
     ExperimentReport,
     LeakageError,
     compare_augmentation,
+    paired_accuracies,
     run_experiment,
     run_matrix,
 )
 from mibci.base import ROUND_EPOCHS
 from mibci.model import WalshCnnClassifier, default_structure
+from mibci.stats import paired_ttest
 from mibci.synthetic import SyntheticSpec, generate_synthetic
 
-from helpers import plant_training_copy
+from helpers import plant_training_copy, report_of
 
 FAST_NET = dict(
     structure="2,5,8 / 8,8,16",
@@ -462,7 +464,18 @@ class TestCompareAugmentation:
         assert result.df == 2
 
     def test_count_mismatch(self, tiny_dataset):
-        a = run_experiment(tiny_plan(n_runs=1), tiny_dataset)
-        b = run_experiment(tiny_plan(n_runs=2), tiny_dataset)
-        with pytest.raises(ValueError, match="equal counts"):
-            compare_augmentation(a, b)
+        # a report of 2 runs and one of 3 pair their 2 common runs
+        a = run_experiment(tiny_plan(n_runs=2), tiny_dataset)
+        b = run_experiment(tiny_plan(n_runs=3), tiny_dataset)
+        result, _ = compare_augmentation(a, b)
+        assert result == paired_ttest(a.accuracies(), b.accuracies()[:2])
+        assert result.df == 1
+
+    def test_runs_pair_by_run_index(self):
+        # only runs 0 and 3 succeeded in both; by position A's run 2 met NA's run 1
+        a = report_of([0.9, None, 0.8, 0.85])
+        na = report_of([0.7, 0.6, None, 0.65])
+        assert paired_accuracies(a, na) == ([0.9, 0.85], [0.7, 0.65])
+        result, summary = compare_augmentation(a, na)
+        assert result == paired_ttest([0.9, 0.85], [0.7, 0.65])
+        assert "t(1)" in summary

@@ -268,6 +268,27 @@ class TestDecompositions:
                 clf.fit(X, y, X_val, y_val[:-1])
 
 
+    @pytest.mark.parametrize(
+        "channels, samples, message",
+        [
+            (3, 64, "layer 1: input has 3 planes, block expects 2"),
+            (2, 80, "remaining length of 9 samples flatten to 144 values, not output_dim 16"),
+        ],
+        ids=["channels", "length"],
+    )
+    def test_validation_set_that_does_not_fit_is_refused_before_any_step(
+        self, channels, samples, message, monkeypatch
+    ):
+        def no_step(*args, **kwargs):
+            raise AssertionError("backward ran before the validation set was checked")
+
+        monkeypatch.setattr(training_module, "backward", no_step)
+        X, y = separable_arrays(per_class=20, samples=64)
+        X_val, y_val = separable_arrays(per_class=3, channels=channels, samples=samples, seed=1)
+        clf = WalshCnnClassifier(structure="2,5,8 / 8,32,16", max_iterations=3, dropout_p=0.0)
+        with pytest.raises(ValueError, match=message):
+            clf.fit(X, y, X_val, y_val)
+
 class TestConcurrentMembers:
     """Every scheme's members train through one member map, a thread pool
     when there are several; the result must not depend on it."""

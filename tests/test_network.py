@@ -130,6 +130,41 @@ class TestCountWeights:
         assert count_weights(a, num_classes=4) == count_weights(b, num_classes=4)
 
 
+class TestOneShapeRule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        in_planes=st.integers(1, 4),
+        hidden=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 5)), max_size=3),
+        output_dim=st.integers(1, 6),
+        length=st.integers(1, 40),
+        channel_shift=st.sampled_from([0, 0, 1, -1]),
+        kernel_shift=st.sampled_from([0, 0, 1, -1, 5, -5]),
+    )
+    def test_validate_io_accepts_exactly_what_the_stack_flattens_to_output_dim(
+        self, in_planes, hidden, output_dim, length, channel_shift, kernel_shift
+    ):
+        # random table structures with 0-3 hidden (kernel, out planes) blocks,
+        # whose final kernel is near the length that halving leaves for it
+        rows, planes, remaining = [], in_planes, length
+        for kernel, out in hidden:
+            rows.append(f"{planes},{kernel},{out}")
+            planes, remaining = out, -(-remaining // 2)
+        rows.append(f"{planes},{max(1, remaining + kernel_shift)},{output_dim}")
+        spec = parse_structure(" / ".join(rows), output_dim=output_dim)
+        channels = max(1, in_planes + channel_shift)
+        x = np.random.default_rng(0).normal(size=(1, channels, length))
+        try:
+            fits = _forward_stack(spec, init_params(spec), x, "eval", None, None).shape == (1, output_dim)
+        except ValueError:
+            fits = False
+        try:
+            spec.validate_io(channels, length)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == fits
+
+
 class TestForward:
     def test_table7_s1_produces_code_vector(self):
         spec = parse_structure(TABLE7_S1, input_channels=2, input_length=251, output_dim=16)
